@@ -78,6 +78,11 @@ class SquareCompletion:
 
 @dataclass
 class ClassificationReport:
+    """`shape` holds the normal-form objects themselves (BivarPoly,
+    SquareCompletion, QuadraticCaseReport, MP2SquareResult, ECRecord);
+    to_json_obj is their only serializer.  `ecform_error` is the reason an
+    MP3 input has no ECRecord; it stays out of the JSON report."""
+
     degree: int
     profile: list
     definiteness: str
@@ -86,8 +91,15 @@ class ClassificationReport:
     shape: dict | None = None
     notes: list = field(default_factory=list)
     recommended: list = field(default_factory=list)
+    ecform_error: str | None = None
 
     def to_json_obj(self) -> dict:
+        shape = None
+        if self.shape is not None:
+            shape = {
+                k: v.to_json_obj() if hasattr(v, "to_json_obj") else v
+                for k, v in self.shape.items()
+            }
         return {
             "schema": SCHEMA_VERSION,
             "degree": self.degree,
@@ -95,7 +107,7 @@ class ClassificationReport:
             "definiteness": self.definiteness,
             "route": self.route,
             "conditions": self.conditions,
-            "shape": self.shape,
+            "shape": shape,
             "notes": self.notes,
             "recommended": self.recommended,
         }
@@ -770,7 +782,7 @@ def ecform_normalize(F: BivarPoly, core: MP3Core | None = None) -> ECRecord:
     if alpha1 <= 0 or alpha2 <= 0:
         raise ClassifyError(
             f"cannot normalize: alpha1 = {alpha1}, alpha2 = {alpha2} "
-            "(shear requires positive weights; branch-following fallback)"
+            "(shear requires positive weights)"
         )
     beta1, beta2, beta3, beta4 = core.betas
     work_F = core.shape.F  # possibly x-flipped relative to the input
@@ -836,81 +848,6 @@ def ecform_normalize(F: BivarPoly, core: MP3Core | None = None) -> ECRecord:
     return rec
 
 
-# -- composed-shape detection -------------------------------------------------
-
-
-def detect_composed(F: BivarPoly):
-    """Pattern-limited decomposition F = outer(inner) with deg outer >= 2.
-
-    Detects (a) F = s * H^m + c for a bivariate H and integer m >= 2, found
-    by matching homogeneous layers against an m-th root of the top form, and
-    (b) F depending on a single variable.  Returns (outer_coeffs, inner) with
-    outer_coeffs a lowest-first Fraction list, or None.
-    """
-    d = F.degree()
-    if d < 2:
-        return None
-    top = F.homogeneous_part(d)
-    topform = BinaryForm.from_poly(top)
-    for m in sorted((m for m in range(2, d + 1) if d % m == 0), reverse=True):
-        got = _try_power_shape(F, topform, m)
-        if got is not None:
-            return got
-    # single-variable fallback: outer is the univariate polynomial itself
-    if F.degree_in(1) == 0 and F.degree_in(0) >= 2:
-        coeffs = [F.coeff(i, 0) for i in range(F.degree_in(0) + 1)]
-        return coeffs, BivarPoly.x()
-    if F.degree_in(0) == 0 and F.degree_in(1) >= 2:
-        coeffs = [F.coeff(0, j) for j in range(F.degree_in(1) + 1)]
-        return coeffs, BivarPoly.y()
-    return None
-
-
-def _try_power_shape(F: BivarPoly, topform: BinaryForm, m: int):
-    d = topform.degree
-    e = d // m
-    facs = squarefree_factors(topform)
-    if any(i % m for i, _ in facs):
-        return None
-    R = BinaryForm(0, [Fraction(1)])
-    for i, B in facs:
-        for _ in range(i // m):
-            R = BinaryForm.from_poly(R.to_poly() * B.to_poly())
-    if R.degree != e:
-        return None
-    Rm = BinaryForm(0, [Fraction(1)])
-    for _ in range(m):
-        Rm = BinaryForm.from_poly(Rm.to_poly() * R.to_poly())
-    sq = form_div(Rm, topform)
-    if sq is None or sq.degree != 0:
-        return None
-    s = sq.coefficients[0]
-    H = R.to_poly()
-    # solve the lower homogeneous layers of H top-down
-    Rm1 = BinaryForm(0, [Fraction(1)])
-    for _ in range(m - 1):
-        Rm1 = BinaryForm.from_poly(Rm1.to_poly() * R.to_poly())
-    for j in range(e - 1, -1, -1):
-        level = (m - 1) * e + j
-        K = H**m
-        target = F.homogeneous_part(level) * (1 / s) - K.homogeneous_part(level)
-        if target.is_zero():
-            continue
-        hj = form_div(Rm1, BinaryForm.from_poly(target * Fraction(1, m)))
-        if hj is None:
-            return None
-        H = H + hj.to_poly()
-    residual = F - H**m * s
-    if residual.degree() > 0:
-        return None
-    c = residual.coeff(0, 0)
-    outer = [Fraction(0)] * (m + 1)
-    outer[0] = c
-    outer[m] = s
-    assert F == H**m * s + BivarPoly.const(c)
-    return outer, H
-
-
 # -- the router ---------------------------------------------------------------
 
 
@@ -942,7 +879,9 @@ def classify(F: BivarPoly) -> ClassificationReport:
     notes: list = []
     recommended: list = []
     shape: dict | None = None
+    ecform_error: str | None = None
 
+    # `recommended` names bare subcommands; witness_for alone picks the engine
     if maxmult in (3, 5):
         # taxonomy gap: no completeness analysis for these two profiles;
         # this takes precedence over the definiteness shortcut so that both
@@ -952,73 +891,50 @@ def classify(F: BivarPoly) -> ClassificationReport:
             f"max multiplicity {maxmult}: no covering case analysis; "
             "witness search still offered, no completeness claim"
         )
-        recommended.append("witness --engine dirichlet" if gcd_ok else "density")
-        report = ClassificationReport(
-            degree=6, profile=profile, definiteness=defin, route=route,
-            conditions=conditions, shape=shape, notes=notes, recommended=recommended,
-        )
-        return report
+        recommended.append("witness" if gcd_ok else "density")
 
-    if defin in ("negative-definite", "negative-semi", "indefinite"):
+    elif defin in ("negative-definite", "negative-semi", "indefinite"):
         route = "not-positive-leading"
         notes.append(
             "F6 takes negative values on integer rays, so F is unbounded below"
         )
-        recommended.append("witness --engine ray")
-        return ClassificationReport(
-            degree=6, profile=profile, definiteness=defin, route=route,
-            conditions=conditions, shape=shape, notes=notes, recommended=recommended,
-        )
+        recommended.append("witness")
 
-    if profile == [(1, 6)]:
+    elif profile == [(1, 6)]:
         route = "MP0"
-        if defin == "positive-semi":
-            recommended.append("witness --engine dirichlet" if gcd_ok else "density")
-        else:
-            recommended.append("density")
-        return ClassificationReport(
-            degree=6, profile=profile, definiteness=defin, route=route,
-            conditions=conditions, shape=shape, notes=notes, recommended=recommended,
-        )
+        recommended.append("witness" if defin == "positive-semi" and gcd_ok else "density")
 
-    if maxmult == 2:
+    elif maxmult == 2:
         factors = dict(squarefree_factors(F6))
         f = factors[2]
         conditions["f"] = f.to_poly().format()
         conditions["f|F5"] = form_div(f, F5) is not None
         conditions["f|F4"] = form_div(f, F4) is not None
-        sub = {3: "MP1-cubic", 2: "MP1-quadratic", 1: "MP1-linear"}[f.degree]
-        route = sub
+        route = {3: "MP1-cubic", 2: "MP1-quadratic", 1: "MP1-linear"}[f.degree]
         shape = {}
-        if sub == "MP1-cubic":
+        if route == "MP1-cubic":
             if conditions["f|F5"] and conditions["f|F4"]:
-                comp = cubic_square_completion(F)
-                shape["completion"] = comp.to_json_obj()
+                shape["completion"] = cubic_square_completion(F)
                 recommended.append("density")
             else:
                 notes.append("f does not divide F5 and F4; negativity witness applies")
-                recommended.append("witness --engine dirichlet")
-        elif sub == "MP1-quadratic":
+                recommended.append("witness")
+        elif route == "MP1-quadratic":
             k = _detect_pell_k(f)
             if k is not None:
                 shape["k"] = k
                 try:
-                    qrep = quadratic_case_analysis(F, k)
-                    shape["quadratic_case"] = qrep.to_json_obj()
+                    shape["quadratic_case"] = quadratic_case_analysis(F, k)
                 except ClassifyError as exc:
                     notes.append(str(exc))
             else:
                 notes.append("doubled factor not equivalent to x^2 - k y^2 over Q")
-            recommended.append("witness --engine dirichlet" if gcd_ok else "density")
+            recommended.append("witness" if gcd_ok else "density")
         else:
             notes.append("doubled linear factor; root-direction walk applies")
-            recommended.append("witness --engine dirichlet" if gcd_ok else "density")
-        return ClassificationReport(
-            degree=6, profile=profile, definiteness=defin, route=route,
-            conditions=conditions, shape=shape, notes=notes, recommended=recommended,
-        )
+            recommended.append("witness" if gcd_ok else "density")
 
-    if maxmult == 4:
+    elif maxmult == 4:
         route = "MP2"
         factors = dict(squarefree_factors(F6))
         ell = factors[4]
@@ -1029,12 +945,12 @@ def classify(F: BivarPoly) -> ClassificationReport:
             )
         M = unimodular_matrix_for(ell)
         Fn = apply_matrix(F, M)
-        shape = {"matrix": M, "normalized": Fn.to_json_obj()}
+        shape = {"matrix": M, "normalized": Fn}
         partsn = decompose(Fn)
         conditions["x^2|F5"] = _xpow_div(partsn[5], 2)
         if conditions["x^2|F5"]:
             res = mp2_square_check(Fn)
-            shape["square_check"] = res.to_json_obj()
+            shape["square_check"] = res
             if res.ok and res.completion is not None:
                 recommended.append("density")
             elif res.ok and res.fixed_x_dearth:
@@ -1042,69 +958,53 @@ def classify(F: BivarPoly) -> ClassificationReport:
                 notes.append("alpha2 = 0: representable values come from O(1) many x")
             else:
                 notes.append(res.reason or "square check failed")
-                recommended.append("witness --engine anisotropic --theta 1/2")
+                recommended.append("witness")
         else:
             notes.append("x^2 does not divide F5; anisotropic witness applies")
-            recommended.append("witness --engine anisotropic --theta 7/12")
-        return ClassificationReport(
-            degree=6, profile=profile, definiteness=defin, route=route,
-            conditions=conditions, shape=shape, notes=notes, recommended=recommended,
-        )
+            recommended.append("witness")
 
-    # maxmult == 6
-    route = "MP3"
-    factors = dict(squarefree_factors(F6))
-    ell = factors[6]
-    if ell.degree != 1:
-        raise ClassifyError("6th-power factor must be linear")
-    M = unimodular_matrix_for(ell)
-    Fn = apply_matrix(F, M)
-    shape = {"matrix": M, "normalized": Fn.to_json_obj()}
-    partsn = decompose(Fn)
-    F5n, F4n = partsn[5], partsn[4]
-    conditions["x^2|F5"] = _xpow_div(F5n, 2)
-    conditions["x^3|F5"] = _xpow_div(F5n, 3)
-    conditions["x^4|F5"] = _xpow_div(F5n, 4)
-    conditions["x^3|F5 exactly"] = conditions["x^3|F5"] and not conditions["x^4|F5"]
-    conditions["x|F4"] = _xpow_div(F4n, 1)
-    conditions["x^2|F4"] = _xpow_div(F4n, 2)
-    conditions["x|F4 exactly"] = conditions["x|F4"] and not conditions["x^2|F4"]
+    else:  # maxmult == 6
+        route = "MP3"
+        factors = dict(squarefree_factors(F6))
+        ell = factors[6]
+        if ell.degree != 1:
+            raise ClassifyError("6th-power factor must be linear")
+        M = unimodular_matrix_for(ell)
+        Fn = apply_matrix(F, M)
+        shape = {"matrix": M, "normalized": Fn}
+        partsn = decompose(Fn)
+        F5n, F4n = partsn[5], partsn[4]
+        conditions["x^2|F5"] = _xpow_div(F5n, 2)
+        conditions["x^3|F5"] = _xpow_div(F5n, 3)
+        conditions["x^4|F5"] = _xpow_div(F5n, 4)
+        conditions["x^3|F5 exactly"] = conditions["x^3|F5"] and not conditions["x^4|F5"]
+        conditions["x|F4"] = _xpow_div(F4n, 1)
+        conditions["x^2|F4"] = _xpow_div(F4n, 2)
+        conditions["x|F4 exactly"] = conditions["x|F4"] and not conditions["x^2|F4"]
+        recommended.append("witness")
 
-    if not conditions["x^2|F5"]:
-        notes.append("x^2 does not divide F5; anisotropic witness, theta = 1/2")
-        recommended.append("witness --engine anisotropic --theta 1/2")
-    elif not conditions["x^3|F5"]:
-        notes.append("x^3 does not divide F5; anisotropic witness, theta = 2/3")
-        recommended.append("witness --engine anisotropic --theta 2/3")
-    elif conditions["x^4|F5"] and conditions["x|F4 exactly"]:
-        notes.append("x^4 | F5 with x | F4 exactly; anisotropic witness, theta = 1/6")
-        recommended.append("witness --engine anisotropic --theta 1/6")
-    elif conditions["x^4|F5"] and conditions["x^2|F4"]:
-        lay = f40_layers(Fn)
-        shape["f40_lead"] = [str(u) for u in lay.u]
-        notes.append("x^4 | F5 and x^2 | F4; weighted-cubic sign search applies")
-        recommended.append("witness --engine weighted-cubic")
-        _attach_ecform(Fn, shape, notes, recommended)
-    else:
-        _attach_ecform(Fn, shape, notes, recommended)
+        if not conditions["x^2|F5"]:
+            notes.append("x^2 does not divide F5; anisotropic witness, theta = 1/2")
+        elif not conditions["x^3|F5"]:
+            notes.append("x^3 does not divide F5; anisotropic witness, theta = 2/3")
+        elif conditions["x^4|F5"] and conditions["x|F4 exactly"]:
+            notes.append("x^4 | F5 with x | F4 exactly; anisotropic witness, theta = 1/6")
+        else:
+            if conditions["x^4|F5"] and conditions["x^2|F4"]:
+                lay = f40_layers(Fn)
+                shape["f40_lead"] = [str(u) for u in lay.u]
+                notes.append("x^4 | F5 and x^2 | F4; weighted-cubic sign search applies")
+            try:
+                shape["ecform"] = ecform_normalize(Fn)
+            except ClassifyError as exc:
+                ecform_error = str(exc)
+                notes.append(ecform_error)
+
     return ClassificationReport(
         degree=6, profile=profile, definiteness=defin, route=route,
         conditions=conditions, shape=shape, notes=notes, recommended=recommended,
+        ecform_error=ecform_error,
     )
-
-
-def _attach_ecform(Fn: BivarPoly, shape: dict, notes: list, recommended: list):
-    try:
-        rec = ecform_normalize(Fn)
-    except ClassifyError as exc:
-        notes.append(str(exc))
-        recommended.append("witness --engine branch-follow")
-        return
-    shape["ecform"] = rec.to_json_obj()
-    if rec.b1:
-        recommended.append("witness --engine rouse")
-    else:
-        recommended.append("witness --engine danilov")
 
 
 def _detect_pell_k(f: BinaryForm) -> int | None:

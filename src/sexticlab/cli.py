@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import BivarPoly
 from .parser import ParseError, parse
 from .classify import ClassifyError, classify
-from .witness import SearchBudgets, witness_for
+from .witness import CertificateError, SearchBudgets, witness_for
 from . import density as density_mod
 from . import eclab
 
@@ -23,17 +22,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_BUDGET = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    poly_text: str | None = None
-    poly_file: str | None = None
-    budgets: SearchBudgets = None
-    out: str | None = None
-    fmt: str = "json"
-    workers: int = 1
 
 
 class InputError(ValueError):
@@ -61,7 +49,6 @@ def _budgets(args) -> SearchBudgets:
     for name, attr in (
         ("budget_convergents", "convergents"),
         ("budget_tmax", "Tmax"),
-        ("budget_xmax", "Xmax"),
         ("budget_box", "box"),
         ("budget_rmax", "rmax"),
         ("budget_nmax", "Nmax"),
@@ -113,7 +100,7 @@ def cmd_witness(args) -> int:
     rep = classify(F)
     w = witness_for(F, rep, budgets)
     if not w.verify(F):
-        raise RuntimeError("witness failed re-verification against the input")
+        raise CertificateError("witness failed re-verification against the input")
     obj = w.to_json_obj()
     obj["route"] = rep.route
     if args.format == "text":
@@ -128,10 +115,7 @@ def cmd_witness(args) -> int:
     else:
         _emit(args, _json_dump(obj))
     if w.kind == "inconclusive":
-        text = (w.note or "").lower()
-        if "budget" in text or "exhaust" in text:
-            return EXIT_BUDGET
-        return EXIT_INCONCLUSIVE
+        return EXIT_BUDGET if w.exhausted else EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -236,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_poly_opts(pw)
     pw.add_argument("--budget-convergents", type=int, default=None)
     pw.add_argument("--budget-tmax", type=int, default=None)
-    pw.add_argument("--budget-xmax", type=int, default=None)
     pw.add_argument("--budget-box", type=int, default=None)
     pw.add_argument("--budget-rmax", type=int, default=None)
     pw.add_argument("--budget-nmax", type=int, default=None)

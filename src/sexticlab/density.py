@@ -193,7 +193,7 @@ def count_range(
         certified = True
     except DensityError as exc:
         notes.append(f"box not certified: {exc}")
-        M = max(64, 4 * _iroot_int(2 * N, max(d, 1)))
+        M = max(64, 4 * up.iroot(2 * N, max(d, 1)))
     lo, hi = N, 2 * N
 
     # deterministic shard decomposition by x; merge order is shard order, so
@@ -272,40 +272,18 @@ def _member(use_bitmap, store, v, lo):
 def _near_curve_values(F: BivarPoly, lo: int, hi: int) -> list[int]:
     """Best-effort extra values from curve-following families when the box is
     not certified (degenerate leading forms take bounded values far out)."""
-    out = set()
     if F.degree() != 6:
         return []
-    try:
-        from .classify import classify
-        from .witness import _ecrecord_from_json, rouse_witness, danilov_witness
+    from .classify import classify
+    from .witness import rouse_witness, danilov_witness
 
-        rep = classify(F)
-        shape = rep.shape or {}
-        if "ecform" not in shape:
-            return []
-        rec = _ecrecord_from_json(shape["ecform"])
-        Fn = BivarPoly.from_json_obj(shape["normalized"]) if "normalized" in shape else F
-        w = rouse_witness(Fn, rec, 25) if rec.b1 else danilov_witness(Fn, rec, 10)
-        for _x, _y, v in w.points:
-            if v.denominator == 1 and lo <= v < hi:
-                out.add(int(v))
-    except Exception:
+    shape = classify(F).shape or {}
+    rec = shape.get("ecform")
+    if rec is None:
         return []
-    return sorted(out)
-
-
-def _iroot_int(n: int, k: int) -> int:
-    if n <= 1:
-        return n
-    hi = 1 << ((n.bit_length() + k - 1) // k + 1)
-    lo = 0
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    Fn = shape["normalized"]
+    w = rouse_witness(Fn, rec, 25) if rec.b1 else danilov_witness(Fn, rec, 10)
+    return sorted({int(v) for _x, _y, v in w.points if v.denominator == 1 and lo <= v < hi})
 
 
 # -- growth exponent ----------------------------------------------------------

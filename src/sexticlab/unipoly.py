@@ -3,7 +3,8 @@
 Polynomials are coefficient lists [c0, c1, ...] of Fractions, lowest degree
 first, with no trailing zeros (the zero polynomial is the empty list).  Used
 for dehomogenized binary forms: gcds, Yun square-free decomposition, Sturm
-real-root isolation, and certified continued-fraction convergents.
+real-root isolation, certified continued-fraction convergents, and the
+integer k-th root.
 """
 
 from __future__ import annotations
@@ -240,9 +241,6 @@ class IsolatingInterval:
     def contains_rational(self, r: Fraction) -> bool:
         return self.lo < r < self.hi
 
-    def sample(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __repr__(self):
         return f"IsolatingInterval({self.lo}, {self.hi})"
 
@@ -415,3 +413,23 @@ def convergents_of_root(iv: IsolatingInterval, n: int) -> list[tuple[int, int]]:
                     raise ArithmeticError(f"convergent ({p},{q}) fails |q a - p| < 1/q")
             orig.refine()
     return pairs
+
+
+# -- integer roots ------------------------------------------------------------
+
+
+def iroot(n: int, k: int) -> int:
+    """Floor k-th root of a nonnegative integer."""
+    if n < 0:
+        raise ValueError("negative radicand")
+    if n in (0, 1) or k == 1:
+        return n
+    hi = 1 << ((n.bit_length() + k - 1) // k + 1)
+    lo = 0
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -1,14 +1,16 @@
 """Search engines producing verified integer-point certificates.
 
-Every engine takes explicit budgets and returns a Witness; exhausted budgets
-yield kind "inconclusive" instead of looping.  Recorded values are exact and
-re-verified against the polynomial at construction time.  Floating point
-never decides a predicate here; it only appears in reported ratios.
+Every engine takes explicit budgets and returns a Witness; an exhausted
+budget yields kind "inconclusive" with `exhausted` set instead of looping.
+Recorded values are exact and verified against the polynomial at
+construction time; a failed check raises CertificateError, so it holds under
+`python -O` too.  Floating point never decides a predicate here; it only
+appears in reported ratios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .poly import BivarPoly
@@ -29,7 +31,6 @@ from .eclab import danilov_family, rouse_point
 class SearchBudgets:
     convergents: int = 64
     Tmax: int = 10**12
-    Xmax: int = 10**9
     box: int = 200
     rmax: int = 25
     Nmax: int = 10**9
@@ -42,6 +43,7 @@ class Witness:
     points: list  # [(x: int, y: int, value: Fraction)]
     note: str = ""
     extra: dict = field(default_factory=dict)
+    exhausted: bool = False  # an inconclusive search ran out of budget; not serialized
 
     def verify(self, F: BivarPoly) -> bool:
         for x, y, v in self.points:
@@ -64,12 +66,15 @@ class Witness:
         }
 
 
+class CertificateError(RuntimeError):
+    """A witness failed exact verification against its polynomial."""
+
+
 def _checked(F: BivarPoly, kind: str, lemma: str, points, note="", extra=None) -> Witness:
-    pts = [(int(x), int(y), F.eval(x, y)) for x, y, _ in points] if points and len(points[0]) == 3 else [
-        (int(x), int(y), F.eval(x, y)) for x, y in points
-    ]
-    w = Witness(kind=kind, lemma=lemma, points=pts, note=note, extra=extra or {})
-    assert w.verify(F)
+    """Wraps an engine's (x, y, F(x, y)) triples, verified once."""
+    w = Witness(kind=kind, lemma=lemma, points=points, note=note, extra=extra or {})
+    if not w.verify(F):
+        raise CertificateError(f"{lemma}: {kind} witness fails verification")
     return w
 
 
@@ -151,6 +156,7 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
         note=f"no negative value within {max_convergents} convergents "
         f"over {tried} directions",
         extra=extra,
+        exhausted=True,
     )
 
 
@@ -167,23 +173,6 @@ def _eval_pm(F, u, v, negatives):
 # -- anisotropic schedule -----------------------------------------------------
 
 
-def _iroot(n: int, k: int) -> int:
-    """Floor k-th root of a nonnegative integer."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n in (0, 1) or k == 1:
-        return n
-    hi = 1 << ((n.bit_length() + k - 1) // k + 1)
-    lo = 0
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def anisotropic_witness(F: BivarPoly, theta: Fraction, Tmax: int = 10**12) -> Witness:
     """Scans x within a factor 2 of T^theta and y = +-T on a doubling T
     schedule; returns the first negative value with the per-degree dominant
@@ -194,7 +183,7 @@ def anisotropic_witness(F: BivarPoly, theta: Fraction, Tmax: int = 10**12) -> Wi
     parts = decompose(F)
     T = 2
     while T <= Tmax:
-        r = _iroot(T**theta.numerator, theta.denominator)
+        r = up.iroot(T**theta.numerator, theta.denominator)
         if r >= 1:
             xlo, xhi = max(1, r - r // 2), 2 * r
             span = xhi - xlo + 1
@@ -222,6 +211,7 @@ def anisotropic_witness(F: BivarPoly, theta: Fraction, Tmax: int = 10**12) -> Wi
         lemma="anisotropic-schedule",
         points=[],
         note=f"no negative value on the theta={theta} schedule up to T={Tmax}",
+        exhausted=True,
     )
 
 
@@ -263,8 +253,8 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
     # result is univariate in N and its N^6 coefficient must be G(c1^2, c2)
     N = BivarPoly.x()
     curve = F.subs(N * c1, N * N * c2)
-    assert curve.coeff(6, 0) == gval
-    assert curve.degree_in(1) == 0
+    if curve.coeff(6, 0) != gval or curve.degree_in(1) != 0:
+        raise CertificateError(f"weighted-cubic: scaling identity fails at ({c1},{c2})")
     N_int = 1
     while N_int <= Nmax:
         x, y = c1 * N_int, c2 * N_int * N_int
@@ -284,55 +274,8 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
         lemma="weighted-cubic",
         points=[],
         note=f"lead form negative at ({c1},{c2}) but budget Nmax={Nmax} exhausted",
+        exhausted=True,
     )
-
-
-# -- branch following ---------------------------------------------------------
-
-
-def branch_follow(F: BivarPoly, core: BivarPoly, Xmax: int = 10**9) -> Witness:
-    """Follows the real branches y(x) of core(x, y) = 0 for x on a geometric
-    schedule, evaluating F at the integers nearest each branch.  Points are
-    emitted when the nearness certificate |core(x, y)| <= |d core/dy(x, y)|/2
-    holds exactly; the minimum value seen is tracked either way."""
-    dcore = core.deriv(1)
-    schedule = []
-    x = 2
-    while x <= Xmax:
-        schedule.append(x)
-        x = x * 2 if x >= 64 else x + max(1, x // 4)
-    points = []
-    best = None
-    any_branch = False
-    for x in schedule:
-        coeffs = core.eval_x(x)
-        ivs = up.isolate_real_roots(coeffs)
-        for iv in ivs:
-            any_branch = True
-            iv.refine_to(Fraction(1, 2))
-            mid = iv.sample()
-            floor_y = mid.numerator // mid.denominator
-            for y in (floor_y, floor_y + 1):
-                v = F.eval(x, y)
-                if best is None or v < best[2]:
-                    best = (x, y, v)
-                cval = core.eval(x, y)
-                dval = dcore.eval(x, y)
-                if abs(cval) * 2 <= abs(dval):
-                    points.append((x, y, v))
-    if not any_branch:
-        raise ValueError("core has no real branch on the schedule")
-    kind = "small-core-sequence"
-    note = "integers tracking the core curve"
-    if best is not None and best[2] < 0:
-        kind = "negative-value"
-        if best not in points:
-            points.append(best)
-        note = f"negative value {best[2]} at x={best[0]}"
-    if not points:
-        return Witness(kind="inconclusive", lemma="branch-follow", points=[], note="no certified near-branch integer points")
-    return _checked(F, kind, "branch-follow", points, note=note,
-                    extra={"min_value": best[2]})
 
 
 # -- growth diagnostic --------------------------------------------------------
@@ -505,6 +448,7 @@ def ray_witness(F: BivarPoly, box: int = 24, scale_max: int = 10**12) -> Witness
         lemma="indefinite-leading",
         points=[],
         note="scaling budget exhausted",
+        exhausted=True,
     )
 
 
@@ -527,14 +471,11 @@ def witness_for(
         return growth_diagnostic(F, Fraction(1), box=min(budgets.box, 60))
 
     cond = report.conditions
-
-    def normalized():
-        if report.shape and "matrix" in report.shape:
-            return BivarPoly.from_json_obj(report.shape["normalized"]), report.shape["matrix"]
-        return F, [[1, 0], [0, 1]]
+    shape = report.shape or {}
+    Fn = shape.get("normalized", F)
+    M = shape.get("matrix", [[1, 0], [0, 1]])
 
     if route == "MP3":
-        Fn, M = normalized()
         w = None
         if not cond.get("x^2|F5", True):
             w = anisotropic_witness(Fn, Fraction(1, 2), budgets.Tmax)
@@ -548,41 +489,26 @@ def witness_for(
             w = weighted_cubic_sign_search(Fn, budgets.Nmax)
             if w.kind != "inconclusive":
                 return _map_back(F, w, M)
-        shape = report.shape or {}
-        if "ecform" in shape:
-            rec = _ecrecord_from_json(shape["ecform"])
-            if rec.b1:
-                w = rouse_witness(Fn, rec, budgets.rmax)
-            else:
-                w = danilov_witness(Fn, rec)
-            return _map_back(F, w, M)
-        # no completed square available: follow the weighted core directly
-        from .classify import mp3_shape_extract, mp3_square_and_proportionality, ClassifyError
-
-        try:
-            core = mp3_square_and_proportionality(mp3_shape_extract(Fn))
-            w = branch_follow(core.shape.F, core.core, budgets.Xmax)
-            if core.x_flipped:
-                # the core lives in x-negated coordinates
-                M = [[-M[0][0], M[0][1]], [-M[1][0], M[1][1]]]
-            return _map_back(F, w, M)
-        except (ClassifyError, ValueError) as exc:
-            return Witness(
-                kind="inconclusive", lemma="mp3", points=[], note=str(exc)
-            )
+        rec = shape.get("ecform")
+        if rec is None:
+            return Witness(kind="inconclusive", lemma="mp3", points=[], note=report.ecform_error)
+        if rec.b1:
+            w = rouse_witness(Fn, rec, budgets.rmax)
+        else:
+            w = danilov_witness(Fn, rec)
+        return _map_back(F, w, M)
 
     if route == "MP2":
-        Fn, M = normalized()
         if not cond.get("x^2|F5", True):
             return _map_back(F, anisotropic_witness(Fn, Fraction(7, 12), budgets.Tmax), M)
-        sq = (report.shape or {}).get("square_check") or {}
-        if not sq.get("ok", False):
+        if not shape["square_check"].ok:
             w = anisotropic_witness(Fn, Fraction(1, 2), budgets.Tmax)
             if w.kind != "inconclusive":
                 return _map_back(F, w, M)
             return Witness(
                 kind="inconclusive", lemma="mp2", points=[],
                 note="square check failed but no negative found on the schedule",
+                exhausted=w.exhausted,
             )
         return Witness(
             kind="inconclusive", lemma="mp2", points=[],
@@ -609,23 +535,11 @@ def _map_back(F: BivarPoly, w: Witness, M) -> Witness:
     the original polynomial via the unimodular matrix."""
     if M == [[1, 0], [0, 1]] or not w.points:
         return w
-    pts = []
-    for x, y, v in w.points:
-        ox = M[0][0] * x + M[0][1] * y
-        oy = M[1][0] * x + M[1][1] * y
-        pts.append((ox, oy, v))
-    out = Witness(kind=w.kind, lemma=w.lemma, points=pts, note=w.note, extra=w.extra)
-    assert out.verify(F)
+    pts = [
+        (M[0][0] * x + M[0][1] * y, M[1][0] * x + M[1][1] * y, v)
+        for x, y, v in w.points
+    ]
+    out = replace(w, points=pts)
+    if not out.verify(F):
+        raise CertificateError(f"{w.lemma}: witness fails verification after the change of variables")
     return out
-
-
-def _ecrecord_from_json(obj: dict) -> ECRecord:
-    return ECRecord(
-        a=Fraction(obj["a"]),
-        b1=Fraction(obj["b1"]),
-        b0=Fraction(obj["b0"]),
-        G=BivarPoly.from_json_obj(obj["G"]),
-        substitution={k: Fraction(v) for k, v in obj["substitution"].items()},
-        heavy_monomials=[tuple(m) for m in obj.get("heavy_monomials", [])],
-        x_flipped=obj.get("x_flipped", False),
-    )

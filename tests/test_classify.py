@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,10 +7,10 @@ import pytest
 
 from sexticlab.classify import (
     ClassifyError,
+    ECRecord,
     apply_matrix,
     classify,
     cubic_square_completion,
-    detect_composed,
     ecform_normalize,
     f40_layers,
     gcd_condition,
@@ -36,6 +37,16 @@ from corpus import CORPUS
 def test_corpus_routes(expr, route):
     rep = classify(parse(expr))
     assert rep.route == route, f"{expr}: got {rep.route}, want {route}"
+
+
+@pytest.mark.parametrize("expr,route", CORPUS)
+def test_report_shape_typed_and_serializable(expr, route):
+    rep = classify(parse(expr))
+    json.dumps(rep.to_json_obj())
+    if route == "MP3":
+        assert isinstance(rep.shape["normalized"], BivarPoly)
+    if expr == "(y^2 - x^3 - x)^2 - y + 10":
+        assert isinstance(rep.shape["ecform"], ECRecord)
 
 
 def test_report_json_schema():
@@ -264,29 +275,6 @@ def test_ecform_epsilon_absorption():
     rec = ecform_normalize(F)
     assert rec.verify(F)
     assert rec.b1 == 2
-
-
-# -- composition detection ----------------------------------------------------
-
-
-def test_detect_composed_bivariate():
-    res = detect_composed(parse("(x^2 + y^3)^2 + 5"))
-    assert res is not None
-    outer, inner = res
-    assert inner == parse("x^2 + y^3")
-    assert outer == [Fraction(5), Fraction(0), Fraction(1)]
-
-
-def test_detect_composed_univariate():
-    res = detect_composed(parse("y^4 - 2*y^2 + 7"))
-    assert res is not None
-    outer, inner = res
-    assert inner == parse("y^2 - 1")
-    assert outer == [Fraction(6), Fraction(0), Fraction(1)]
-
-
-def test_detect_composed_negative():
-    assert detect_composed(parse("x^6 + y^6 + x*y")) is None
 
 
 # -- exact square predicate vs numeric double-root check ----------------------

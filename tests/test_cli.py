@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -10,7 +11,14 @@ from sexticlab.cli import (
     build_parser,
     main,
 )
+from sexticlab.classify import classify
 from sexticlab.parser import parse
+
+from corpus import CORPUS
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "corpus_cli.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -103,6 +111,15 @@ def test_witness_budget_exit(capsys):
         assert code == EXIT_BUDGET
     else:
         assert code == EXIT_OK
+
+
+def test_witness_exhausted_budget_exit(capsys):
+    # Tmax = 1 ends the anisotropic schedule before its first step
+    code, out, _ = run(
+        capsys, "witness", "--budget-tmax", "1", "--poly", "x^6 + x^2*y^3"
+    )
+    assert json.loads(out)["kind"] == "inconclusive"
+    assert code == EXIT_BUDGET
 
 
 def test_witness_rejects_bad_budget(capsys):
@@ -241,3 +258,34 @@ def test_density_workers_identical(capsys, workers):
 
 def test_parser_prog_name():
     assert build_parser().prog == "sextic-sieve"
+
+
+# -- corpus contracts ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("expr,route", CORPUS)
+def test_recommended_steps_run(capsys, expr, route):
+    rep = classify(parse(expr))
+    assert rep.recommended
+    for step in rep.recommended:
+        # a bare subcommand name that the parser accepts
+        build_parser().parse_args([step, "--poly", expr])
+        if step == "witness":
+            assert run(capsys, step, "--poly", expr)[0] != EXIT_INPUT
+
+
+@pytest.mark.parametrize("row", GOLDEN, ids=[row["poly"] for row in GOLDEN])
+def test_corpus_outputs_match_golden(capsys, row):
+    """witness and density output byte-identical to the recorded goldens;
+    analyze identical apart from its `recommended` list."""
+    expr = row["poly"]
+    for name, argv in (
+        ("witness", ["witness", "--poly", expr]),
+        ("density", ["density", "--poly", expr, "--bound", "1000"]),
+    ):
+        assert run(capsys, *argv)[:2] == (row[name]["exit"], row[name]["stdout"]), name
+    code, out, _ = run(capsys, "analyze", "--poly", expr)
+    gold = row["analyze"]
+    obj = json.loads(out)
+    obj["recommended"] = json.loads(gold["stdout"])["recommended"]
+    assert (code, json.dumps(obj, indent=2) + "\n") == (gold["exit"], gold["stdout"])

@@ -14,7 +14,6 @@ from sexticlab.density import (
     landau_baseline,
     stanley_probe,
     two_squares_direct,
-    _iroot_int,
     _lower_abs_sum,
 )
 from sexticlab.forms import BinaryForm
@@ -198,12 +197,6 @@ def test_landau_ratio_near_constant():
 def test_landau_rejects_small():
     with pytest.raises(DensityError):
         landau_baseline(50)
-
-
-def test_iroot_int():
-    assert _iroot_int(63, 6) == 1
-    assert _iroot_int(64, 6) == 2
-    assert _iroot_int(10**12, 6) == 100
 
 
 # -- normalized ladder --------------------------------------------------------

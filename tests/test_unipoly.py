@@ -138,3 +138,11 @@ def test_cubic_root_convergents_certified():
     alpha = 1.3247179572447460
     for pnum, q in pairs:
         assert abs(q * alpha - pnum) < 1.0 / q + 1e-9
+
+
+@pytest.mark.parametrize("n,k,root", [
+    (0, 3, 0), (26, 3, 2), (27, 3, 3), (10**18, 6, 1000), (10**18 - 1, 6, 999),
+    (63, 6, 1), (64, 6, 2), (10**12, 6, 100),
+])
+def test_iroot(n, k, root):
+    assert up.iroot(n, k) == root

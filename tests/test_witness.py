@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,12 +9,12 @@ from sexticlab.classify import classify, ecform_normalize
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
 from sexticlab.witness import (
+    CertificateError,
     SearchBudgets,
     Witness,
-    _iroot,
+    _checked,
     _map_back,
     anisotropic_witness,
-    branch_follow,
     dirichlet_witness,
     danilov_witness,
     growth_diagnostic,
@@ -36,20 +39,43 @@ def test_witness_verify_checks_values():
     assert not nn.verify(F)
 
 
+def test_checked_rejects_false_certificate():
+    F = parse("x^2 + y^2")
+    with pytest.raises(CertificateError):
+        _checked(F, "negative-value", "t", [(1, 1, Fraction(2))])
+    with pytest.raises(CertificateError):
+        _checked(F, "small-core-sequence", "t", [(1, 1, Fraction(3))])
+
+
+def test_certificate_gates_survive_optimize():
+    # assert statements vanish under python -O; the gates must not
+    code = (
+        "from fractions import Fraction\n"
+        "from sexticlab.parser import parse\n"
+        "from sexticlab.witness import CertificateError, Witness, _checked, _map_back\n"
+        "F = parse('x^2 + y^2')\n"
+        "for gate in (lambda: _checked(F, 'negative-value', 't', [(1, 1, Fraction(2))]),\n"
+        "             lambda: _map_back(F, Witness('negative-value', 't', [(1, 1, Fraction(-2))]),\n"
+        "                               [[1, 1], [0, 1]])):\n"
+        "    try:\n"
+        "        gate()\n"
+        "    except CertificateError:\n"
+        "        continue\n"
+        "    raise SystemExit('false certificate accepted')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_witness_json_shape():
     w = Witness("negative-value", "t", [(1, -2, Fraction(-3))], note="n", extra={"k": 7})
     obj = w.to_json_obj()
     assert obj["points"] == [[1, -2, "-3"]]
     assert obj["extra"] == {"k": "7"}
     assert w.min_value() == -3
-
-
-def test_iroot():
-    assert _iroot(0, 3) == 0
-    assert _iroot(26, 3) == 2
-    assert _iroot(27, 3) == 3
-    assert _iroot(10**18, 6) == 1000
-    assert _iroot(10**18 - 1, 6) == 999
 
 
 # -- Dirichlet convergent walk ------------------------------------------------
@@ -92,6 +118,7 @@ def test_dirichlet_inconclusive_on_tiny_budget():
     # either it already found one or reports the exhausted budget honestly
     if w.kind == "inconclusive":
         assert "convergents" in w.note
+        assert w.exhausted
 
 
 # -- anisotropic schedule -----------------------------------------------------
@@ -119,6 +146,8 @@ def test_anisotropic_budget_exhaustion_note():
     w = anisotropic_witness(parse("x^6 + y^6"), Fraction(1, 2), 2**10)
     assert w.kind == "inconclusive"
     assert "T=1024" in w.note
+    assert w.exhausted
+    assert "exhausted" not in w.to_json_obj()
 
 
 # -- weighted cubic -----------------------------------------------------------
@@ -137,39 +166,13 @@ def test_weighted_cubic_nonnegative_lead_inconclusive():
     w = weighted_cubic_sign_search(F, 10**6)
     assert w.kind == "inconclusive"
     assert "nonnegative" in w.note
+    assert not w.exhausted  # a fixed scan, not a budget
 
 
 def test_weighted_cubic_zero_lead_inconclusive():
     F = parse("x^5*y^40")  # not a sextic but the layers are all zero
     w = weighted_cubic_sign_search(parse("x*y"), 10**6)
     assert w.kind == "inconclusive"
-
-
-# -- branch following ---------------------------------------------------------
-
-
-def test_branch_follow_negative():
-    # the core has the exact integer branch y = x^2, where F = 10 - y
-    core = parse("y - x^2")
-    F = core * core - parse("y") + BivarPoly.const(10)
-    w = branch_follow(F, core, 10**6)
-    assert w.kind == "negative-value"
-    assert w.verify(F)
-
-
-def test_branch_follow_small_core_sequence():
-    core = parse("y^2 - x^3 - x")
-    F = core * core + BivarPoly.const(1)
-    w = branch_follow(F, core, 10**4)
-    assert w.kind == "small-core-sequence"
-    for x, y, v in w.points:
-        assert v >= 1  # F = core^2 + 1 >= 1 always
-
-
-def test_branch_follow_no_branch_raises():
-    core = parse("x^2 + y^2 + 1")  # empty real locus
-    with pytest.raises(ValueError):
-        branch_follow(parse("x^6 + y^6"), core, 100)
 
 
 # -- growth diagnostic --------------------------------------------------------
@@ -271,6 +274,18 @@ def test_dispatch_mp2_completed_square_inconclusive():
     w = witness_for(F)
     assert w.kind == "inconclusive"
     assert "density probe" in w.note
+
+
+def test_dispatch_mp3_without_ecform():
+    # the weighted lead form x^6 + y^4 is not a square: no ECRecord exists
+    F = parse("x^6 + y^4")
+    rep = classify(F)
+    assert rep.route == "MP3" and "ecform" not in rep.shape
+    w = witness_for(F, rep)
+    assert (w.kind, w.lemma) == ("inconclusive", "mp3")
+    assert w.note == rep.ecform_error and "perfect square" in w.note
+    assert not w.exhausted
+    assert "ecform_error" not in rep.to_json_obj()
 
 
 def test_dispatch_not_a_sextic_diagnostic():
