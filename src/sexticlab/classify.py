@@ -53,6 +53,17 @@ class ClassifyError(ValueError):
     pass
 
 
+class NormalFormError(RuntimeError):
+    """A normal form failed its own exact identity check.  Not a ValueError,
+    so the ClassifyError handlers never turn it into a note."""
+
+
+def _require(ok: bool, what: str) -> None:
+    """An identity check that, unlike assert, also holds under python -O."""
+    if not ok:
+        raise NormalFormError(what)
+
+
 @dataclass
 class SquareCompletion:
     """scale * core^2 + remainder = the input polynomial, exactly."""
@@ -157,7 +168,7 @@ def unimodular_matrix_for(ell: BinaryForm) -> list[list[int]]:
             best = (key, c1, c2)
     m11, m21 = best[1], best[2]
     M = [[m11, -b], [m21, a]]
-    assert M[0][0] * M[1][1] - M[0][1] * M[1][0] == 1
+    _require(M[0][0] * M[1][1] - M[0][1] * M[1][0] == 1, "unimodular matrix: determinant is not 1")
     return M
 
 
@@ -228,8 +239,8 @@ def cubic_square_completion(F: BivarPoly) -> SquareCompletion:
     core = f + g * (Fraction(1, 2) / a)
     remainder = F - core * core * a
     comp = SquareCompletion(core=core, scale=a, remainder=remainder)
-    assert comp.verify(F)
-    assert remainder.degree() <= 4
+    _require(comp.verify(F), "cubic square completion: identity fails")
+    _require(remainder.degree() <= 4, "cubic square completion: remainder degree exceeds 4")
     return comp
 
 
@@ -475,7 +486,7 @@ def mp2_square_check(F: BivarPoly) -> MP2SquareResult:
         )
     beta1 = b2 / (2 * A)
     beta2 = -b1 / (2 * A) - rho * beta1
-    assert b0 == 2 * A * rho * beta2
+    _require(b0 == 2 * A * rho * beta2, "MP2 square check: b-layer constant mismatch")
     x, y = BivarPoly.x(), BivarPoly.y()
     core = y * (x * x - y * rho) + x * (x * x * beta1 - y * beta2)
     remainder = F - core * core * A
@@ -485,7 +496,7 @@ def mp2_square_check(F: BivarPoly) -> MP2SquareResult:
         remainder=remainder,
         substitution={"rho": rho, "beta1": beta1, "beta2": beta2},
     )
-    assert comp.verify(F)
+    _require(comp.verify(F), "MP2 square check: completion identity fails")
     return MP2SquareResult(
         ok=True,
         alpha1=alpha1,
@@ -502,7 +513,7 @@ def reduce_to_quartic(F: BivarPoly, comp: SquareCompletion) -> BivarPoly:
     degree <= 4 (weights x:1, t:2), so F becomes scale * Q1^2 + Q2 with Q1, Q2
     weighted quartics.  Returns the substituted polynomial (second variable
     slot holds t); the decomposition identity and the round trip back to F are
-    asserted."""
+    checked (NormalFormError on failure, also under python -O)."""
     sub = comp.substitution
     rho, beta1, beta2 = sub["rho"], sub["beta1"], sub["beta2"]
     if not rho:
@@ -514,8 +525,11 @@ def reduce_to_quartic(F: BivarPoly, comp: SquareCompletion) -> BivarPoly:
     out = F.subs(x, y_expr)
     core_sub = comp.core.subs(x, y_expr)
     rem_sub = out - core_sub * core_sub * comp.scale
-    assert not core_sub.coeff(3, 0), "cubic term of the core must cancel"
-    assert all(i + 2 * j <= 4 for (i, j) in core_sub.terms)
+    _require(not core_sub.coeff(3, 0), "quartic reduction: cubic term of the core must cancel")
+    _require(
+        all(i + 2 * j <= 4 for (i, j) in core_sub.terms),
+        "quartic reduction: core weighted degree exceeds 4",
+    )
     bad = [(i, j) for (i, j) in rem_sub.terms if i + 2 * j > 4]
     if bad:
         raise ClassifyError(
@@ -524,7 +538,7 @@ def reduce_to_quartic(F: BivarPoly, comp: SquareCompletion) -> BivarPoly:
         )
     # round-trip: substituting t = y - (1/rho)x^2 - c x recovers F
     t_expr = BivarPoly.y() - x * x * (1 / rho) - x * c
-    assert out.subs(x, t_expr) == F
+    _require(out.subs(x, t_expr) == F, "quartic reduction: round trip does not recover F")
     return out
 
 
@@ -577,7 +591,7 @@ def mp3_shape_extract(F: BivarPoly) -> MP3Shape:
         }
     )
     G = F - layered
-    assert layered + G == F
+    _require(layered + G == F, "MP3 shape: layers do not reassemble F")
     return MP3Shape(a2=a2, a1=a1, a0=a0, L=L, G=G, F=F)
 
 
@@ -647,7 +661,7 @@ def mp3_square_and_proportionality(shape: MP3Shape) -> MP3Core:
         a2, a1, a0 = shape.a2, shape.a1, shape.a0
         x_flipped = True
     alpha1 = -a1 / (2 * a2)
-    assert alpha1 > 0
+    _require(alpha1 > 0, "MP3 core: alpha1 is not positive after the flip")
     aprime = a2
     # solve the betas from the x-heavy slot of each layer; the layers mix the
     # betas triangularly because squaring the core feeds beta products back
@@ -757,7 +771,7 @@ def _taoshape_try(F: BivarPoly) -> ECRecord | None:
                 "y_c0": Fraction(0),
             },
         )
-        assert rec.verify(F)
+        _require(rec.verify(F), "Tao-shape EC form: identity fails")
         return rec
     return None
 
@@ -844,7 +858,7 @@ def ecform_normalize(F: BivarPoly, core: MP3Core | None = None) -> ECRecord:
         heavy_monomials=heavy,
         x_flipped=core.x_flipped,
     )
-    assert rec.verify(F)
+    _require(rec.verify(F), "EC normal form: identity fails")
     return rec
 
 

@@ -202,51 +202,49 @@ def count_range(
     nshards = max(1, min(workers * 4, len(xs_all)))
     shards = [xs_all[i::nshards] for i in range(nshards)]
 
+    # each absorb returns how many of its values were new, so the running
+    # total is the count and the store is never recounted
     use_bitmap = N <= mem_bits
     mode = "bitmap" if use_bitmap else "dedup"
     if use_bitmap:
         bits = bytearray((N + 7) // 8)
 
-        def absorb(values):
+        def absorb(values) -> int:
+            added = 0
             for v in values:
                 k = v - lo
-                bits[k >> 3] |= 1 << (k & 7)
+                i, m = k >> 3, 1 << (k & 7)
+                if not bits[i] & m:
+                    bits[i] |= m
+                    added += 1
+            return added
 
     else:
         notes.append("bitmap budget exceeded; sorted-dedup fallback")
         allvals = set()
 
-        def absorb(values):
+        def absorb(values) -> int:
+            before = len(allvals)
             allvals.update(values)
+            return len(allvals) - before
 
+    count = 0
     if workers > 1 and len(xs_all) > 64:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             futs = [ex.submit(_chunk_values, F, xs, M, lo, hi) for xs in shards]
             for fut in futs:  # shard order, not completion order
-                absorb(fut.result())
+                count += absorb(fut.result())
     else:
         for xs in shards:
-            absorb(_chunk_values(F, xs, M, lo, hi))
-
-    if use_bitmap:
-        count = sum(bin(b).count("1") for b in bits)
-    else:
-        count = len(allvals)
+            count += absorb(_chunk_values(F, xs, M, lo, hi))
 
     if not certified:
-        extra = _near_curve_values(F, lo, hi)
-        if extra:
-            new = [v for v in extra if not _member(use_bitmap, bits if use_bitmap else allvals, v, lo)]
-            for v in new:
-                absorb([v])
-            if new:
-                notes.append(f"{len(new)} values added from curve-family points")
-            if use_bitmap:
-                count = sum(bin(b).count("1") for b in bits)
-            else:
-                count = len(allvals)
+        added = absorb(_near_curve_values(F, lo, hi))
+        count += added
+        if added:
+            notes.append(f"{added} values added from curve-family points")
 
     logN = math.log(N)
     return DensityReport(
@@ -260,13 +258,6 @@ def count_range(
         normalized_cuberoot=count / N ** (1 / 3),
         notes=notes,
     )
-
-
-def _member(use_bitmap, store, v, lo):
-    if use_bitmap:
-        k = v - lo
-        return bool(store[k >> 3] & (1 << (k & 7)))
-    return v in store
 
 
 def _near_curve_values(F: BivarPoly, lo: int, hi: int) -> list[int]:

@@ -338,7 +338,9 @@ def hall_scan(Xmax: int, threshold) -> list[tuple[int, int, int, float]]:
     threshold = Fraction(threshold)
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    t2 = threshold * threshold
+    # gap^2 <= (p/q)^2 x  <=>  gap^2 q^2 <= p^2 x, all in integers
+    p2 = threshold.numerator**2
+    q2 = threshold.denominator**2
     out = []
     for x in range(2, Xmax + 1):
         cube = x**3
@@ -349,7 +351,7 @@ def hall_scan(Xmax: int, threshold) -> list[tuple[int, int, int, float]]:
         else:
             y = y0
         gap = y * y - cube
-        if gap and Fraction(gap * gap) <= t2 * x:
+        if gap and gap * gap * q2 <= p2 * x:
             out.append((x, y, gap, abs(gap) / x**0.5))
     return out
 

@@ -219,15 +219,6 @@ class BivarPoly:
             out = out + power(xp_cache, x_expr, i) * power(yp_cache, y_expr, j) * c
         return out
 
-    def deriv(self, var: int) -> "BivarPoly":
-        d = {}
-        for (i, j), c in self._terms.items():
-            if var == 0 and i > 0:
-                d[(i - 1, j)] = c * i
-            elif var == 1 and j > 0:
-                d[(i, j - 1)] = c * j
-        return BivarPoly(d)
-
     def swap_vars(self) -> "BivarPoly":
         return BivarPoly({(j, i): c for (i, j), c in self._terms.items()})
 

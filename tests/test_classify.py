@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -297,3 +300,28 @@ def test_square_predicate_matches_numeric():
         assert sq.ok == numeric_square
         agree += 1
     assert agree == 100
+
+
+def test_normal_form_checks_survive_optimize():
+    # assert statements vanish under python -O; the identity checks must not,
+    # and no ClassifyError handler may turn a failure into a note.  Both
+    # inputs build a SquareCompletion: MP1-cubic and the MP2 square check.
+    code = (
+        "import importlib\n"
+        "C = importlib.import_module('sexticlab.classify')\n"
+        "from sexticlab.parser import parse\n"
+        "C.SquareCompletion.verify = lambda self, F: False\n"
+        "f = '(x^3 + x*y^2 + y^3)'\n"
+        "for text in (f + '^2 + (x^2 + y)*' + f + ' + x*y + 7',\n"
+        "             'y^2*(x^4 - 2*x^2*y + y^2) + x^5'):\n"
+        "    try:\n"
+        "        C.classify(parse(text))\n"
+        "    except C.NormalFormError:\n"
+        "        continue\n"
+        "    raise SystemExit('unchecked completion accepted: ' + text)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -20,14 +20,18 @@ from sexticlab.forms import BinaryForm
 from sexticlab.parser import parse
 
 
-def brute_count(F, N, M):
+def window_values(F, N, M):
     vals = set()
     for x in range(-M, M + 1):
         for y in range(-M, M + 1):
             v = F.eval(x, y)
             if v.denominator == 1 and N <= v < 2 * N:
                 vals.add(int(v))
-    return len(vals)
+    return vals
+
+
+def brute_count(F, N, M):
+    return len(window_values(F, N, M))
 
 
 # -- certified floor and box --------------------------------------------------
@@ -132,10 +136,36 @@ def test_mem_env_var(monkeypatch):
 
 
 def test_worker_determinism():
-    F = parse("x^6 + y^6 + x*y")
-    base = count_range(F, 2000, workers=1).to_json_obj()
-    for w in (2, 5):
-        assert count_range(F, 2000, workers=w).to_json_obj() == base
+    # the quadratic's box has more than 64 columns, so workers > 1 really
+    # runs the process pool, and it is not even, so a lost shard changes the
+    # count; shards merge in shard order in both modes
+    cases = ((parse("x^6 + y^6 + x*y"), 2000), (parse("x^2 + x*y + 2*y^2 + 3*x"), 500))
+    for mem_bits, mode in ((10**6, "bitmap"), (1, "dedup")):
+        for F, N in cases:
+            base = count_range(F, N, workers=1, mem_bits=mem_bits).to_json_obj()
+            assert base["mode"] == mode
+            for w in (2, 3, 5):
+                assert count_range(F, N, workers=w, mem_bits=mem_bits).to_json_obj() == base
+
+
+def test_curve_family_merge_counts_only_new_values(monkeypatch):
+    import sexticlab.density as density_mod
+
+    F, N = parse("x^6 + x^2*y^3"), 1000
+    box = count_range(F, N).box
+    in_box = window_values(F, N, box)
+    old = sorted(in_box)[:2]
+    fresh = [v for v in range(N, 2 * N) if v not in in_box][:3]
+    assert len(old) == 2 and len(fresh) == 3
+    for extra in (old + fresh + fresh[:2] + old[:1], old + old, []):
+        monkeypatch.setattr(density_mod, "_near_curve_values", lambda F, lo, hi: list(extra))
+        added = len(set(extra) - in_box)
+        notes = [f"{added} values added from curve-family points"] if added else []
+        for mem_bits in (10**6, 1):
+            rep = count_range(F, N, mem_bits=mem_bits)
+            assert not rep.certified and rep.box == box
+            assert rep.count == len(in_box | set(extra))
+            assert [n for n in rep.notes if "curve-family" in n] == notes
 
 
 def test_uncertified_box_notes():

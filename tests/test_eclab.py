@@ -127,6 +127,29 @@ def test_hall_scan_finds_known_small_gaps():
         assert gap * gap <= 25 * x
 
 
+def _hall_scan_fraction(Xmax, threshold):
+    # the pre-integer comparison, kept as a differential oracle
+    from math import isqrt
+
+    t2 = Fraction(threshold) ** 2
+    out = []
+    for x in range(2, Xmax + 1):
+        cube = x**3
+        y0 = isqrt(cube)
+        y = y0 + 1 if (y0 + 1) ** 2 - cube < cube - y0 * y0 else y0
+        gap = y * y - cube
+        if gap and Fraction(gap * gap) <= t2 * x:
+            out.append((x, y, gap, abs(gap) / x**0.5))
+    return out
+
+
+@pytest.mark.parametrize("threshold", [0, 1, Fraction(5, 2), Fraction(7, 3)])
+def test_hall_scan_matches_fraction_reference(threshold):
+    rows = hall_scan(20000, threshold)
+    assert rows == _hall_scan_fraction(20000, threshold)
+    assert bool(rows) == (threshold > 0)
+
+
 def test_pell_known_solutions():
     assert pell_solve(5, -4, 3).solutions == [(1, 1), (4, 2), (11, 5)]
     assert pell_solve(2, 1, 3).solutions == [(3, 2), (17, 12), (99, 70)]

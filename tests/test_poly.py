@@ -57,12 +57,6 @@ def test_subs_composition():
             assert G.eval(a, b) == F.eval(a + b, a * b)
 
 
-def test_deriv():
-    F = parse("x^3*y^2 + 2*x + y")
-    assert F.deriv(0) == parse("3*x^2*y^2 + 2")
-    assert F.deriv(1) == parse("2*x^3*y + 1")
-
-
 def test_homogeneous_parts_sum():
     F = parse("x^6 + x^2*y^3 + x*y + 4")
     total = BivarPoly.zero()
