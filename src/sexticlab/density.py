@@ -7,6 +7,8 @@ F_top(x,y) >= c * max(|x|,|y|)^d is computed by branch-and-bound interval
 arithmetic on the boundary of the unit square, and the box radius M is the
 smallest integer with c*M^d - S*M^(d-1) > 2N (S = sum of the absolute lower
 coefficients).  Otherwise the box is best-effort and the report says so.
+Enumeration evaluates F through its integer kernel (BivarPoly.kernel), so
+every count is exact without a Fraction per point.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import BivarPoly
+from .poly import BivarPoly, IntKernel
 from .forms import BinaryForm, decompose, definiteness
 from . import unipoly as up
 
@@ -156,15 +158,15 @@ def certified_box(F: BivarPoly, bound: int) -> tuple[int, Fraction]:
     return M, c
 
 
-def _chunk_values(F: BivarPoly, xs, ylimit: int, lo: int, hi: int) -> list[int]:
+def _chunk_values(K: IntKernel, xs, ylimit: int, lo: int, hi: int) -> list[int]:
     """Sorted distinct integer values of F on the chunk, restricted to
-    [lo, hi)."""
+    [lo, hi); K is F's integer kernel, so F(x, y) = v / K.D."""
+    D = K.D
+    Dlo, Dhi = D * lo, D * hi
+    ys = range(-ylimit, ylimit + 1)
     vals = set()
     for x in xs:
-        for y in range(-ylimit, ylimit + 1):
-            v = F.eval(x, y)
-            if v.denominator == 1 and lo <= v < hi:
-                vals.add(int(v))
+        vals.update([v // D for v in K.values(x, ys) if Dlo <= v < Dhi and not v % D])
     return sorted(vals)
 
 
@@ -228,17 +230,18 @@ def count_range(
             allvals.update(values)
             return len(allvals) - before
 
+    K = F.kernel()
     count = 0
     if workers > 1 and len(xs_all) > 64:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(_chunk_values, F, xs, M, lo, hi) for xs in shards]
+            futs = [ex.submit(_chunk_values, K, xs, M, lo, hi) for xs in shards]
             for fut in futs:  # shard order, not completion order
                 count += absorb(fut.result())
     else:
         for xs in shards:
-            count += absorb(_chunk_values(F, xs, M, lo, hi))
+            count += absorb(_chunk_values(K, xs, M, lo, hi))
 
     if not certified:
         added = absorb(_near_curve_values(F, lo, hi))
@@ -284,12 +287,13 @@ def distinct_values_up_to(F: BivarPoly, N: int) -> int:
     """Number of distinct integer values of F in (-inf, N], complete for a
     positive-definite leading form (values are then bounded below)."""
     M, _c = certified_box(F, N)
+    K = F.kernel()
+    D = K.D
+    DN = D * N
+    span = range(-M, M + 1)
     vals = set()
-    for x in range(-M, M + 1):
-        for y in range(-M, M + 1):
-            v = F.eval(x, y)
-            if v.denominator == 1 and v <= N:
-                vals.add(int(v))
+    for x in span:
+        vals.update([v // D for v in K.values(x, span) if v <= DN and not v % D])
     return len(vals)
 
 
@@ -324,33 +328,33 @@ def landau_baseline(Nmax: int) -> tuple[int, float]:
     ratio to Nmax / sqrt(ln Nmax).
 
     n is a sum of two squares iff every prime p = 3 (mod 4) divides n to an
-    even power; decided from a smallest-prime-factor sieve.
+    even power.  odd[n] marks the n with an odd power of some such p: for
+    each odd k it gets the multiples t * p^k with p not dividing t.
     """
     if Nmax < 100:
         raise DensityError("Nmax must be >= 100")
-    spf = list(range(Nmax + 1))
-    i = 2
-    while i * i <= Nmax:
-        if spf[i] == i:
-            for j in range(i * i, Nmax + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
-    count = 0
-    for n in range(1, Nmax + 1):
-        m = n
-        ok = True
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if p % 4 == 3 and e % 2:
-                ok = False
-                break
-        if ok:
-            count += 1
+    size = Nmax + 1
+    ones = memoryview(b"\x01" * (Nmax // 2 + 1))
+    composite = bytearray(size)
+    for p in range(2, math.isqrt(Nmax) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = ones[: (Nmax - p * p) // p + 1]
+    odd = bytearray(size)
+    for p in range(3, size, 4):
+        if composite[p]:
+            continue
+        q = p
+        while q <= Nmax:
+            m = Nmax // q  # multiples of q in [1, Nmax]
+            if m < p:
+                odd[q::q] = ones[:m]
+            else:
+                # OR in a 1 at every t not divisible by p, as ints over bytes
+                skip_p = (b"\x01" * (p - 1) + b"\x00") * (m // p + 1)
+                marked = int.from_bytes(odd[q::q], "little") | int.from_bytes(skip_p[:m], "little")
+                odd[q::q] = marked.to_bytes(m, "little")
+            q *= p * p
+    count = Nmax - odd.count(1)
     ratio = count / (Nmax / math.sqrt(math.log(Nmax)))
     return count, ratio
 

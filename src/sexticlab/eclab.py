@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .poly import BivarPoly
+from .poly import BivarPoly, IdentityError
 
 
 class CurveError(ValueError):
@@ -90,7 +90,8 @@ def ec_add(E: EllipticCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     x3 = lam * lam - P.x - Q.x
     y3 = lam * (P.x - x3) - P.y
     R = CurvePoint(x3, y3)
-    assert E.contains(R)
+    if not E.contains(R):
+        raise IdentityError("ec_add: the sum is not on the curve")
     return R
 
 
@@ -125,8 +126,8 @@ def rouse_point(b1: int, r: int) -> tuple[int, int]:
 
 def rouse_family(b1: int, b0: int, r_values) -> list[tuple[int, int, int, int]]:
     """(r, x_r, y_r, gap) for each r, where gap = y_r^2 - x_r^3 - b1 x_r - b0
-    = b1^2 r^2 - b0.  The closed form is asserted against generic group-law
-    triplication (anti-drift), and the gap identity is asserted exactly."""
+    = b1^2 r^2 - b0.  The closed form is checked against generic group-law
+    triplication (anti-drift), and the gap identity is checked exactly."""
     if b1 == 0:
         raise CurveError("b1 = 0: the 3P x-coordinate stays 0; use danilov_family")
     out = []
@@ -137,9 +138,11 @@ def rouse_family(b1: int, b0: int, r_values) -> list[tuple[int, int, int, int]]:
         E = EllipticCurve(Fraction(b1), Fraction(r * r * b1 * b1))
         P = CurvePoint(0, r * b1)
         T = ec_mul(E, P, 3)
-        assert not T.infinite and T.x == x_r and T.y == y_r, (b1, r)
+        if T.infinite or T.x != x_r or T.y != y_r:
+            raise IdentityError(f"rouse_family: closed-form 3P differs from 3*P at b1={b1}, r={r}")
         gap = y_r * y_r - x_r**3 - b1 * x_r - b0
-        assert gap == b1 * b1 * r * r - b0
+        if gap != b1 * b1 * r * r - b0:
+            raise IdentityError(f"rouse_family: gap identity fails at b1={b1}, r={r}")
         out.append((r, x_r, y_r, gap))
     return out
 
@@ -249,7 +252,8 @@ def pell_solve(d: int, c: int, count: int) -> PellSolution:
     sols = []
     u, v = base
     for _ in range(count):
-        assert u * u - d * v * v == c
+        if u * u - d * v * v != c:
+            raise IdentityError(f"pell_solve: solution {len(sols)} misses u^2 - {d} v^2 = {c}")
         sols.append((u, v))
         u, v = step(u, v)
     return PellSolution(d=d, c=c, solutions=sols)
@@ -295,7 +299,8 @@ def danilov_member(m: int) -> tuple[int, int, int]:
     x = Fraction(L * L + 12 * L + 16, 20)
     y = Fraction(fibonacci(3 * m) + 18 * fibonacci(2 * m) + 75 * fibonacci(m), 40)
     gap = y * y - x**3
-    assert gap == Fraction(27 * (L + 11), 125)
+    if gap != Fraction(27 * (L + 11), 125):
+        raise IdentityError(f"danilov_member: gap identity fails at m={m}")
     if x.denominator != 1 or y.denominator != 1 or gap.denominator != 1:
         raise ValueError(f"member at m={m} is not integral")
     return int(x), int(y), int(gap)
@@ -314,7 +319,8 @@ def danilov_family(count: int) -> list[tuple[int, int, int, float]]:
     m = 15
     while len(out) < count:
         x, y, gap = danilov_member(m)
-        assert gap != 0 and gap * gap < x
+        if not gap or gap * gap >= x:
+            raise IdentityError(f"danilov_family: member at m={m} has no small nonzero gap")
         ratio = abs(gap) / _float_sqrt_big(x)
         out.append((x, y, gap, ratio))
         m += 60

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import BivarPoly
+from .poly import BivarPoly, IdentityError
 from . import unipoly as up
 from .unipoly import IsolatingInterval
 
@@ -210,7 +210,8 @@ def squarefree_profile(A: BinaryForm) -> list[tuple[int, int]]:
     if m:
         parts[m] = parts.get(m, 0) + 1
     out = sorted(parts.items())
-    assert sum(i * d for i, d in out) == A.degree or A.degree == 0
+    if A.degree and sum(i * d for i, d in out) != A.degree:
+        raise IdentityError("squarefree_profile: multiplicities do not add up to the degree")
     return out
 
 

@@ -3,11 +3,17 @@
 A BivarPoly is a canonical sparse map from exponent pairs (i, j) to nonzero
 Fraction coefficients, representing  sum c_{ij} x^i y^j.  All arithmetic is
 exact; no floating point anywhere in this module.
+
+Enumeration loops evaluate through BivarPoly.kernel(), the same polynomial
+compiled once to integer rows of D*F (D the lcm of the coefficient
+denominators).  The kernel is checked against Fraction evaluation when it is
+built, and Fraction evaluation stays the gate for every certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Tuple
 
 Term = Tuple[int, int]
@@ -23,10 +29,77 @@ def _rat(v) -> Fraction:
     raise TypeError(f"not an exact rational: {v!r}")
 
 
+class IdentityError(RuntimeError):
+    """An exact identity check failed.  Raised instead of assert, so the
+    check also holds under python -O."""
+
+
+class KernelMismatchError(IdentityError):
+    """A compiled integer kernel disagrees with exact Fraction evaluation."""
+
+
+class IntKernel:
+    """D * F as integer coefficient rows, for exact evaluation in integers.
+
+    D is the lcm of the coefficient denominators of F.  rows[k] holds the
+    coefficients of y^(len(rows) - 1 - k) in D * F as a polynomial in x,
+    highest power first.  For integers x, y the value D * F(x, y) is an
+    integer, and F(x, y) is an integer iff D divides it.
+    """
+
+    __slots__ = ("D", "rows")
+
+    def __init__(self, D: int, rows: tuple):
+        self.D = D
+        self.rows = rows
+
+    def column(self, x: int) -> list:
+        """Coefficients in y of D * F(x, y), highest power first."""
+        out = []
+        for row in self.rows:
+            v = 0
+            for c in row:
+                v = v * x + c
+            out.append(v)
+        return out
+
+    def values(self, x: int, ys) -> list:
+        """[D * F(x, y) for y in ys]: one column of an enumeration box."""
+        col = self.column(x)
+        out = []
+        for y in ys:
+            v = 0
+            for c in col:
+                v = v * y + c
+            out.append(v)
+        return out
+
+    def __call__(self, x: int, y: int) -> int:
+        """D * F(x, y)."""
+        return self.values(x, (y,))[0]
+
+
+def _kernel_rows(terms: Mapping[Term, Fraction], D: int) -> tuple:
+    """Integer rows of D * sum c_ij x^i y^j in the IntKernel layout."""
+    if not terms:
+        return ()
+    dx = max(i for i, _ in terms)
+    dy = max(j for _, j in terms)
+    rows = [[0] * (dx + 1) for _ in range(dy + 1)]  # rows[j][i]
+    for (i, j), c in terms.items():
+        rows[j][i] = c.numerator * (D // c.denominator)
+    out = []
+    for row in reversed(rows):
+        while row and not row[-1]:
+            row.pop()
+        out.append(tuple(reversed(row)))
+    return tuple(out)
+
+
 class BivarPoly:
     """Immutable sparse bivariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_kernel")
 
     def __init__(self, terms: Mapping[Term, Fraction] | Iterable[tuple[Term, Fraction]] = ()):
         d = {}
@@ -42,6 +115,7 @@ class BivarPoly:
                     del d[key]
         self._terms = d
         self._hash = None
+        self._kernel = None
 
     # -- constructors ------------------------------------------------------
 
@@ -186,23 +260,27 @@ class BivarPoly:
             total += c * x**i * y**j
         return total
 
-    def eval_y(self, y) -> "list[Fraction]":
-        """Coefficient list in x (index = power of x) after substituting y."""
-        y = _rat(y)
-        n = self.degree_in(0)
-        out = [Fraction(0)] * (n + 1 if n >= 0 else 0)
-        for (i, j), c in self._terms.items():
-            out[i] += c * y**j
-        return out
+    def kernel(self) -> IntKernel:
+        """The integer kernel of self, compiled and checked on first use.
 
-    def eval_x(self, x) -> "list[Fraction]":
-        """Coefficient list in y after substituting x."""
-        x = _rat(x)
-        n = self.degree_in(1)
-        out = [Fraction(0)] * (n + 1 if n >= 0 else 0)
-        for (i, j), c in self._terms.items():
-            out[j] += c * x**i
-        return out
+        The rows have degree <= deg_x in x and <= deg_y in y, as D * F does,
+        and a polynomial within those degrees that vanishes on the grid
+        0..deg_x x 0..deg_y is zero.  So agreement with Fraction evaluation
+        on that grid proves that the rows equal D * F."""
+        if self._kernel is None:
+            D = lcm(*(c.denominator for c in self._terms.values()))
+            K = IntKernel(D, _kernel_rows(self._terms, D))
+            dx, dy = self.degree_in(0), self.degree_in(1)
+            if len(K.rows) > dy + 1 or any(len(row) > dx + 1 for row in K.rows):
+                raise KernelMismatchError(f"kernel rows exceed the degrees of {self.format()}")
+            for x in range(dx + 1):
+                for y in range(dy + 1):
+                    if K(x, y) != D * self.eval(x, y):
+                        raise KernelMismatchError(
+                            f"kernel of {self.format()} disagrees at ({x}, {y})"
+                        )
+            self._kernel = K
+        return self._kernel
 
     def subs(self, x_expr: "BivarPoly", y_expr: "BivarPoly") -> "BivarPoly":
         """Compose: substitute polynomials for x and y."""
@@ -226,8 +304,6 @@ class BivarPoly:
         """Positive rational content; 0 for the zero polynomial."""
         if not self._terms:
             return Fraction(0)
-        from math import gcd
-
         num = 0
         den = 1
         for c in self._terms.values():

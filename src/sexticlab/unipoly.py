@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as igcd
 
+from .poly import IdentityError
+
 
 def trim(p: list) -> list:
     while p and not p[-1]:
@@ -50,13 +52,6 @@ def pmul(p: list, q: list) -> list:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return trim(out)
-
-
-def pscale(p: list, s) -> list:
-    s = Fraction(s)
-    if not s:
-        return []
-    return [c * s for c in p]
 
 
 def pdivmod(p: list, q: list) -> tuple[list, list]:
@@ -129,7 +124,8 @@ def squarefree_part(p: list) -> list:
         return monic(p) if p else []
     g = pgcd(p, d)
     q, r = pdivmod(p, g)
-    assert not r
+    if r:
+        raise IdentityError("squarefree_part: the gcd with p' does not divide p")
     return monic(q)
 
 
@@ -328,20 +324,6 @@ def rational_roots(p: list) -> list[Fraction]:
 
 
 # -- certified continued-fraction convergents ---------------------------------
-
-
-def _certified_floor(iv: IsolatingInterval) -> int:
-    """Floor of the isolated root, certified by shrinking past any integer."""
-    from math import floor
-
-    while True:
-        flo = floor(iv.lo)
-        fhi = floor(iv.hi)
-        if flo == fhi:
-            return flo
-        # an integer n lies in [lo, hi); if it is the root we cannot certify,
-        # but isolate_real_roots only hands us irrational roots here
-        iv.refine()
 
 
 def _cf_expansion(r: Fraction) -> list[int]:

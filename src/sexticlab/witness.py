@@ -288,13 +288,17 @@ def growth_diagnostic(F: BivarPoly, delta: Fraction, box: int = 200) -> Witness:
     if delta <= 0:
         raise ValueError("delta must be positive")
     expo = 1 + float(delta)
+    scale = _seeds.get("diagnostic_scale")
+    K = F.kernel()
+    D = K.D
+    span = range(-box, box + 1)
     best = None
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
+    for x in span:
+        for y, v in zip(span, K.values(x, span)):
             if not x and not y:
                 continue
-            v = F.eval(x, y)
-            ratio = _seeds.get("diagnostic_scale") * float(v) / (max(abs(x), abs(y)) ** expo)
+            # int / int is correctly rounded, so v / D == float(F(x, y))
+            ratio = scale * (v / D) / (max(abs(x), abs(y)) ** expo)
             if best is None or ratio < best[0]:
                 best = (ratio, x, y, v)
     ratio, x, y, v = best
@@ -302,7 +306,7 @@ def growth_diagnostic(F: BivarPoly, delta: Fraction, box: int = 200) -> Witness:
         F,
         "dearth-diagnostic",
         "growth-bound",
-        [(x, y, v)],
+        [(x, y, Fraction(v, D))],
         note=f"min ratio {ratio:.6g} at ({x},{y}); empirical, not a proof",
         extra={"delta": delta, "min_ratio": f"{ratio:.6g}", "box": box},
     )

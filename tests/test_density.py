@@ -104,6 +104,16 @@ def test_count_matches_brute_oracle_sextic():
     assert rep.count == brute_count(F, 10**4, rep.box)
 
 
+def test_count_rational_coefficients_match_fraction_oracle():
+    # D = 6: the kernel keeps a value only where 6 divides 6*F(x, y)
+    F = parse("1/2*x^2 + 1/3*y^2 + 1/6*x*y + 1/2*x")
+    for N in (20, 301):
+        for mem_bits in (10**6, 1):
+            rep = count_range(F, N, mem_bits=mem_bits)
+            assert rep.certified
+            assert rep.count == brute_count(F, N, rep.box)
+
+
 def test_count_frozen_value_sextic():
     rep = count_range(parse("x^6 + y^6"), 10**6)
     assert rep.count == 19
@@ -194,6 +204,14 @@ def test_distinct_values_up_to_oracle():
     assert n == two_squares_direct(100) + 1
 
 
+def test_distinct_values_up_to_rational_oracle():
+    F = parse("1/2*x^4 + 1/3*y^4 + 1/6*x*y")
+    M, _c = certified_box(F, 500)
+    ref = {int(v) for x in range(-M, M + 1) for y in range(-M, M + 1)
+           for v in [F.eval(x, y)] if v.denominator == 1 and v <= 500}
+    assert distinct_values_up_to(F, 500) == len(ref)
+
+
 def test_growth_exponent_sextic_diagonal():
     F = parse("x^6 + y^6")
     out = growth_exponent(F, [10**4, 10**5, 10**6, 10**7])
@@ -216,6 +234,12 @@ def test_landau_sieve_matches_direct():
     count, ratio = landau_baseline(10**4)
     assert count == two_squares_direct(10**4)
     assert 0.5 < ratio < 1.2
+
+
+@pytest.mark.parametrize("N", [100, 101, 243, 441, 997, 2187, 6561, 9409, 12345, 30001])
+def test_landau_sieve_matches_direct_at_uneven_bounds(N):
+    # prime powers of 3 and 7, squares and primes as the last n in range
+    assert landau_baseline(N)[0] == two_squares_direct(N)
 
 
 def test_landau_ratio_near_constant():

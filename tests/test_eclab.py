@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -176,3 +179,73 @@ def test_family_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "x,y,gap,ratio"
     assert len(lines) == 3
+
+
+# Each case breaks one input of an exact identity check by patching what the
+# checked code calls, then expects IdentityError.  Under python -O an assert
+# would let the broken value through, so the case (and the test) fails.
+OPTIMIZE_CASES = r"""
+import importlib
+from fractions import Fraction
+E = importlib.import_module('sexticlab.eclab')
+U = importlib.import_module('sexticlab.unipoly')
+Fo = importlib.import_module('sexticlab.forms')
+from sexticlab.poly import IdentityError
+
+def ec_add_off_curve():
+    C, P = E.EllipticCurve(1, 1), E.CurvePoint(0, 1)
+    real = E.CurvePoint
+    E.CurvePoint = lambda x, y: real(x, y + 1)
+    E.ec_add(C, P, P)
+
+def rouse_closed_form():
+    E.ec_mul = lambda C, P, n: P
+    E.rouse_family(1, 0, [1])
+
+def rouse_gap():
+    real = E.rouse_point
+    E.rouse_point = lambda b1, r: (real(b1, r)[0] + 1, real(b1, r)[1])
+    E.ec_mul = lambda C, P, n: E.CurvePoint(*E.rouse_point(1, 1))
+    E.rouse_family(1, 0, [1])
+
+def pell():
+    real = E._half_unit
+    E._half_unit = lambda d: (real(d)[0] + 2, real(d)[1])
+    E.pell_solve(5, -4, 3)
+
+def danilov_member():
+    real = E.fibonacci
+    E.fibonacci = lambda n: real(n) + 40
+    E.danilov_member(15)
+
+def danilov_family():
+    real = E.danilov_member
+    E.danilov_member = lambda m: real(m)[:2] + (0,)
+    E.danilov_family(1)
+
+def squarefree_profile():
+    U.yun_decomposition = lambda p: [p, p]
+    Fo.squarefree_profile(Fo.BinaryForm(2, [Fraction(1), Fraction(0), Fraction(1)]))
+
+def squarefree_part():
+    U.pgcd = lambda p, q: [Fraction(1), Fraction(1)]
+    U.squarefree_part([Fraction(1), Fraction(0), Fraction(1)])
+
+for case in (ec_add_off_curve, rouse_closed_form, rouse_gap, pell, danilov_member,
+             danilov_family, squarefree_profile, squarefree_part):
+    for m in (E, U, Fo):
+        importlib.reload(m)
+    try:
+        case()
+    except IdentityError:
+        continue
+    raise SystemExit('unchecked identity accepted: ' + case.__name__)
+"""
+
+
+def test_identity_checks_survive_optimize():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZE_CASES], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

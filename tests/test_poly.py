@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sexticlab.poly import BivarPoly
+from sexticlab import poly as poly_mod
+from sexticlab.poly import BivarPoly, KernelMismatchError
 from sexticlab.parser import parse
 
 
@@ -36,15 +38,6 @@ def test_arithmetic_matches_eval():
             assert (F * G).eval(a, b) == F.eval(a, b) * G.eval(a, b)
             assert (F - G).eval(a, b) == F.eval(a, b) - G.eval(a, b)
             assert (F**3).eval(a, b) == F.eval(a, b) ** 3
-
-
-def test_eval_x_eval_y():
-    F = parse("x^2*y + x*y^2 + 1")
-    # eval_x(2) leaves a polynomial in y: 4y + 2y^2 + 1
-    coeffs = F.eval_x(2)
-    assert coeffs == [Fraction(1), Fraction(4), Fraction(2)]
-    coeffs = F.eval_y(3)
-    assert coeffs == [Fraction(1), Fraction(9), Fraction(3)]
 
 
 def test_subs_composition():
@@ -118,3 +111,62 @@ def test_format_eval_consistency(F, a, b):
     assert parse(F.format()) == F
     G = BivarPoly.from_json_obj(F.to_json_obj())
     assert G.eval(a, b) == F.eval(a, b)
+
+
+# the kernel against Fraction evaluation: degree <= 6 in each term's total,
+# rational coefficients, coordinates of either sign and beyond 2^64
+sextic_polys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda t: t[0] + t[1] <= 6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    max_size=10,
+).map(BivarPoly)
+coords = st.one_of(st.integers(-40, 40), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sextic_polys, coords, coords)
+def test_kernel_matches_fraction_eval(F, a, b):
+    K = F.kernel()
+    assert K(a, b) == K.D * F.eval(a, b)
+    assert Fraction(K(a, b), K.D) == F.eval(a, b)
+    assert F.kernel() is K  # compiled once per polynomial object
+
+
+def test_kernel_denominator_and_integrality():
+    F = parse("1/2*x^2 + 1/3*y + 1/6")
+    K = F.kernel()
+    assert K.D == 6
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            v = K(a, b)
+            assert (v % K.D == 0) == (F.eval(a, b).denominator == 1)
+
+
+def test_kernel_compile_check_rejects_corrupted_coefficient(monkeypatch):
+    rows_of = poly_mod._kernel_rows
+
+    def corrupted(terms, D):
+        rows = [list(r) for r in rows_of(terms, D)]
+        rows[-1][-1] += 1  # the constant term of D*F
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(poly_mod, "_kernel_rows", corrupted)
+    F = parse("x^6 + 3/2*x^2*y^3 + y^6 - 7")
+    with pytest.raises(KernelMismatchError):
+        F.kernel()
+    assert F._kernel is None  # a rejected kernel is never cached
+
+
+def test_kernel_compile_check_rejects_excess_degree(monkeypatch):
+    # x^2 + x(x-1)(x-2) agrees with x^2 on the grid 0..2, so only the
+    # degree bound on the rows can reject it
+    F = parse("x^2 + y^2")
+    rows = F.kernel().rows
+    assert rows[-1] == (1, 0, 0)
+    bad = rows[:-1] + ((1, -2, 2, 0),)
+    assert [poly_mod.IntKernel(1, bad)(x, y) for x in range(3) for y in range(3)] == [
+        F.kernel()(x, y) for x in range(3) for y in range(3)
+    ]
+    monkeypatch.setattr(poly_mod, "_kernel_rows", lambda terms, D: bad)
+    with pytest.raises(KernelMismatchError):
+        parse("x^2 + y^2").kernel()

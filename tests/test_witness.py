@@ -187,6 +187,20 @@ def test_growth_diagnostic_reports_ratio():
         growth_diagnostic(F, Fraction(-1), box=4)
 
 
+def test_growth_diagnostic_matches_fraction_scan():
+    # the kernel scan against a Fraction scan: same point, value and ratio
+    F = parse("1/2*x^4 - 1/3*x^2*y + 1/7*y^3 + 1/5")
+    delta = Fraction(1, 3)
+    w = growth_diagnostic(F, delta, box=9)
+    expo = 1 + float(delta)
+    ref = min(
+        (float(F.eval(x, y)) / max(abs(x), abs(y)) ** expo, x, y)
+        for x in range(-9, 10) for y in range(-9, 10) if x or y
+    )
+    assert w.points == [(ref[1], ref[2], F.eval(ref[1], ref[2]))]
+    assert w.extra["min_ratio"] == f"{ref[0]:.6g}"
+
+
 # -- elliptic families --------------------------------------------------------
 
 
