@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,56 @@ def test_danilov_requires_zero_b1():
     rec = ecform_normalize(F)
     with pytest.raises(ValueError):
         danilov_witness(F, rec, 5)
+
+
+def _half_shift(rec):
+    """rec with x = ... + 1/2 in its substitution: no family point maps to integers."""
+    return replace(rec, substitution={**rec.substitution, "x_c0": rec.substitution["x_c0"] + Fraction(1, 2)})
+
+
+_NO_IMAGE = "no family point maps to integers under the recorded substitution"
+
+# Every branch of both family engines; the witnesses were captured from the
+# engines before they shared one walk.  The sheared inputs have a substitution
+# that is not the identity.
+FAMILY_BRANCHES = [
+    ("rouse", "(y^2 - x^3 - x)^2 - y + 100", None, 3, {
+        "kind": "negative-value", "lemma": "rouse-3p",
+        "points": [[72, 611, "-510"], [4128, 265222, "-265106"], [46728, 10101033, "-10100852"]],
+        "note": "3P family on y^2 = x^3 + (1) x + r^2 (1)^2, r <= 3",
+        "extra": {"b1": "1", "b0": "0", "a": "1"}}),
+    ("rouse", "((y + x + 1)^2 - x^3 - x)^2 + 100", None, 3, {
+        "kind": "small-core-sequence", "lemma": "rouse-3p", "points": [[72, 538, "101"]],
+        "note": "no negative value on the 3P family with r <= 3; minimum 101 at (72,538)",
+        "extra": {}}),
+    ("rouse", "(y^2 - x^3 - x)^2 + 100", _half_shift, 3, {
+        "kind": "inconclusive", "lemma": "rouse-3p", "points": [], "note": _NO_IMAGE, "extra": {}}),
+    # rational b1: the closed form has denominators, and only even r is integral
+    ("rouse", "(y^2 - x^3 - x)^2 + 100", lambda rec: replace(rec, b1=Fraction(1, 2)), 2, {
+        "kind": "small-core-sequence", "lemma": "rouse-3p", "points": [[1040, 33539, "269461"]],
+        "note": "no negative value on the 3P family with r <= 2; minimum 269461 at (1040,33539)",
+        "extra": {}}),
+    ("danilov", "((y - x)^2 - (x+1)^3)^2 - y + 10", None, 1, {
+        "kind": "negative-value", "lemma": "danilov-gap", "points": [[93843, 28841984, "-28753765"]],
+        "note": "small-gap family, first 1 members", "extra": {"b0": "0", "a": "1"}}),
+    ("danilov", "(y^2 - x^3)^2 + 100", None, 1, {
+        "kind": "small-core-sequence", "lemma": "danilov-gap", "points": [[93844, 28748141, "88309"]],
+        "note": "no negative value among 2 mapped family points", "extra": {}}),
+    ("danilov", "(y^2 - x^3)^2 + 100", _half_shift, 1, {
+        "kind": "inconclusive", "lemma": "danilov-gap", "points": [], "note": _NO_IMAGE, "extra": {}}),
+]
+
+
+@pytest.mark.parametrize("engine,expr,edit,budget,expected", FAMILY_BRANCHES,
+                         ids=[f"{e}-{w['kind']}" for e, _x, _d, _b, w in FAMILY_BRANCHES])
+def test_family_walk_branches(engine, expr, edit, budget, expected):
+    F = parse(expr)
+    rec = ecform_normalize(F)
+    if edit is not None:
+        rec = edit(rec)
+    w = (rouse_witness if engine == "rouse" else danilov_witness)(F, rec, budget)
+    assert w.to_json_obj() == expected
+    assert w.verify(F) and not w.exhausted
 
 
 # -- indefinite leading form --------------------------------------------------
