@@ -554,15 +554,6 @@ class MP3Shape:
     G: BivarPoly
     F: BivarPoly
 
-    def to_json_obj(self) -> dict:
-        return {
-            "a2": str(self.a2),
-            "a1": str(self.a1),
-            "a0": str(self.a0),
-            "L": [[str(u), str(v)] for u, v in self.L],
-            "G": self.G.to_json_obj(),
-        }
-
 
 def mp3_shape_extract(F: BivarPoly) -> MP3Shape:
     """Weighted layer decomposition for F6 = a2 x^6 with x^3 | F5:
@@ -623,16 +614,6 @@ class MP3Core:
     core: BivarPoly  # alpha2 x^3 - alpha1 y^2 + b1 xy + b2 x^2 + b3 x + b4 y
     x_flipped: bool
     shape: MP3Shape
-
-    def to_json_obj(self) -> dict:
-        return {
-            "alpha2": str(self.alpha2),
-            "alpha1": str(self.alpha1),
-            "betas": [str(b) for b in self.betas],
-            "scale": str(self.scale),
-            "core": self.core.to_json_obj(),
-            "x_flipped": self.x_flipped,
-        }
 
 
 def mp3_square_and_proportionality(shape: MP3Shape) -> MP3Core:

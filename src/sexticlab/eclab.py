@@ -117,8 +117,9 @@ def ec_mul(E: EllipticCurve, P: CurvePoint, n: int) -> CurvePoint:
 # -- the 3P family ------------------------------------------------------------
 
 
-def rouse_point(b1: int, r: int) -> tuple[int, int]:
-    """Closed form for 3P on y^2 = x^3 + b1 x + r^2 b1^2 with P = (0, r b1)."""
+def rouse_point(b1, r: int) -> tuple:
+    """Closed form for 3P on y^2 = x^3 + b1 x + r^2 b1^2 with P = (0, r b1).
+    It is polynomial in b1, so a rational b1 gives the rational point."""
     x_r = 64 * b1 * b1 * r**6 + 8 * b1 * r * r
     y_r = 512 * b1**3 * r**9 + 96 * b1 * b1 * r**5 + 3 * b1 * r
     return x_r, y_r

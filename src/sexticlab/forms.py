@@ -42,9 +42,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not any(self.coefficients)
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coefficients[k]
-
     def eval(self, x, y) -> Fraction:
         x, y = Fraction(x), Fraction(y)
         d = self.degree
@@ -62,11 +59,6 @@ class BinaryForm:
 
     def __repr__(self):
         return f"BinaryForm({self.degree}, {self.to_poly().format()})"
-
-    def __mul__(self, other):
-        if isinstance(other, BinaryForm):
-            return BinaryForm.from_poly(self.to_poly() * other.to_poly())
-        return BinaryForm(self.degree, [c * Fraction(other) for c in self.coefficients])
 
     # -- dehomogenization --------------------------------------------------
 
@@ -150,12 +142,6 @@ def _canonical(A: BinaryForm) -> BinaryForm:
     if lead < 0:
         p = [-c for c in p]
     return BinaryForm(A.degree, p)
-
-
-def form_divides(A: BinaryForm, B: BinaryForm) -> bool:
-    """Does A divide B exactly (as forms over Q)?"""
-    q = form_div(A, B)
-    return q is not None
 
 
 def form_div(A: BinaryForm, B: BinaryForm):

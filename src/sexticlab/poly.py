@@ -13,7 +13,7 @@ built, and Fraction evaluation stays the gate for every certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping, Tuple
 
 Term = Tuple[int, int]
@@ -170,17 +170,6 @@ class BivarPoly:
         degs = {i + j for i, j in self._terms}
         return len(degs) <= 1
 
-    def x_valuation(self) -> int | None:
-        """Largest v with x^v dividing self; None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return min(i for i, _ in self._terms)
-
-    def y_valuation(self) -> int | None:
-        if not self._terms:
-            return None
-        return min(j for _, j in self._terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -296,26 +285,6 @@ class BivarPoly:
         for (i, j), c in sorted(self._terms.items()):
             out = out + power(xp_cache, x_expr, i) * power(yp_cache, y_expr, j) * c
         return out
-
-    def swap_vars(self) -> "BivarPoly":
-        return BivarPoly({(j, i): c for (i, j), c in self._terms.items()})
-
-    def content(self) -> Fraction:
-        """Positive rational content; 0 for the zero polynomial."""
-        if not self._terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self._terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive(self) -> "BivarPoly":
-        c = self.content()
-        if not c:
-            return self
-        return self * (1 / c)
 
     # -- formatting and serialization --------------------------------------
 

@@ -1,8 +1,8 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(k)).
 
 Elements are a + b*sqrt(k) with rational a, b and a fixed square-free k > 1.
-Supports the field operations, conjugation, norm, and sign decisions (exact,
-via rational comparisons against k*b^2).
+Supports the field operations, norm, and sign decisions (exact, via
+rational comparisons against k*b^2).
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "QuadExt":
-        return QuadExt(self.k, self.a, -self.b)
-
     def norm(self) -> Fraction:
         return self.a * self.a - self.k * self.b * self.b
 
@@ -96,9 +93,6 @@ class QuadExt:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return not self.b
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(k) as a real number."""
         if not self.b:
@@ -122,45 +116,6 @@ class QuadExt:
 
     def __lt__(self, other):
         return (self - self._check(other)).sign() < 0
-
-    def sqrt_if_square(self):
-        """Return t with t*t == self if such t exists in Q(sqrt(k)), else None."""
-        # (p + q sqrt k)^2 = p^2 + k q^2 + 2pq sqrt(k)
-        from math import isqrt
-
-        if self.sign() < 0:
-            return None
-        if not self.b:
-            # either rational sqrt, or sqrt(a) = q*sqrt(k) with a = k q^2
-            r = _rat_sqrt(self.a)
-            if r is not None:
-                return QuadExt(self.k, r)
-            r = _rat_sqrt(self.a / self.k)
-            if r is not None:
-                return QuadExt(self.k, 0, r)
-            return None
-        # solve p^2 + k q^2 = a, 2pq = b: p^2 is a root of
-        # t^2 - a t + k b^2/4 = 0
-        disc = self.a * self.a - self.k * self.b * self.b
-        sd = _rat_sqrt(disc)
-        if sd is None:
-            return None
-        for p2 in ((self.a + sd) / 2, (self.a - sd) / 2):
-            if p2 < 0:
-                continue
-            p = _rat_sqrt(p2)
-            if p is None or not p:
-                continue
-            q = self.b / (2 * p)
-            cand = QuadExt(self.k, p, q)
-            if cand * cand == self:
-                return cand
-        return None
-
-    def __float__(self):
-        import math
-
-        return float(self.a) + float(self.b) * math.sqrt(self.k)
 
     def __repr__(self):
         if not self.b:

@@ -205,11 +205,10 @@ class IsolatingInterval:
     roots.  refine() halves the width; refine_to(w) iterates until hi-lo <= w.
     """
 
-    def __init__(self, poly: list, lo: Fraction, hi: Fraction, chain=None):
+    def __init__(self, poly: list, lo: Fraction, hi: Fraction):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._chain = chain
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -263,7 +262,7 @@ def isolate_real_roots(p: list) -> list[IsolatingInterval]:
             return
         if n == 1:
             # make the interval open at a root-free left endpoint
-            out.append(IsolatingInterval(sf, lo, hi, chain))
+            out.append(IsolatingInterval(sf, lo, hi))
             return
         mid = (lo + hi) / 2
         while not peval(sf, mid):

@@ -323,47 +323,13 @@ def rouse_witness(F: BivarPoly, rec: ECRecord, rmax: int = 25) -> Witness:
     b1 = rec.b1
     if not b1:
         raise ValueError("b1 = 0: use danilov_witness")
-    negatives = []
-    evaluated = []
-    for r in range(1, rmax + 1):
-        if b1.denominator == 1:
-            X, Y = rouse_point(int(b1), r)
-            X, Y = Fraction(X), Fraction(Y)
-        else:
-            X = 64 * b1 * b1 * Fraction(r) ** 6 + 8 * b1 * r * r
-            Y = 512 * b1**3 * Fraction(r) ** 9 + 96 * b1 * b1 * Fraction(r) ** 5 + 3 * b1 * r
-        for Ys in (Y, -Y):
-            x, y = rec.map_point(X, Ys)
-            if x.denominator != 1 or y.denominator != 1:
-                continue
-            v = F.eval(x, y)
-            evaluated.append((int(x), int(y), v))
-            if v < 0:
-                negatives.append((int(x), int(y), v))
-    if negatives:
-        return _checked(
-            F,
-            "negative-value",
-            "rouse-3p",
-            negatives,
-            note=f"3P family on y^2 = x^3 + ({b1}) x + r^2 ({b1})^2, r <= {rmax}",
-            extra={"b1": b1, "b0": rec.b0, "a": rec.a},
-        )
-    if evaluated:
-        mn = min(evaluated, key=lambda t: t[2])
-        return _checked(
-            F,
-            "small-core-sequence",
-            "rouse-3p",
-            [mn],
-            note=f"no negative value on the 3P family with r <= {rmax}; "
-            f"minimum {mn[2]} at ({mn[0]},{mn[1]})",
-        )
-    return Witness(
-        kind="inconclusive",
-        lemma="rouse-3p",
-        points=[],
-        note="no family point maps to integers under the recorded substitution",
+    b = int(b1) if b1.denominator == 1 else b1  # integer arithmetic where it can
+    return _family_walk(
+        F, rec, [rouse_point(b, r) for r in range(1, rmax + 1)], "rouse-3p",
+        note=f"3P family on y^2 = x^3 + ({b1}) x + r^2 ({b1})^2, r <= {rmax}",
+        extra={"b1": b1, "b0": rec.b0, "a": rec.a},
+        min_note=lambda mn, n: f"no negative value on the 3P family with r <= {rmax}; "
+        f"minimum {mn[2]} at ({mn[0]},{mn[1]})",
     )
 
 
@@ -372,38 +338,36 @@ def danilov_witness(F: BivarPoly, rec: ECRecord, count: int = 12) -> Witness:
     family y^2 - x^3 = O(sqrt(x))."""
     if rec.b1:
         raise ValueError("b1 != 0: use rouse_witness")
-    negatives = []
+    return _family_walk(
+        F, rec, [(X, Y) for X, Y, _gap, _ratio in danilov_family(count)], "danilov-gap",
+        note=f"small-gap family, first {count} members",
+        extra={"b0": rec.b0, "a": rec.a},
+        min_note=lambda mn, n: f"no negative value among {n} mapped family points",
+    )
+
+
+def _family_walk(F: BivarPoly, rec: ECRecord, family, lemma: str, note: str, extra: dict,
+                 min_note) -> Witness:
+    """Shared body of the curve-family engines: maps each family point
+    (X, +-Y) through the recorded substitution and evaluates F at the
+    integral images.  Returns every negative value, else the minimum worded
+    by min_note(point, number of points evaluated), else inconclusive."""
     evaluated = []
-    for X, Y, gap, _ratio in danilov_family(count):
+    for X, Y in family:
         for Ys in (Y, -Y):
             x, y = rec.map_point(Fraction(X), Fraction(Ys))
             if x.denominator != 1 or y.denominator != 1:
                 continue
-            v = F.eval(x, y)
-            evaluated.append((int(x), int(y), v))
-            if v < 0:
-                negatives.append((int(x), int(y), v))
+            evaluated.append((int(x), int(y), F.eval(x, y)))
+    negatives = [p for p in evaluated if p[2] < 0]
     if negatives:
-        return _checked(
-            F,
-            "negative-value",
-            "danilov-gap",
-            negatives,
-            note=f"small-gap family, first {count} members",
-            extra={"b0": rec.b0, "a": rec.a},
-        )
+        return _checked(F, "negative-value", lemma, negatives, note=note, extra=extra)
     if evaluated:
         mn = min(evaluated, key=lambda t: t[2])
-        return _checked(
-            F,
-            "small-core-sequence",
-            "danilov-gap",
-            [mn],
-            note=f"no negative value among {len(evaluated)} mapped family points",
-        )
+        return _checked(F, "small-core-sequence", lemma, [mn], note=min_note(mn, len(evaluated)))
     return Witness(
         kind="inconclusive",
-        lemma="danilov-gap",
+        lemma=lemma,
         points=[],
         note="no family point maps to integers under the recorded substitution",
     )
@@ -464,10 +428,18 @@ def witness_for(
     report: ClassificationReport | None = None,
     budgets: SearchBudgets | None = None,
 ) -> Witness:
-    """Chooses and runs the engine matching the classification route."""
-    budgets = budgets or SearchBudgets()
+    """Chooses and runs the engine matching the classification route, then
+    verifies the witness against F itself: on every route, and after any
+    change of variables, this is the one check against the input."""
     if report is None:
         report = classify(F)
+    w = _route_witness(F, report, budgets or SearchBudgets())
+    if not w.verify(F):
+        raise CertificateError(f"{w.lemma}: witness fails verification against the input")
+    return w
+
+
+def _route_witness(F: BivarPoly, report: ClassificationReport, budgets: SearchBudgets) -> Witness:
     route = report.route
     if route == "not-positive-leading":
         return ray_witness(F, box=min(report.degree * 4, budgets.box))
@@ -488,11 +460,11 @@ def witness_for(
         elif cond.get("x^4|F5") and cond.get("x|F4 exactly"):
             w = anisotropic_witness(Fn, Fraction(1, 6), budgets.Tmax)
         if w is not None:
-            return _map_back(F, w, M)
+            return _map_back(w, M)
         if cond.get("x^4|F5") and cond.get("x^2|F4"):
             w = weighted_cubic_sign_search(Fn, budgets.Nmax)
             if w.kind != "inconclusive":
-                return _map_back(F, w, M)
+                return _map_back(w, M)
         rec = shape.get("ecform")
         if rec is None:
             return Witness(kind="inconclusive", lemma="mp3", points=[], note=report.ecform_error)
@@ -500,15 +472,15 @@ def witness_for(
             w = rouse_witness(Fn, rec, budgets.rmax)
         else:
             w = danilov_witness(Fn, rec)
-        return _map_back(F, w, M)
+        return _map_back(w, M)
 
     if route == "MP2":
         if not cond.get("x^2|F5", True):
-            return _map_back(F, anisotropic_witness(Fn, Fraction(7, 12), budgets.Tmax), M)
+            return _map_back(anisotropic_witness(Fn, Fraction(7, 12), budgets.Tmax), M)
         if not shape["square_check"].ok:
             w = anisotropic_witness(Fn, Fraction(1, 2), budgets.Tmax)
             if w.kind != "inconclusive":
-                return _map_back(F, w, M)
+                return _map_back(w, M)
             return Witness(
                 kind="inconclusive", lemma="mp2", points=[],
                 note="square check failed but no negative found on the schedule",
@@ -534,16 +506,14 @@ def witness_for(
     )
 
 
-def _map_back(F: BivarPoly, w: Witness, M) -> Witness:
+def _map_back(w: Witness, M) -> Witness:
     """Rewrites witness points found in normalized coordinates as points for
-    the original polynomial via the unimodular matrix."""
+    the original polynomial via the unimodular matrix; witness_for checks
+    them against that polynomial."""
     if M == [[1, 0], [0, 1]] or not w.points:
         return w
     pts = [
         (M[0][0] * x + M[0][1] * y, M[1][0] * x + M[1][1] * y, v)
         for x, y, v in w.points
     ]
-    out = replace(w, points=pts)
-    if not out.verify(F):
-        raise CertificateError(f"{w.lemma}: witness fails verification after the change of variables")
-    return out
+    return replace(w, points=pts)

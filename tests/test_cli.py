@@ -122,6 +122,32 @@ def test_witness_exhausted_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("engine,expr,matrix", [
+    ("ray_witness", "x^6 - y^6", [[1, 0], [0, 1]]),
+    ("anisotropic_witness", "(x+y)^6 + (x+y)^2*y^3", [[0, -1], [1, 1]]),
+])
+def test_witness_rejects_corrupted_engine_point(monkeypatch, tmp_path, capsys, engine, expr, matrix):
+    # the stub skips the engine's own _checked, so only the check against
+    # the input in witness_for stands between the bad point and the output
+    import sexticlab.witness as witness_mod
+
+    real = getattr(witness_mod, engine)
+
+    def corrupted(*args, **kwargs):
+        w = real(*args, **kwargs)
+        (x, y, v), *rest = w.points
+        return witness_mod.Witness(w.kind, w.lemma, [(x + 1, y, v), *rest], w.note, w.extra)
+
+    monkeypatch.setattr(witness_mod, engine, corrupted)
+    assert (classify(parse(expr)).shape or {}).get("matrix", [[1, 0], [0, 1]]) == matrix
+    out_file = tmp_path / "w.json"
+    for extra in ([], ["--out", str(out_file)]):
+        with pytest.raises(witness_mod.CertificateError):
+            main(["witness", "--poly", expr, *extra])
+        assert capsys.readouterr().out == ""
+        assert not out_file.exists()
+
+
 def test_witness_rejects_bad_budget(capsys):
     code, _, err = run(
         capsys, "witness", "--poly", "x^6 + y^6", "--budget-tmax", "-1"

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import sexticlab.density as density_mod
+
 from sexticlab.density import (
     DensityError,
     DensityReport,
@@ -145,10 +147,12 @@ def test_mem_env_var(monkeypatch):
     assert rep.mode == "bitmap"
 
 
-def test_worker_determinism():
-    # the quadratic's box has more than 64 columns, so workers > 1 really
-    # runs the process pool, and it is not even, so a lost shard changes the
-    # count; shards merge in shard order in both modes
+def test_worker_determinism(monkeypatch):
+    # with the pool threshold lowered below the quadratic's 97 columns,
+    # workers > 1 really runs the process pool, and the quadratic is not
+    # even, so a lost shard changes the count; shards merge in shard order
+    # in both modes
+    monkeypatch.setattr(density_mod, "POOL_MIN_COLUMNS", 64)
     cases = ((parse("x^6 + y^6 + x*y"), 2000), (parse("x^2 + x*y + 2*y^2 + 3*x"), 500))
     for mem_bits, mode in ((10**6, "bitmap"), (1, "dedup")):
         for F, N in cases:
@@ -158,9 +162,30 @@ def test_worker_determinism():
                 assert count_range(F, N, workers=w, mem_bits=mem_bits).to_json_obj() == base
 
 
-def test_curve_family_merge_counts_only_new_values(monkeypatch):
-    import sexticlab.density as density_mod
+class PoolStarted(Exception):
+    pass
 
+
+def test_pool_starts_only_for_wide_boxes(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise PoolStarted
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    F = parse("x^2 + y^2")
+    # the box of `density --bound 3000 --workers 2` counts in process
+    rep = count_range(F, 3000, workers=2)
+    assert 2 * rep.box + 1 == 157
+    assert rep.to_json_obj() == count_range(F, 3000).to_json_obj()
+    # boxes of POOL_MIN_COLUMNS columns or more start the pool
+    N = 140000
+    assert 2 * certified_box(F, 2 * N)[0] + 1 >= density_mod.POOL_MIN_COLUMNS
+    with pytest.raises(PoolStarted):
+        count_range(F, N, workers=2)
+
+
+def test_curve_family_merge_counts_only_new_values(monkeypatch):
     F, N = parse("x^6 + x^2*y^3"), 1000
     box = count_range(F, N).box
     in_box = window_values(F, N, box)

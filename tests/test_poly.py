@@ -60,19 +60,6 @@ def test_homogeneous_parts_sum():
     assert F.homogeneous_part(5) == parse("x^2*y^3")
 
 
-def test_swap_and_valuations():
-    F = parse("x^2*y^3 + x^3*y^4")
-    assert F.swap_vars() == parse("y^2*x^3 + y^3*x^4")
-    assert F.x_valuation() == 2
-    assert F.y_valuation() == 3
-
-
-def test_content_primitive():
-    F = parse("6*x + 9*y")
-    assert F.content() == 3
-    assert F.primitive() == parse("2*x + 3*y")
-
-
 def test_format_parses_back():
     F = parse("-3*x^2*y + 1/2*y^3 - x + 7")
     assert parse(F.format()) == F

@@ -17,7 +17,7 @@ def test_field_ops():
     b = QuadExt(2, 3, -2)  # 3 - 2 sqrt2
     assert (a + b) == QuadExt(2, 4, -1)
     assert (a * b) == QuadExt(2, 3 - 4, 3 - 2)  # (1+r)(3-2r) = 3-2r+3r-2*2
-    assert a * a.conj() == QuadExt(2, a.norm())
+    assert a * QuadExt(2, 1, -1) == QuadExt(2, a.norm())  # times its conjugate
     assert (a / a) == QuadExt(2, 1)
     assert (1 / a) * a == QuadExt(2, 1)
 
@@ -48,17 +48,6 @@ def test_sign_matches_float(k, a, b):
     else:
         # exactly zero only when a = b = 0 (sqrt k is irrational)
         assert (z.sign() == 0) == (a == 0 and b == 0)
-
-
-def test_sqrt_if_square():
-    # (1 + sqrt2)^2 = 3 + 2 sqrt2
-    sq = QuadExt(2, 3, 2)
-    r = sq.sqrt_if_square()
-    assert r is not None and r * r == sq
-    assert QuadExt(2, 2, 0).sqrt_if_square() == QuadExt(2, 0, 1)  # sqrt(2)
-    assert QuadExt(2, 9, 0).sqrt_if_square() == QuadExt(2, 3)
-    assert QuadExt(2, 0, 1).sqrt_if_square() is None  # sqrt(sqrt 2) not in field
-    assert QuadExt(2, -1, 0).sqrt_if_square() is None
 
 
 def test_rat_sqrt():

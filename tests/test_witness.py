@@ -53,11 +53,12 @@ def test_certificate_gates_survive_optimize():
     code = (
         "from fractions import Fraction\n"
         "from sexticlab.parser import parse\n"
-        "from sexticlab.witness import CertificateError, Witness, _checked, _map_back\n"
+        "import sexticlab.witness as W\n"
+        "from sexticlab.witness import CertificateError, Witness, _checked, witness_for\n"
         "F = parse('x^2 + y^2')\n"
+        "W.ray_witness = lambda F, box: Witness('negative-value', 't', [(1, 1, Fraction(-2))])\n"
         "for gate in (lambda: _checked(F, 'negative-value', 't', [(1, 1, Fraction(2))]),\n"
-        "             lambda: _map_back(F, Witness('negative-value', 't', [(1, 1, Fraction(-2))]),\n"
-        "                               [[1, 1], [0, 1]])):\n"
+        "             lambda: witness_for(parse('x^6 - y^6'))):\n"
         "    try:\n"
         "        gate()\n"
         "    except CertificateError:\n"
@@ -238,9 +239,8 @@ def _half_shift(rec):
 
 _NO_IMAGE = "no family point maps to integers under the recorded substitution"
 
-# Every branch of both family engines; the witnesses were captured from the
-# engines before they shared one walk.  The sheared inputs have a substitution
-# that is not the identity.
+# Every branch of both family engines, each with its witness JSON pinned.
+# The sheared inputs have a substitution that is not the identity.
 FAMILY_BRANCHES = [
     ("rouse", "(y^2 - x^3 - x)^2 - y + 100", None, 3, {
         "kind": "negative-value", "lemma": "rouse-3p",
@@ -307,7 +307,7 @@ def test_map_back_roundtrip():
     G = F.subs(BivarPoly.x() + BivarPoly.y(), BivarPoly.y())
     w = ray_witness(G)
     assert w.kind == "negative-value"
-    back = _map_back(F, w, M)
+    back = _map_back(w, M)
     assert back.verify(F)
 
 
