@@ -34,18 +34,6 @@ from .forms import (
 )
 from .quadext import QuadExt, _rat_sqrt
 
-ROUTES = (
-    "MP0",
-    "MP1-cubic",
-    "MP1-quadratic",
-    "MP1-linear",
-    "MP2",
-    "MP3",
-    "paper-gap",
-    "not-positive-leading",
-    "not-a-sextic",
-)
-
 SCHEMA_VERSION = "1"
 
 
@@ -396,25 +384,15 @@ def _sqrt_pair(r: Fraction):
 class MP2Layers:
     a: tuple  # (a2, a1, a0)
     b: tuple
-    c: tuple
-    G5: BivarPoly
 
 
 def mp2_layers(F: BivarPoly) -> MP2Layers:
-    """Layer decomposition for F6 = x^4 f6 inputs (already normalized):
+    """The a- and b-layers for F6 = x^4 f6 inputs (already normalized):
     F = y^2 (a2 x^4 + a1 x^2 y + a0 y^2) + xy (b2 x^4 + b1 x^2 y + b0 y^2)
       + x^2 (c2 x^4 + c1 x^2 y + c0 y^2) + G5."""
     a = (F.coeff(4, 2), F.coeff(2, 3), F.coeff(0, 4))
     b = (F.coeff(5, 1), F.coeff(3, 2), F.coeff(1, 3))
-    c = (F.coeff(6, 0), F.coeff(4, 1), F.coeff(2, 2))
-    layered = BivarPoly(
-        {
-            (4, 2): a[0], (2, 3): a[1], (0, 4): a[2],
-            (5, 1): b[0], (3, 2): b[1], (1, 3): b[2],
-            (6, 0): c[0], (4, 1): c[1], (2, 2): c[2],
-        }
-    )
-    return MP2Layers(a=a, b=b, c=c, G5=F - layered)
+    return MP2Layers(a=a, b=b)
 
 
 @dataclass
@@ -589,7 +567,6 @@ def mp3_shape_extract(F: BivarPoly) -> MP3Shape:
 @dataclass
 class F40Layers:
     u: tuple  # (u3, u2, u1, u0): lead form G(m,n) = u3 m^3 + u2 m^2 n + u1 m n^2 + u0 n^3
-    rest: BivarPoly
 
     def lead_eval(self, m, n) -> Fraction:
         u3, u2, u1, u0 = self.u
@@ -601,8 +578,7 @@ def f40_layers(F: BivarPoly) -> F40Layers:
     """Weighted (x:1, y:2) lead form layers for the x^4 | F5, x^2 | F4 case:
     lead = u3 x^6 + u2 x^4 y + u1 x^2 y^2 + u0 y^3."""
     u = (F.coeff(6, 0), F.coeff(4, 1), F.coeff(2, 2), F.coeff(0, 3))
-    lead = BivarPoly({(6, 0): u[0], (4, 1): u[1], (2, 2): u[2], (0, 3): u[3]})
-    return F40Layers(u=u, rest=F - lead)
+    return F40Layers(u=u)
 
 
 @dataclass

@@ -3,8 +3,10 @@
 Polynomials are coefficient lists [c0, c1, ...] of Fractions, lowest degree
 first, with no trailing zeros (the zero polynomial is the empty list).  Used
 for dehomogenized binary forms: gcds, Yun square-free decomposition, Sturm
-real-root isolation, certified continued-fraction convergents, and the
-integer k-th root.
+real-root isolation, continued-fraction convergents of an isolated root, and
+the integer k-th root.  The convergents come from Lagrange's method on
+integer polynomials and are certified by checking that consecutive ones
+bracket the root.
 """
 
 from __future__ import annotations
@@ -193,45 +195,17 @@ def cauchy_bound(p: list) -> Fraction:
     return 1 + max(abs(c) for c in p[:-1]) / lead
 
 
-def count_roots_in(chain: list, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]."""
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
-
-
 class IsolatingInterval:
     """Open rational interval containing exactly one real root of poly.
 
     poly is a square-free univariate coefficient list; the endpoints are never
-    roots.  refine() halves the width; refine_to(w) iterates until hi-lo <= w.
+    roots.
     """
 
     def __init__(self, poly: list, lo: Fraction, hi: Fraction):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def refine(self):
-        mid = (self.lo + self.hi) / 2
-        vm = peval(self.poly, mid)
-        if not vm:
-            # nudge the split point; mid is the root, keep it strictly inside
-            mid = self.lo + self.width() * Fraction(1, 3)
-            vm = peval(self.poly, mid)
-            if not vm:
-                raise ArithmeticError("two roots in isolating interval")
-        vl = peval(self.poly, self.lo)
-        if (vl > 0) != (vm > 0):
-            self.hi = mid
-        else:
-            self.lo = mid
-
-    def refine_to(self, width: Fraction):
-        width = Fraction(width)
-        while self.width() > width:
-            self.refine()
 
     def contains_rational(self, r: Fraction) -> bool:
         return self.lo < r < self.hi
@@ -278,9 +252,6 @@ def isolate_real_roots(p: list) -> list[IsolatingInterval]:
         hi += 1
     split(lo, hi, sign_variations(chain, lo), sign_variations(chain, hi))
     out.sort(key=lambda iv: iv.lo)
-    # shrink so intervals are disjoint and endpoints are not roots
-    for iv in out:
-        iv.refine_to(Fraction(1, 4))
     return out
 
 
@@ -325,23 +296,56 @@ def rational_roots(p: list) -> list[Fraction]:
 # -- certified continued-fraction convergents ---------------------------------
 
 
-def _cf_expansion(r: Fraction) -> list[int]:
-    """Floor-convention continued fraction of a rational."""
-    out = []
-    num, den = r.numerator, r.denominator
-    while den:
-        a, rem = divmod(num, den)
-        out.append(a)
-        num, den = den, rem
-    return out
+def _sign_at(p: list, u: int, v: int) -> int:
+    """Sign of p(u/v) for v > 0, from the homogenized sum in integers."""
+    acc, vk = 0, 1
+    for c in reversed(p):
+        acc = acc * u + c * vk
+        vk *= v
+    return (acc > 0) - (acc < 0)
+
+
+def _taylor_shift(p: list, a: int) -> list:
+    """Coefficients of p(x + a)."""
+    q = list(p)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += a * q[j + 1]
+    return q
+
+
+def _root_floor(p: list, lo: Fraction, hi: Fraction) -> int:
+    """Floor of the one irrational root of p in (lo, hi).  p changes sign
+    exactly once on the integers inside (lo, hi), so an exponential search
+    and then a binary search find the last integer below the root."""
+    s = _sign_at(p, lo.numerator, lo.denominator)
+
+    def below(m):
+        return m < hi and _sign_at(p, m, 1) == s
+
+    a, step = lo.numerator // lo.denominator, 1
+    while below(a + step):
+        a += step
+        step *= 2
+    # a is below the root and a + step is not
+    while step > 1:
+        step //= 2
+        if below(a + step):
+            a += step
+    return a
 
 
 def convergents_of_root(iv: IsolatingInterval, n: int) -> list[tuple[int, int]]:
     """First n continued-fraction convergents (p, q) of the isolated root.
 
-    The root must be irrational: rational roots of iv.poly are rejected.  Each
-    returned pair is certified to satisfy |q*alpha - p| < 1/q via interval
-    arithmetic on the refined isolating interval.
+    The root must be irrational: rational roots of iv.poly are rejected.
+    Lagrange's method walks the partial quotients in integers: take the
+    floor a of the root, then replace p(x) by x^d p(a + 1/x) and the
+    interval by its image under x -> 1/(x - a), which still isolates the one
+    root.  One convergent more than asked is walked, and each is certified
+    against iv.poly: even ones below the root, odd ones above, and every
+    quotient after the first at least 1.  Consecutive convergents then
+    bracket the root, so each returned pair has |q*alpha - p| < 1/q.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -351,49 +355,36 @@ def convergents_of_root(iv: IsolatingInterval, n: int) -> list[tuple[int, int]]:
                 f"root is rational ({r}); use the exact-root path instead"
             )
 
-    poly = list(iv.poly)
-    work = IsolatingInterval(poly, iv.lo, iv.hi)
-    # Partial quotients of alpha are the common prefix of the continued
-    # fractions of any two rationals bracketing it, excluding the (possibly
-    # rewritable) final quotient of either expansion.  Refining the interval
-    # lengthens the common prefix; ~log2(q_n^2) bisections suffice, so the
-    # endpoints stay small and nothing exponential happens.
-    quots: list[int] = []
-    while len(quots) < n:
-        work.refine()
-        lo_cf = _cf_expansion(work.lo)
-        hi_cf = _cf_expansion(work.hi)
-        limit = min(len(lo_cf), len(hi_cf)) - 1  # drop each final quotient
-        quots = []
-        for i in range(limit):
-            if lo_cf[i] != hi_cf[i]:
-                break
-            quots.append(lo_cf[i])
+    f = [int(c) for c in primitive(iv.poly)]
+    p, lo, hi = f, iv.lo, iv.hi
+    quots = []
+    for _ in range(n + 1):
+        a = _root_floor(p, lo, hi)
+        quots.append(a)
+        p_next = trim(_taylor_shift(p, a)[::-1])
+        # x -> 1/(x - a) maps (max(lo, a), min(hi, a + 1)) onto the new
+        # interval; where it would reach infinity, Cauchy's bound on the
+        # roots of p_next closes it
+        lo, hi = (
+            Fraction(1) if hi >= a + 1 else 1 / (hi - a),
+            Fraction(2 + max(map(abs, p_next)) // abs(p_next[-1])) if lo <= a else 1 / (lo - a),
+        )
+        p = p_next
 
+    s_lo = _sign_at(f, iv.lo.numerator, iv.lo.denominator)
     pairs = []
     # convergent recurrence state: p_k = a_k p_{k-1} + p_{k-2}
     p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
     q_prev, q_cur = 1, 0  # q_{-2}, q_{-1}
-    for a in quots[:n]:
+    for k, a in enumerate(quots):
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
+        c = Fraction(p_cur, q_cur)
+        below = c <= iv.lo or (c < iv.hi and _sign_at(f, p_cur, q_cur) == s_lo)
+        if below != (k % 2 == 0) or (k and a < 1):
+            raise ArithmeticError(f"convergent ({p_cur},{q_cur}) does not bracket the root")
         pairs.append((p_cur, q_cur))
-
-    # certify |q*alpha - p| < 1/q on the original interval
-    orig = IsolatingInterval(poly, iv.lo, iv.hi)
-    for p, q in pairs:
-        while True:
-            lo_v = q * orig.lo - p
-            hi_v = q * orig.hi - p
-            m = max(abs(lo_v), abs(hi_v))
-            if m < Fraction(1, q):
-                break
-            if lo_v > 0 or hi_v < 0:
-                # certified violation would mean a bug upstream
-                if min(abs(lo_v), abs(hi_v)) >= Fraction(1, q):
-                    raise ArithmeticError(f"convergent ({p},{q}) fails |q a - p| < 1/q")
-            orig.refine()
-    return pairs
+    return pairs[:n]
 
 
 # -- integer roots ------------------------------------------------------------

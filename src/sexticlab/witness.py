@@ -10,6 +10,7 @@ appears in reported ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -88,7 +89,8 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
 
     Requires F6 positive semi-definite (not definite) with gcd(F6, F5) = 1.
     Collects every negative value found within the budget; the growth ratio
-    |F(u,v)| / (u^2+v^2)^(5/2 - 1/10) is recorded for reporting only.
+    |F(u,v)| / (u^2+v^2)^(5/2 - 1/10) is recorded for reporting only, and is
+    taken from logs of the exact integers so no budget overflows a float.
     """
     parts = decompose(F)
     F6, F5 = parts[6], parts[5]
@@ -101,7 +103,7 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
 
     negatives = []
     tried = 0
-    best_ratio = None
+    best_log = None
     ivs, at_infinity = real_roots(F6)
     directions = []
     # rational root directions walk as scaled primitive vectors
@@ -130,16 +132,18 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
             pairs = up.convergents_of_root(data, max_convergents)
             for u, v in pairs:
                 val = _eval_pm(F, u, v, negatives)
-                r2 = u * u + v * v
                 expo = 2.5 - _seeds.get("growth_epsilon")
-                ratio = abs(float(val)) / (float(r2) ** expo or 1.0)
-                if best_ratio is None or ratio < best_ratio:
-                    best_ratio = ratio
+                log_ratio = (
+                    math.log(abs(val.numerator)) - math.log(val.denominator)
+                    if val else -math.inf
+                ) - expo * math.log(u * u + v * v)
+                if best_log is None or log_ratio < best_log:
+                    best_log = log_ratio
         tried += 1
 
     extra = {}
-    if best_ratio is not None:
-        extra["growth_ratio_min"] = f"{best_ratio:.6g}"
+    if best_log is not None:
+        extra["growth_ratio_min"] = f"{math.exp(best_log):.6g}"
     if negatives:
         return _checked(
             F,
@@ -494,10 +498,7 @@ def _route_witness(F: BivarPoly, report: ClassificationReport, budgets: SearchBu
 
     # MP0, MP1-*, paper-gap: Dirichlet when applicable
     if report.definiteness == "positive-semi" and cond.get("gcd(F6,F5)=1"):
-        try:
-            return dirichlet_witness(F, budgets.convergents)
-        except ValueError:
-            pass
+        return dirichlet_witness(F, budgets.convergents)
     return Witness(
         kind="inconclusive",
         lemma=route.lower(),

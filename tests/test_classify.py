@@ -150,9 +150,16 @@ def test_quadratic_case_rejects_wrong_k():
 
 
 def test_mp2_layers_reassemble():
-    F = parse("x^4*(x^2 + y^2) + x^3*y^2 + x*y + 3")
+    F = parse(
+        "y^2*(2*x^4 - 3*x^2*y + 5*y^2) + x*y*(7*x^4 + 11*x^2*y - 13*y^2)"
+        " + x^4*(x^2 + y^2) + x^3*y^2 + x*y + 3"
+    )
     lay = mp2_layers(F)
-    assert lay is not None
+    # x^4*y^2 and x^3*y^2 of the last line add to a2 and b1
+    assert lay.a == (3, -3, 5)
+    assert lay.b == (7, 12, -13)
+    for (i, j), c in zip(((4, 2), (2, 3), (0, 4), (5, 1), (3, 2), (1, 3)), lay.a + lay.b):
+        assert F.coeff(i, j) == c
 
 
 def test_mp2_square_fixture_values():

@@ -122,6 +122,20 @@ def test_witness_exhausted_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_witness_large_convergent_budget(capsys):
+    # 200 convergents give values past the float range; the reported growth
+    # ratio is taken from logs, so the run ends with its witness, not an
+    # OverflowError
+    code, out, _ = run(
+        capsys, "witness", "--budget-convergents", "200",
+        "--poly", "(x^2 - 2*y^2)^2*(x^2 + y^2) + x^5",
+    )
+    obj = json.loads(out)
+    assert code == EXIT_OK
+    assert obj["kind"] == "negative-value"
+    assert float(obj["extra"]["growth_ratio_min"]) > 0
+
+
 @pytest.mark.parametrize("engine,expr,matrix", [
     ("ray_witness", "x^6 - y^6", [[1, 0], [0, 1]]),
     ("anisotropic_witness", "(x+y)^6 + (x+y)^2*y^3", [[0, -1], [1, 1]]),

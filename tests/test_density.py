@@ -148,12 +148,17 @@ def test_mem_env_var(monkeypatch):
 
 
 def test_worker_determinism(monkeypatch):
-    # with the pool threshold lowered below the quadratic's 97 columns,
-    # workers > 1 really runs the process pool, and the quadratic is not
-    # even, so a lost shard changes the count; shards merge in shard order
-    # in both modes
+    # with the pool threshold lowered below the quadratics' 97 and 91
+    # columns, workers > 1 really runs the process pool; shards merge in
+    # shard order in both modes.  Every shard of 2*x^2 + x + 2*y^2 at
+    # N = 2000, for 2, 3 and 5 workers, holds a value no other shard has,
+    # so a lost first, middle or last shard changes the count
     monkeypatch.setattr(density_mod, "POOL_MIN_COLUMNS", 64)
-    cases = ((parse("x^6 + y^6 + x*y"), 2000), (parse("x^2 + x*y + 2*y^2 + 3*x"), 500))
+    cases = (
+        (parse("x^6 + y^6 + x*y"), 2000),
+        (parse("x^2 + x*y + 2*y^2 + 3*x"), 500),
+        (parse("2*x^2 + x + 2*y^2"), 2000),
+    )
     for mem_bits, mode in ((10**6, "bitmap"), (1, "dedup")):
         for F, N in cases:
             base = count_range(F, N, workers=1, mem_bits=mem_bits).to_json_obj()

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sexticlab import unipoly as up
 
@@ -59,12 +59,16 @@ def test_yun_decomposition():
 
 
 def test_sturm_count():
-    # t^3 - 2t has roots -sqrt2, 0, sqrt2
+    # t^3 - 2t has roots -sqrt2, 0, sqrt2; V(lo) - V(hi) counts (lo, hi]
     p = [Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
     chain = up.sturm_chain(p)
-    assert up.count_roots_in(chain, Fraction(-10), Fraction(10)) == 3
-    assert up.count_roots_in(chain, Fraction(0), Fraction(10)) == 1
-    assert up.count_roots_in(chain, Fraction(1), Fraction(2)) == 1
+
+    def count(lo, hi):
+        return up.sign_variations(chain, Fraction(lo)) - up.sign_variations(chain, Fraction(hi))
+
+    assert count(-10, 10) == 3
+    assert count(0, 10) == 1
+    assert count(1, 2) == 1
 
 
 def test_isolate_real_roots_count_matches_sympy():
@@ -93,15 +97,6 @@ def test_rational_roots():
     # 2t^2 - 3t + 1 = (2t - 1)(t - 1)
     p = [Fraction(1), Fraction(-3), Fraction(2)]
     assert up.rational_roots(p) == [Fraction(1, 2), Fraction(1)]
-
-
-def test_refine_narrows():
-    p = [Fraction(-2), Fraction(0), Fraction(1)]  # t^2 - 2
-    ivs = up.isolate_real_roots(p)
-    pos = [iv for iv in ivs if iv.hi > 0][0]
-    pos.refine_to(Fraction(1, 1000))
-    assert pos.width() <= Fraction(1, 1000)
-    assert pos.lo < Fraction(1414214, 1000000) < pos.hi or pos.lo < Fraction(14142, 10000) < pos.hi
 
 
 def test_convergents_of_sqrt2():
@@ -138,6 +133,93 @@ def test_cubic_root_convergents_certified():
     alpha = 1.3247179572447460
     for pnum, q in pairs:
         assert abs(q * alpha - pnum) < 1.0 / q + 1e-9
+
+
+def bisection_convergents(poly, lo, hi, n):
+    """The bisection routine the Lagrange walk replaced, kept as its oracle.
+
+    Halves the isolating interval and takes the partial quotients as the
+    common prefix of the endpoints' continued fractions, without either
+    final quotient; it shares no code with the walk."""
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(poly):
+            acc = acc * x + c
+        return acc
+
+    def expansion(r):
+        out, num, den = [], r.numerator, r.denominator
+        while den:
+            a, rem = divmod(num, den)
+            out.append(a)
+            num, den = den, rem
+        return out
+
+    quots = []
+    while len(quots) < n:
+        mid = (lo + hi) / 2
+        if (value(lo) > 0) != (value(mid) > 0):
+            hi = mid
+        else:
+            lo = mid
+        quots = []
+        for a, b in zip(expansion(lo)[:-1], expansion(hi)[:-1]):
+            if a != b:
+                break
+            quots.append(a)
+    pairs = []
+    p_prev, p_cur, q_prev, q_cur = 0, 1, 1, 0
+    for a in quots[:n]:
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        pairs.append((p_cur, q_cur))
+    return pairs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([3, 4, 6]).flatmap(
+        lambda d: st.lists(st.integers(-20, 20), min_size=d, max_size=d).map(
+            lambda cs: cs + [d - 2]
+        )
+    )
+)
+def test_walk_matches_bisection(cs):
+    # cubics, quartics and sextics with leading coefficient 1, 2 or 4; every
+    # real root that sympy does not find rational is compared
+    p = [Fraction(c) for c in cs]
+    t = sympy.Symbol("t")
+    rational = sympy.roots(sympy.Poly(to_sympy(p), t), filter="Q")
+    irrational = [
+        iv for iv in up.isolate_real_roots(p)
+        if not any(iv.lo < r < iv.hi for r in rational)
+    ]
+    assume(irrational)
+    for iv in irrational:
+        walked = up.convergents_of_root(iv, 64)
+        assert walked == bisection_convergents(iv.poly, iv.lo, iv.hi, 64)
+
+
+@pytest.mark.parametrize("call,shift,n", [(4, 1, 6), (4, -1, 6), (3, -1, 2)])
+def test_walk_certificate_catches_wrong_quotient(monkeypatch, call, shift, n):
+    # 2^(1/3) = [1; 3, 1, 5, 1, 1, 4, ...].  The fourth floor off by one
+    # (6 or 4 for 5) puts a convergent on the wrong side of the root.  The
+    # extra third quotient walked as 0 repeats the first convergent, on its
+    # right side, but would bound the second only by 1/q of the first
+    p = [Fraction(-2), Fraction(0), Fraction(0), Fraction(1)]
+    iv = up.isolate_real_roots(p)[0]
+    assert up.convergents_of_root(iv, 6)[:4] == [(1, 1), (4, 3), (5, 4), (29, 23)]
+    real = up._root_floor
+    calls = []
+
+    def off_by_one(*args):
+        calls.append(None)
+        return real(*args) + (shift if len(calls) == call else 0)
+
+    monkeypatch.setattr(up, "_root_floor", off_by_one)
+    with pytest.raises(ArithmeticError, match="does not bracket the root"):
+        up.convergents_of_root(iv, n)
 
 
 @pytest.mark.parametrize("n,k,root", [

@@ -333,6 +333,19 @@ def test_dispatch_dirichlet_route():
     assert w.verify(F)
 
 
+def test_dispatch_dirichlet_errors_propagate(monkeypatch):
+    # the router checks the engine's preconditions itself, so a ValueError
+    # from the engine is a fault to report, not an inconclusive result
+    import sexticlab.witness as witness_mod
+
+    def raising(F, max_convergents=64):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(witness_mod, "dirichlet_witness", raising)
+    with pytest.raises(ValueError, match="engine fault"):
+        witness_for(parse("(x^2 - 2*y^2)^2*(x^2 + y^2) + x^5"))
+
+
 def test_dispatch_mp2_completed_square_inconclusive():
     core = parse("y*(x^2 - y) + x*(x^2 - 2*y)")
     F = core * core + BivarPoly.const(3)
