@@ -4,10 +4,12 @@ A BivarPoly is a canonical sparse map from exponent pairs (i, j) to nonzero
 Fraction coefficients, representing  sum c_{ij} x^i y^j.  All arithmetic is
 exact; no floating point anywhere in this module.
 
-Enumeration loops evaluate through BivarPoly.kernel(), the same polynomial
-compiled once to integer rows of D*F (D the lcm of the coefficient
+Enumeration loops and the witness searches over many points (Dirichlet
+convergents, curve families) evaluate through BivarPoly.kernel(), the same
+polynomial compiled once to integer rows of D*F (D the lcm of the coefficient
 denominators).  The kernel is checked against Fraction evaluation when it is
-built, and Fraction evaluation stays the gate for every certificate.
+built, and Fraction evaluation (BivarPoly.eval, which shares no code with the
+kernel) stays the gate for every certificate.
 """
 
 from __future__ import annotations
@@ -27,6 +29,22 @@ def _rat(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"not an exact rational: {v!r}")
+
+
+def _int_or_rat(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if isinstance(v, int):
+        return v
+    v = _rat(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _powers(b, n: int) -> list:
+    """[b^0, b^1, ..., b^n]."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * b)
+    return out
 
 
 class IdentityError(RuntimeError):
@@ -242,11 +260,15 @@ class BivarPoly:
     # -- evaluation and substitution --------------------------------------
 
     def eval(self, x, y) -> Fraction:
-        x = _rat(x)
-        y = _rat(y)
+        """Exact F(x, y): the gate every certificate passes through.
+
+        The powers of x and y are taken once per call, in integers where the
+        argument is integral, so each term costs one Fraction product."""
+        xp = _powers(_int_or_rat(x), self.degree_in(0))
+        yp = _powers(_int_or_rat(y), self.degree_in(1))
         total = Fraction(0)
         for (i, j), c in self._terms.items():
-            total += c * x**i * y**j
+            total += c * (xp[i] * yp[j])
         return total
 
     def kernel(self) -> IntKernel:

@@ -315,19 +315,19 @@ def _taylor_shift(p: list, a: int) -> list:
 
 
 def _root_floor(p: list, lo: Fraction, hi: Fraction) -> int:
-    """Floor of the one irrational root of p in (lo, hi).  p changes sign
-    exactly once on the integers inside (lo, hi), so an exponential search
-    and then a binary search find the last integer below the root."""
+    """Floor of the one root of p in (lo, hi).  p changes sign exactly once
+    on the integers inside (lo, hi), so an exponential search and then a
+    binary search find the last integer at or below the root."""
     s = _sign_at(p, lo.numerator, lo.denominator)
 
     def below(m):
-        return m < hi and _sign_at(p, m, 1) == s
+        return m < hi and _sign_at(p, m, 1) != -s
 
     a, step = lo.numerator // lo.denominator, 1
     while below(a + step):
         a += step
         step *= 2
-    # a is below the root and a + step is not
+    # a is at or below the root and a + step is above it
     while step > 1:
         step //= 2
         if below(a + step):
@@ -342,25 +342,40 @@ def convergents_of_root(iv: IsolatingInterval, n: int) -> list[tuple[int, int]]:
     Lagrange's method walks the partial quotients in integers: take the
     floor a of the root, then replace p(x) by x^d p(a + 1/x) and the
     interval by its image under x -> 1/(x - a), which still isolates the one
-    root.  One convergent more than asked is walked, and each is certified
-    against iv.poly: even ones below the root, odd ones above, and every
-    quotient after the first at least 1.  Consecutive convergents then
-    bracket the root, so each returned pair has |q*alpha - p| < 1/q.
+    root.  At least one convergent more than asked is walked, and each is
+    certified against iv.poly as it is walked: even ones below the root, odd
+    ones above, and every quotient after the first at least 1.  Consecutive
+    convergents then bracket the root, so each returned pair has
+    |q*alpha - p| < 1/q.
+
+    A rational root b/c ends the walk where a is itself a root of p, at the
+    convergent with denominator c.  Since c divides the leading coefficient
+    L of the primitive form of iv.poly, walking on until q > |L| rejects
+    every rational root for every n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    for r in rational_roots(iv.poly):
-        if iv.contains_rational(r):
-            raise ValueError(
-                f"root is rational ({r}); use the exact-root path instead"
-            )
 
     f = [int(c) for c in primitive(iv.poly)]
+    s_lo = _sign_at(f, iv.lo.numerator, iv.lo.denominator)
     p, lo, hi = f, iv.lo, iv.hi
-    quots = []
-    for _ in range(n + 1):
+    pairs = []
+    # convergent recurrence state: p_k = a_k p_{k-1} + p_{k-2}
+    p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
+    q_prev, q_cur = 1, 0  # q_{-2}, q_{-1}
+    while len(pairs) <= n or q_cur <= abs(f[-1]):
         a = _root_floor(p, lo, hi)
-        quots.append(a)
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        if a > lo and not _sign_at(p, a, 1):
+            raise ValueError(
+                f"root is rational ({Fraction(p_cur, q_cur)}); use the exact-root path instead"
+            )
+        c = Fraction(p_cur, q_cur)
+        below = c <= iv.lo or (c < iv.hi and _sign_at(f, p_cur, q_cur) == s_lo)
+        if below != (len(pairs) % 2 == 0) or (pairs and a < 1):
+            raise ArithmeticError(f"convergent ({p_cur},{q_cur}) does not bracket the root")
+        pairs.append((p_cur, q_cur))
         p_next = trim(_taylor_shift(p, a)[::-1])
         # x -> 1/(x - a) maps (max(lo, a), min(hi, a + 1)) onto the new
         # interval; where it would reach infinity, Cauchy's bound on the
@@ -370,20 +385,6 @@ def convergents_of_root(iv: IsolatingInterval, n: int) -> list[tuple[int, int]]:
             Fraction(2 + max(map(abs, p_next)) // abs(p_next[-1])) if lo <= a else 1 / (lo - a),
         )
         p = p_next
-
-    s_lo = _sign_at(f, iv.lo.numerator, iv.lo.denominator)
-    pairs = []
-    # convergent recurrence state: p_k = a_k p_{k-1} + p_{k-2}
-    p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
-    q_prev, q_cur = 1, 0  # q_{-2}, q_{-1}
-    for k, a in enumerate(quots):
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        c = Fraction(p_cur, q_cur)
-        below = c <= iv.lo or (c < iv.hi and _sign_at(f, p_cur, q_cur) == s_lo)
-        if below != (k % 2 == 0) or (k and a < 1):
-            raise ArithmeticError(f"convergent ({p_cur},{q_cur}) does not bracket the root")
-        pairs.append((p_cur, q_cur))
     return pairs[:n]
 
 

@@ -2,8 +2,12 @@
 
 Every engine takes explicit budgets and returns a Witness; an exhausted
 budget yields kind "inconclusive" with `exhausted` set instead of looping.
-Recorded values are exact and verified against the polynomial at
-construction time; a failed check raises CertificateError, so it holds under
+Searches over many points (Dirichlet convergents, curve families, the growth
+box) take their values from F.kernel(), which is proved equal to D*F when it
+is compiled.  Recorded values are exact and each point is checked once in
+Fraction against each polynomial it is certified for: the engine checks it
+against the polynomial it searched, and witness_for against the input when
+that differs.  A failed check raises CertificateError, so it holds under
 `python -O` too.  Floating point never decides a predicate here; it only
 appears in reported ratios.
 """
@@ -45,6 +49,9 @@ class Witness:
     note: str = ""
     extra: dict = field(default_factory=dict)
     exhausted: bool = False  # an inconclusive search ran out of budget; not serialized
+    # (F, kind, points) as _checked verified them; never serialized or compared,
+    # and dataclasses.replace resets it, so changed points are checked again
+    _gate: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def verify(self, F: BivarPoly) -> bool:
         for x, y, v in self.points:
@@ -72,11 +79,25 @@ class CertificateError(RuntimeError):
 
 
 def _checked(F: BivarPoly, kind: str, lemma: str, points, note="", extra=None) -> Witness:
-    """Wraps an engine's (x, y, F(x, y)) triples, verified once."""
+    """Wraps an engine's (x, y, F(x, y)) triples, verified in Fraction against F.
+
+    The search values may come from the kernel; this is the gate that checks
+    them.  The Witness remembers what it checked, so witness_for does not
+    evaluate the same points against the same F again."""
     w = Witness(kind=kind, lemma=lemma, points=points, note=note, extra=extra or {})
     if not w.verify(F):
         raise CertificateError(f"{lemma}: {kind} witness fails verification")
+    w._gate = _gate_key(F, w)
     return w
+
+
+def _gate_key(F: BivarPoly, w: Witness) -> tuple:
+    return (F, w.kind, tuple(map(tuple, w.points)))
+
+
+def _passed_gate(F: BivarPoly, w: Witness) -> bool:
+    """w was checked by _checked against this very F with these very points."""
+    return w._gate == _gate_key(F, w) and w._gate[0] is F
 
 
 # -- Dirichlet convergent walk ------------------------------------------------
@@ -101,6 +122,7 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
     if not ok:
         raise ValueError(f"gcd(F6, F5) = {g.to_poly().format()} is not constant")
 
+    K = F.kernel()
     negatives = []
     tried = 0
     best_log = None
@@ -126,12 +148,12 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
             n = 1
             for _ in range(max_convergents):
                 u, v = base[0] * n, base[1] * n
-                _eval_pm(F, u, v, negatives)
+                _eval_pm(K, u, v, negatives)
                 n *= 2
         else:
             pairs = up.convergents_of_root(data, max_convergents)
             for u, v in pairs:
-                val = _eval_pm(F, u, v, negatives)
+                val = _eval_pm(K, u, v, negatives)
                 expo = 2.5 - _seeds.get("growth_epsilon")
                 log_ratio = (
                     math.log(abs(val.numerator)) - math.log(val.denominator)
@@ -164,9 +186,11 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
     )
 
 
-def _eval_pm(F, u, v, negatives):
-    va = F.eval(u, v)
-    vb = F.eval(-u, -v)
+def _eval_pm(K, u, v, negatives):
+    """F at (u, v) and (-u, -v) from the kernel K of F; collects negatives
+    and returns the value of larger size."""
+    va = Fraction(K(u, v), K.D)
+    vb = Fraction(K(-u, -v), K.D)
     if va < 0:
         negatives.append((u, v, va))
     if vb < 0:
@@ -175,6 +199,10 @@ def _eval_pm(F, u, v, negatives):
 
 
 # -- anisotropic schedule -----------------------------------------------------
+
+# The anisotropic, weighted-cubic and ray searches stop at their first
+# negative value and evaluate a handful of points per input, far fewer than
+# the kernel's compile check costs, so they evaluate with F.eval.
 
 
 def anisotropic_witness(F: BivarPoly, theta: Fraction, Tmax: int = 10**12) -> Witness:
@@ -356,13 +384,15 @@ def _family_walk(F: BivarPoly, rec: ECRecord, family, lemma: str, note: str, ext
     (X, +-Y) through the recorded substitution and evaluates F at the
     integral images.  Returns every negative value, else the minimum worded
     by min_note(point, number of points evaluated), else inconclusive."""
+    K = F.kernel()
     evaluated = []
     for X, Y in family:
         for Ys in (Y, -Y):
             x, y = rec.map_point(Fraction(X), Fraction(Ys))
             if x.denominator != 1 or y.denominator != 1:
                 continue
-            evaluated.append((int(x), int(y), F.eval(x, y)))
+            x, y = x.numerator, y.numerator
+            evaluated.append((x, y, Fraction(K(x, y), K.D)))
     negatives = [p for p in evaluated if p[2] < 0]
     if negatives:
         return _checked(F, "negative-value", lemma, negatives, note=note, extra=extra)
@@ -438,7 +468,7 @@ def witness_for(
     if report is None:
         report = classify(F)
     w = _route_witness(F, report, budgets or SearchBudgets())
-    if not w.verify(F):
+    if not _passed_gate(F, w) and not w.verify(F):
         raise CertificateError(f"{w.lemma}: witness fails verification against the input")
     return w
 

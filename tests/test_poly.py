@@ -119,6 +119,33 @@ def test_kernel_matches_fraction_eval(F, a, b):
     assert F.kernel() is K  # compiled once per polynomial object
 
 
+def termwise_eval(F, x, y):
+    """The Fraction evaluation BivarPoly.eval replaced, kept as its oracle:
+    c * x**i * y**j summed term by term, with Fraction powers."""
+    x, y = Fraction(x), Fraction(y)
+    total = Fraction(0)
+    for (i, j), c in F.terms.items():
+        total += c * x**i * y**j
+    return total
+
+
+# integral and rational coordinates up to |x| ~ 10^40, passed as int or Fraction
+huge = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-(10**40), 10**40),
+    st.integers(-(10**40), 10**40).map(Fraction),
+    st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sextic_polys, huge, huge)
+def test_eval_matches_termwise_formula(F, a, b):
+    v = F.eval(a, b)
+    assert type(v) is Fraction
+    assert v == termwise_eval(F, a, b)
+
+
 def test_kernel_denominator_and_integrality():
     F = parse("1/2*x^2 + 1/3*y + 1/6")
     K = F.kernel()

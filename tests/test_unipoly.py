@@ -125,6 +125,35 @@ def test_convergents_reject_rational():
         up.convergents_of_root(iv, 3)
 
 
+@pytest.mark.parametrize("num,den,n", [
+    (3, 1, 4), (-7, 2, 4), (89, 55, 64), (355, 113, 64),
+    # 355/113 = [3; 7, 16]: with n = 1 the walk meets it only by walking on
+    # until the denominator passes the leading coefficient 113
+    (355, 113, 1),
+])
+def test_convergents_reject_rational_at_any_depth(num, den, n):
+    # (den*t - num)(t^2 - 2): the rational root is rejected at the step where
+    # its continued fraction ends; the two irrational roots still walk
+    p = [Fraction(c) for c in up.pmul([-num, den], [-2, 0, 1])]
+    r = Fraction(num, den)
+    ivs = up.isolate_real_roots(p)
+    assert sum(iv.contains_rational(r) for iv in ivs) == 1
+    for iv in ivs:
+        if iv.contains_rational(r):
+            with pytest.raises(ValueError, match=f"rational \\({r}\\)"):
+                up.convergents_of_root(iv, n)
+        else:
+            assert len(up.convergents_of_root(iv, n)) == n
+
+
+def test_convergents_floor_at_a_root_outside_the_interval():
+    # (t - 1)(t^2 - 2) on (5/4, 3/2): the floor 1 of sqrt(2) is a root of
+    # the polynomial but lies outside the interval, so it is no rational root
+    p = [Fraction(c) for c in up.pmul([-1, 1], [-2, 0, 1])]
+    iv = up.IsolatingInterval(p, Fraction(5, 4), Fraction(3, 2))
+    assert up.convergents_of_root(iv, 4) == [(1, 1), (3, 2), (7, 5), (17, 12)]
+
+
 def test_cubic_root_convergents_certified():
     # real root of t^3 - t - 1 (the plastic number, ~1.3247)
     p = [Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)]

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from sexticlab import unipoly as up
 from sexticlab.classify import classify, ecform_normalize
+from sexticlab.forms import decompose, real_roots
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
 from sexticlab.witness import (
@@ -14,7 +16,9 @@ from sexticlab.witness import (
     SearchBudgets,
     Witness,
     _checked,
+    _eval_pm,
     _map_back,
+    _passed_gate,
     anisotropic_witness,
     dirichlet_witness,
     danilov_witness,
@@ -56,9 +60,16 @@ def test_certificate_gates_survive_optimize():
         "import sexticlab.witness as W\n"
         "from sexticlab.witness import CertificateError, Witness, _checked, witness_for\n"
         "F = parse('x^2 + y^2')\n"
-        "W.ray_witness = lambda F, box: Witness('negative-value', 't', [(1, 1, Fraction(-2))])\n"
+        "def corrupting(F, box):\n"
+        "    w = _checked(F, 'negative-value', 't', [(1, 2, Fraction(-63))])\n"
+        "    w.points[0] = (1, 2, Fraction(-1))  # in place, after the engine's gate\n"
+        "    return w\n"
+        "def stubbed(engine):\n"
+        "    W.ray_witness = engine\n"
+        "    return witness_for(parse('x^6 - y^6'))\n"
         "for gate in (lambda: _checked(F, 'negative-value', 't', [(1, 1, Fraction(2))]),\n"
-        "             lambda: witness_for(parse('x^6 - y^6'))):\n"
+        "             lambda: stubbed(lambda F, box: Witness('negative-value', 't', [(1, 1, Fraction(-2))])),\n"
+        "             lambda: stubbed(corrupting)):\n"
         "    try:\n"
         "        gate()\n"
         "    except CertificateError:\n"
@@ -70,6 +81,81 @@ def test_certificate_gates_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# Each case builds a witness through _checked and then changes it; the
+# engine stub hands it to witness_for, which must check it against F again.
+def _changed_in_place(F):
+    w = _checked(F, "negative-value", "t", [(1, 2, Fraction(-63))])
+    w.points[0] = (1, 2, Fraction(-1))
+    return w
+
+
+def _point_appended(F):
+    w = _checked(F, "negative-value", "t", [(1, 2, Fraction(-63))])
+    w.points.append((1, 1, Fraction(-5)))
+    return w
+
+
+def _kind_changed(F):
+    w = _checked(F, "small-core-sequence", "t", [(1, 1, Fraction(0))])
+    w.kind = "negative-value"  # the same point, but no negative value
+    return w
+
+
+def _replaced(F):
+    w = _checked(F, "negative-value", "t", [(1, 2, Fraction(-63))])
+    return replace(w, points=[(1, 2, Fraction(-1))])
+
+
+def _checked_against_another_polynomial(F):
+    return _checked(parse("x^6 - 2*y^6"), "negative-value", "t", [(1, 1, Fraction(-1))])
+
+
+@pytest.mark.parametrize("engine", [
+    _changed_in_place, _point_appended, _kind_changed, _replaced,
+    _checked_against_another_polynomial,
+])
+def test_witness_for_rechecks_what_its_engine_did_not(monkeypatch, engine):
+    import sexticlab.witness as witness_mod
+
+    monkeypatch.setattr(witness_mod, "ray_witness", lambda F, box: engine(F))
+    with pytest.raises(CertificateError, match="against the input"):
+        witness_for(parse("x^6 - y^6"))
+
+
+def test_gate_marker_is_not_serialized_or_compared():
+    F = parse("x^6 - y^6")
+    w = _checked(F, "negative-value", "t", [(1, 2, Fraction(-63))])
+    plain = Witness("negative-value", "t", [(1, 2, Fraction(-63))])
+    assert w._gate is not None and plain._gate is None
+    assert w == plain
+    assert w.to_json_obj() == plain.to_json_obj()
+    assert "_gate" not in repr(w)
+    # it names the very polynomial object checked, and replace() drops it
+    assert _passed_gate(F, w) and not _passed_gate(parse("x^6 - y^6"), w)
+    assert replace(w, note="n")._gate is None
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_direct_route_evaluates_each_point_once(monkeypatch, k):
+    # acceptance-4 Dirichlet family: the search runs on the kernel, the
+    # engine's gate checks each point in Fraction, and witness_for does not
+    # check the same points against the same F a second time
+    F = parse(f"(x^2 - {k}*y^2)^2*(x^2 + y^2) + x^5")
+    report = classify(F)
+    real = BivarPoly.eval
+    calls = []
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(BivarPoly, "eval", counting)
+    w = witness_for(F, report, SearchBudgets(convergents=20))
+    grid = (F.degree_in(0) + 1) * (F.degree_in(1) + 1)
+    assert w.kind == "negative-value" and w.lemma == "dirichlet-approximation"
+    assert len(calls) <= len(w.points) + grid
 
 
 def test_witness_json_shape():
@@ -89,6 +175,36 @@ def test_dirichlet_quadratic_fixtures(k):
     w = dirichlet_witness(F, 20)
     assert w.kind == "negative-value"
     assert w.verify(F)
+
+
+# rational coefficients, so the kernel's D is not 1
+RATIONAL_SEXTICS = [
+    "1/3*(x^2 - 2*y^2)^2*(x^2 + y^2) + 5/7*x^5 + 1/2*x*y - 3",
+    "(2*x^2 - 3*y^2)^2*(x^2 + 1/5*y^2) - 3/4*x^4*y + 11/6*y^5 + 1/9",
+    "7/2*(x^3 - 2*y^3)^2 + 1/4*x^5 - 2/3*x*y^4 + 5/11*y",
+]
+
+
+@pytest.mark.parametrize("expr", RATIONAL_SEXTICS)
+def test_search_values_match_fraction_eval(expr):
+    # the Dirichlet search values come from the kernel; at every convergent
+    # point, negative or not, they must equal Fraction evaluation of F
+    F = parse(expr)
+    K = F.kernel()
+    assert K.D > 1
+    ivs, _ = real_roots(decompose(F)[6])
+    assert ivs
+    for iv in ivs:
+        for u, v in up.convergents_of_root(iv, 64):
+            negatives = []
+            val = _eval_pm(K, u, v, negatives)
+            a, b = F.eval(u, v), F.eval(-u, -v)
+            assert val == (a if abs(a) >= abs(b) else b)
+            assert negatives == [(x, y, F.eval(x, y)) for x, y in ((u, v), (-u, -v))
+                                 if F.eval(x, y) < 0]
+    w = dirichlet_witness(F, 64)
+    assert w.kind == "negative-value"
+    assert all(F.eval(x, y) == v for x, y, v in w.points)
 
 
 def test_dirichlet_requires_semidefinite():
