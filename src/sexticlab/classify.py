@@ -204,7 +204,11 @@ def cubic_square_completion(F: BivarPoly) -> SquareCompletion:
     """For F6 = a f^2 with f an irreducible-over-R... any cubic form: requires
     f | F5 and f | F4 and returns a (f + (g5+g4)/(2a))^2 + remainder with the
     remainder of degree <= 4."""
-    parts = decompose(F)
+    return _cubic_square_completion(F, decompose(F))
+
+
+def _cubic_square_completion(F: BivarPoly, parts: list) -> SquareCompletion:
+    """cubic_square_completion on the homogeneous parts of F already taken."""
     F6 = parts[6]
     factors = dict(squarefree_factors(F6))
     f_form = factors.get(2)
@@ -286,7 +290,11 @@ def quadratic_case_analysis(F: BivarPoly, k: int) -> QuadraticCaseReport:
     if k <= 1:
         raise ClassifyError("k must be a positive square-free integer > 1")
     QuadExt(k, 0)  # validates square-freeness
-    parts = decompose(F)
+    return _quadratic_case_analysis(F, k, decompose(F))
+
+
+def _quadratic_case_analysis(F: BivarPoly, k: int, parts: list) -> QuadraticCaseReport:
+    """quadratic_case_analysis, for a valid k, on the homogeneous parts of F."""
     F6 = parts[6]
     factors = dict(squarefree_factors(F6))
     f_form = factors.get(2)
@@ -885,7 +893,7 @@ def classify(F: BivarPoly) -> ClassificationReport:
         shape = {}
         if route == "MP1-cubic":
             if conditions["f|F5"] and conditions["f|F4"]:
-                shape["completion"] = cubic_square_completion(F)
+                shape["completion"] = _cubic_square_completion(F, parts)
                 recommended.append("density")
             else:
                 notes.append("f does not divide F5 and F4; negativity witness applies")
@@ -895,7 +903,7 @@ def classify(F: BivarPoly) -> ClassificationReport:
             if k is not None:
                 shape["k"] = k
                 try:
-                    shape["quadratic_case"] = quadratic_case_analysis(F, k)
+                    shape["quadratic_case"] = _quadratic_case_analysis(F, k, parts)
                 except ClassifyError as exc:
                     notes.append(str(exc))
             else:

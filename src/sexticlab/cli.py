@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success or certificate, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -258,10 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first main() call and reused:
+    parse_args does not change it, and it depends on no input."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalize anything else
         return EXIT_INPUT if exc.code not in (0,) else 0

@@ -3,7 +3,9 @@
 Coefficient convention: coefficients[k] multiplies x^(d-k) y^k.  Provides the
 homogeneous decomposition of a BivarPoly, form gcds via x-dehomogenization,
 Yun square-free profiles, real root-direction isolation, and exact
-definiteness classification.
+definiteness classification.  A form is never changed after construction, so
+the one Yun decomposition that the profile, the factors and the definiteness
+of a form all read is computed once per form object.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .unipoly import IsolatingInterval
 class BinaryForm:
     """Homogeneous form of fixed degree with exact rational coefficients."""
 
-    __slots__ = ("degree", "coefficients")
+    __slots__ = ("degree", "coefficients", "_yun")
 
     def __init__(self, degree: int, coefficients):
         coefficients = [Fraction(c) for c in coefficients]
@@ -26,6 +28,7 @@ class BinaryForm:
             raise ValueError("need degree+1 coefficients")
         self.degree = degree
         self.coefficients = coefficients
+        self._yun = None
 
     @staticmethod
     def from_poly(p: BivarPoly) -> "BinaryForm":
@@ -79,6 +82,14 @@ class BinaryForm:
         for k, c in enumerate(self.coefficients):
             p[d - k] = c
         return up.trim(p), m
+
+    def _yun_parts(self) -> tuple[int, list]:
+        """(m, [B1, B2, ...]): the y-content m of dehom_x() and the Yun
+        decomposition of its p, computed on first use and kept."""
+        if self._yun is None:
+            p, m = self.dehom_x()
+            self._yun = (m, up.yun_decomposition(p))
+        return self._yun
 
     @staticmethod
     def from_univariate(p: list, degree: int) -> "BinaryForm":
@@ -186,13 +197,12 @@ def squarefree_profile(A: BinaryForm) -> list[tuple[int, int]]:
     """
     if A.is_zero():
         raise ValueError("zero form")
-    p, m = A.dehom_x()
+    m, yun = A._yun_parts()
     parts: dict[int, int] = {}
-    if up.pdeg(p) >= 1:
-        for i, b in enumerate(up.yun_decomposition(p), start=1):
-            db = up.pdeg(b)
-            if db >= 1:
-                parts[i] = parts.get(i, 0) + db
+    for i, b in enumerate(yun, start=1):
+        db = up.pdeg(b)
+        if db >= 1:
+            parts[i] = parts.get(i, 0) + db
     if m:
         parts[m] = parts.get(m, 0) + 1
     out = sorted(parts.items())
@@ -208,13 +218,12 @@ def squarefree_factors(A: BinaryForm) -> list[tuple[int, BinaryForm]]:
     """
     if A.is_zero():
         raise ValueError("zero form")
-    p, m = A.dehom_x()
+    m, yun = A._yun_parts()
     by_mult: dict[int, BinaryForm] = {}
-    if up.pdeg(p) >= 1:
-        for i, b in enumerate(up.yun_decomposition(p), start=1):
-            db = up.pdeg(b)
-            if db >= 1:
-                by_mult[i] = BinaryForm.from_univariate(b, db)
+    for i, b in enumerate(yun, start=1):
+        db = up.pdeg(b)
+        if db >= 1:
+            by_mult[i] = BinaryForm.from_univariate(b, db)
     if m:
         yform = BinaryForm(1, [Fraction(0), Fraction(1)])
         if m in by_mult:
@@ -247,15 +256,14 @@ def definiteness(A: BinaryForm) -> str:
         return "zero"
     if A.degree % 2 == 1:
         return "indefinite"
-    p, m = A.dehom_x()
+    m, yun = A._yun_parts()
     has_real_root = m > 0
     odd_mult_real_root = m % 2 == 1 and m > 0
-    if up.pdeg(p) >= 1:
-        for i, b in enumerate(up.yun_decomposition(p), start=1):
-            if up.pdeg(b) >= 1 and up.isolate_real_roots(b):
-                has_real_root = True
-                if i % 2 == 1:
-                    odd_mult_real_root = True
+    for i, b in enumerate(yun, start=1):
+        if up.pdeg(b) >= 1 and up.isolate_real_roots(b):
+            has_real_root = True
+            if i % 2 == 1:
+                odd_mult_real_root = True
     if odd_mult_real_root:
         return "indefinite"
     # sample a nonzero value: A(1,0) or A(0,1) or A(1,n) for small n

@@ -4,12 +4,18 @@ A BivarPoly is a canonical sparse map from exponent pairs (i, j) to nonzero
 Fraction coefficients, representing  sum c_{ij} x^i y^j.  All arithmetic is
 exact; no floating point anywhere in this module.
 
+The public constructor validates and canonicalizes its input; the results of
++, - and * are already canonical (int-pair keys, Fraction values), so they
+are built without that pass and only drop the coefficients that cancelled.
+
 Enumeration loops and the witness searches over many points (Dirichlet
 convergents, curve families) evaluate through BivarPoly.kernel(), the same
 polynomial compiled once to integer rows of D*F (D the lcm of the coefficient
-denominators).  The kernel is checked against Fraction evaluation when it is
-built, and Fraction evaluation (BivarPoly.eval, which shares no code with the
-kernel) stays the gate for every certificate.
+denominators).  When it is built, the kernel is checked against Fraction
+evaluation on the triangle of points i + j <= deg F (within the x and y
+degrees of F), which fixes a polynomial of those degrees; Fraction evaluation
+(BivarPoly.eval, which shares no code with the kernel) stays the gate for
+every certificate.
 """
 
 from __future__ import annotations
@@ -135,6 +141,17 @@ class BivarPoly:
         self._hash = None
         self._kernel = None
 
+    @classmethod
+    def _canonical(cls, terms: dict) -> "BivarPoly":
+        """Internal constructor for terms that are already canonical: int-pair
+        keys with nonnegative entries and Fraction values, as arithmetic on
+        BivarPolys yields.  Only zero coefficients are dropped."""
+        p = object.__new__(cls)
+        p._terms = {t: c for t, c in terms.items() if c}
+        p._hash = None
+        p._kernel = None
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -195,13 +212,13 @@ class BivarPoly:
         d = dict(self._terms)
         for t, c in other._terms.items():
             d[t] = d.get(t, Fraction(0)) + c
-        return BivarPoly(d)
+        return BivarPoly._canonical(d)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return BivarPoly({t: -c for t, c in self._terms.items()})
+        return BivarPoly._canonical({t: -c for t, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -213,14 +230,14 @@ class BivarPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return BivarPoly()
-            return BivarPoly({t: c * other for t, c in self._terms.items()})
+            return BivarPoly._canonical({t: c * other for t, c in self._terms.items()})
         other = self._coerce(other)
         d = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 t = (i1 + i2, j1 + j2)
                 d[t] = d.get(t, Fraction(0)) + c1 * c2
-        return BivarPoly(d)
+        return BivarPoly._canonical(d)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -274,18 +291,29 @@ class BivarPoly:
     def kernel(self) -> IntKernel:
         """The integer kernel of self, compiled and checked on first use.
 
-        The rows have degree <= deg_x in x and <= deg_y in y, as D * F does,
-        and a polynomial within those degrees that vanishes on the grid
-        0..deg_x x 0..deg_y is zero.  So agreement with Fraction evaluation
-        on that grid proves that the rows equal D * F."""
+        The rows are checked to have degree <= deg_x in x, <= deg_y in y and
+        total degree <= deg F, as D * F has.  So the difference G of the rows
+        and D * F has its exponents in the staircase S of (i, j) with i <= deg_x,
+        j <= deg_y and i + j <= deg F, and the rows are compared with Fraction
+        evaluation on the points of S: at most the 28 points of the triangle
+        i + j <= 6 for a sextic.  A polynomial G with exponents in S that
+        vanishes on S is zero: G(x, 0) has degree <= deg_x and vanishes at
+        x = 0..deg_x, so y divides G, and G(x, y + 1) / (y + 1) has its
+        exponents in the staircase of deg_x, deg_y - 1, deg F - 1 and
+        vanishes on its points; induct on deg_y.  So agreement on S proves
+        that the rows equal D * F."""
         if self._kernel is None:
             D = lcm(*(c.denominator for c in self._terms.values()))
             K = IntKernel(D, _kernel_rows(self._terms, D))
-            dx, dy = self.degree_in(0), self.degree_in(1)
-            if len(K.rows) > dy + 1 or any(len(row) > dx + 1 for row in K.rows):
+            d, dx, dy = self.degree(), self.degree_in(0), self.degree_in(1)
+            top = len(K.rows) - 1  # the y-degree of rows[0]
+            if len(K.rows) > dy + 1 or any(
+                len(row) > dx + 1 or (row and len(row) - 1 + top - k > d)
+                for k, row in enumerate(K.rows)
+            ):
                 raise KernelMismatchError(f"kernel rows exceed the degrees of {self.format()}")
             for x in range(dx + 1):
-                for y in range(dy + 1):
+                for y in range(min(dy, d - x) + 1):
                     if K(x, y) != D * self.eval(x, y):
                         raise KernelMismatchError(
                             f"kernel of {self.format()} disagrees at ({x}, {y})"

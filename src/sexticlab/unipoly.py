@@ -207,9 +207,6 @@ class IsolatingInterval:
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
 
-    def contains_rational(self, r: Fraction) -> bool:
-        return self.lo < r < self.hi
-
     def __repr__(self):
         return f"IsolatingInterval({self.lo}, {self.hi})"
 
@@ -335,10 +332,20 @@ def _root_floor(p: list, lo: Fraction, hi: Fraction) -> int:
     return a
 
 
+class RationalRootError(ValueError):
+    """The root walked by convergents_of_root is rational; `root` is its
+    exact value."""
+
+    def __init__(self, root: Fraction):
+        super().__init__(f"root is rational ({root}); use the exact-root path instead")
+        self.root = root
+
+
 def convergents_of_root(iv: IsolatingInterval, n: int) -> list[tuple[int, int]]:
     """First n continued-fraction convergents (p, q) of the isolated root.
 
-    The root must be irrational: rational roots of iv.poly are rejected.
+    The root must be irrational: a rational root of iv.poly raises
+    RationalRootError, which carries the root.
     Lagrange's method walks the partial quotients in integers: take the
     floor a of the root, then replace p(x) by x^d p(a + 1/x) and the
     interval by its image under x -> 1/(x - a), which still isolates the one
@@ -368,9 +375,7 @@ def convergents_of_root(iv: IsolatingInterval, n: int) -> list[tuple[int, int]]:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         if a > lo and not _sign_at(p, a, 1):
-            raise ValueError(
-                f"root is rational ({Fraction(p_cur, q_cur)}); use the exact-root path instead"
-            )
+            raise RationalRootError(Fraction(p_cur, q_cur))
         c = Fraction(p_cur, q_cur)
         below = c <= iv.lo or (c < iv.hi and _sign_at(f, p_cur, q_cur) == s_lo)
         if below != (len(pairs) % 2 == 0) or (pairs and a < 1):

@@ -124,34 +124,22 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
 
     K = F.kernel()
     negatives = []
-    tried = 0
     best_log = None
     ivs, at_infinity = real_roots(F6)
-    directions = []
-    # rational root directions walk as scaled primitive vectors
-    ratroots = [r for r in up.rational_roots(ivs[0].poly)] if ivs else []
-    for iv in ivs:
-        rr = [r for r in ratroots if iv.contains_rational(r)]
-        if rr:
-            directions.append(("rational", rr[0]))
-        else:
-            directions.append(("irrational", iv))
-    if at_infinity:
-        directions.append(("rational", None))  # the (1, 0) direction
 
-    for tag, data in directions:
-        if tag == "rational":
-            if data is None:
-                base = (1, 0)
-            else:
-                base = (data.numerator, data.denominator)
-            n = 1
-            for _ in range(max_convergents):
-                u, v = base[0] * n, base[1] * n
-                _eval_pm(K, u, v, negatives)
-                n *= 2
+    def walk_rational(u, v):
+        """A rational root direction walks as scaled primitive vectors."""
+        n = 1
+        for _ in range(max_convergents):
+            _eval_pm(K, u * n, v * n, negatives)
+            n *= 2
+
+    for iv in ivs:
+        try:
+            pairs = up.convergents_of_root(iv, max_convergents)
+        except up.RationalRootError as exc:  # the walk found the root exactly
+            walk_rational(exc.root.numerator, exc.root.denominator)
         else:
-            pairs = up.convergents_of_root(data, max_convergents)
             for u, v in pairs:
                 val = _eval_pm(K, u, v, negatives)
                 expo = 2.5 - _seeds.get("growth_epsilon")
@@ -161,7 +149,8 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
                 ) - expo * math.log(u * u + v * v)
                 if best_log is None or log_ratio < best_log:
                     best_log = log_ratio
-        tried += 1
+    if at_infinity:
+        walk_rational(1, 0)  # the (1, 0) direction
 
     extra = {}
     if best_log is not None:
@@ -180,7 +169,7 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
         lemma="dirichlet-approximation",
         points=[],
         note=f"no negative value within {max_convergents} convergents "
-        f"over {tried} directions",
+        f"over {len(ivs) + at_infinity} directions",
         extra=extra,
         exhausted=True,
     )

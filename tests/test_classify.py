@@ -26,6 +26,7 @@ from sexticlab.classify import (
     reduce_to_quartic,
     unimodular_matrix_for,
 )
+from sexticlab import unipoly as up
 from sexticlab.forms import BinaryForm, decompose
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
@@ -65,6 +66,43 @@ def test_classify_deterministic():
     a = classify(F).to_json_obj()
     b = classify(F).to_json_obj()
     assert a == b
+
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "corpus_cli.json")) as fh:
+    GOLDEN_ANALYZE = {row["poly"]: json.loads(row["analyze"]["stdout"]) for row in json.load(fh)}
+
+# an MP1-cubic sextic whose f divides F5 and F4, so the square completion runs
+CUBIC_COMPLETION = "(x^3 + x*y^2 + y^3)^2 + x^2*(x^3 + x*y^2 + y^3) + y*(x^3 + x*y^2 + y^3) + x*y + 7"
+
+
+@pytest.mark.parametrize("expr,route", [
+    ("(x^2 - 2*y^2)^2*(x^2 + y^2) + x^5", "MP1-quadratic"),  # runs the Q(sqrt 2) case
+    (CUBIC_COMPLETION, "MP1-cubic"),
+    ("x^4*(x^2 + y^2) + x^3*y^2", "MP2"),
+    ("(y^2 - x^3 - x)^2 - y + 10", "MP3"),
+])
+def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
+    # profile, definiteness and factors of F6 (and the MP1 analyses that
+    # take F6 apart again) all read one Yun decomposition
+    p6, _ = decompose(parse(expr))[6].dehom_x()
+    real = up.yun_decomposition
+    args = []
+
+    def counting(p):
+        args.append(list(p))
+        return real(p)
+
+    monkeypatch.setattr(up, "yun_decomposition", counting)
+    obj = classify(parse(expr)).to_json_obj()
+    assert obj["route"] == route
+    assert args.count(p6) == 1
+    if expr in GOLDEN_ANALYZE:
+        # the golden report, recorded before the decomposition was shared;
+        # `recommended` changed since and is pinned by the CLI tests
+        gold = dict(GOLDEN_ANALYZE[expr], recommended=obj["recommended"])
+        assert obj == gold
+    else:
+        assert "completion" in obj["shape"]
 
 
 # -- unimodular normalization -------------------------------------------------

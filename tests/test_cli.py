@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -298,6 +301,62 @@ def test_density_workers_identical(capsys, workers):
 
 def test_parser_prog_name():
     assert build_parser().prog == "sextic-sieve"
+
+
+# every subcommand, input errors found by the handlers and by argparse, help
+REUSE_JOBS = [
+    ["analyze", "--poly", "x^6 + y^6"],
+    ["analyze", "--poly", "x^6 - y^6", "--format", "text"],
+    ["witness", "--poly", "x^6 - y^6"],
+    ["witness", "--poly", "x^6 + x^2*y^3", "--budget-tmax", "1"],
+    ["density", "--poly", "x^6 + y^6", "--bound", "300"],
+    ["density", "--poly", "x^2 + y^2", "--ladder", "100,200", "--format", "csv"],
+    ["density", "--baseline", "--bound", "1000"],
+    ["curve", "rouse", "--b1", "1", "--b0", "0", "--r", "1..2"],
+    ["curve", "danilov", "--count", "3", "--format", "json"],
+    ["curve", "hall", "--xmax", "200"],
+    ["curve", "pell", "--d", "2", "--c", "-1"],
+    ["analyze"],
+    ["witness", "--poly", "x^6", "--budget-box", "0"],
+    ["witness", "--poly", "x^6", "--budget-tmax", "many"],
+    ["curve", "pell", "--d", "2", "--c", "3"],
+    ["frobnicate"],
+    [],
+    ["--help"],
+    ["density", "--help"],
+    ["curve", "hall", "--help"],
+]
+
+
+def test_parser_reuse_matches_fresh_parsers(monkeypatch, capsys):
+    import sexticlab.cli as cli_mod
+
+    def run_all():
+        return [run(capsys, *argv) for argv in REUSE_JOBS]
+
+    cli_mod._parser.cache_clear()
+    reused = run_all() + run_all()  # the first job builds the parser
+    assert cli_mod._parser() is cli_mod._parser()
+    # the same jobs with a newly built parser for every call
+    monkeypatch.setattr(cli_mod, "_parser", build_parser)
+    fresh = run_all()
+    assert reused == fresh + fresh
+    codes = [code for code, _, _ in fresh]
+    assert codes[:11] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_BUDGET] + [EXIT_OK] * 7
+    assert codes[11:17] == [EXIT_INPUT] * 6 and codes[17:] == [EXIT_OK] * 3
+    assert "usage: sextic-sieve" in fresh[17][1]
+
+
+def test_cli_runs_cold_in_a_fresh_interpreter():
+    # a one-shot process: import, build the parser once, run one job
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sexticlab.cli", "analyze", "--poly", "x^6 + x^2*y^3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert json.loads(proc.stdout) == classify(parse("x^6 + x^2*y^3")).to_json_obj()
 
 
 # -- corpus contracts ---------------------------------------------------------

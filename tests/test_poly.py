@@ -184,3 +184,81 @@ def test_kernel_compile_check_rejects_excess_degree(monkeypatch):
     monkeypatch.setattr(poly_mod, "_kernel_rows", lambda terms, D: bad)
     with pytest.raises(KernelMismatchError):
         parse("x^2 + y^2").kernel()
+
+
+def test_kernel_compile_check_rejects_excess_total_degree(monkeypatch):
+    # x(x-1)y(y-1) vanishes on the triangle i + j <= 2 and fits the 3 x 3
+    # rectangle of x^2 + y^2, so only the total-degree bound can reject it
+    F = parse("x^2 + y^2")
+    bad = poly_mod._kernel_rows(parse("x^2 + y^2 + x*(x - 1)*y*(y - 1)").terms, 1)
+    assert len(bad) == 3 and all(len(row) <= 3 for row in bad)
+    triangle = [(x, y) for x in range(3) for y in range(3 - x)]
+    assert [poly_mod.IntKernel(1, bad)(x, y) for x, y in triangle] == [
+        F.kernel()(x, y) for x, y in triangle
+    ]
+    monkeypatch.setattr(poly_mod, "_kernel_rows", lambda terms, D: bad)
+    G = parse("x^2 + y^2")
+    with pytest.raises(KernelMismatchError):
+        G.kernel()
+    assert G._kernel is None
+
+
+def test_kernel_checks_the_staircase_only(monkeypatch):
+    # points (x, y) with x <= deg_x, y <= deg_y and x + y <= deg F
+    real = BivarPoly.eval
+    seen = []
+    monkeypatch.setattr(BivarPoly, "eval", lambda self, x, y: seen.append((x, y)) or real(self, x, y))
+    for expr, points in (("x^6 + y^6", 28), ("x^2*y^4 + x^6 + 1", 25), ("x^3*y^3", 16)):
+        seen.clear()
+        parse(expr).kernel()
+        assert len(seen) == len(set(seen)) == points, expr
+
+
+def _times(A, B):
+    """(term, coefficient) pairs of the product A * B, not yet summed."""
+    return [((i1 + i2, j1 + j2), c1 * c2)
+            for (i1, j1), c1 in A.terms.items() for (i2, j2), c2 in B.terms.items()]
+
+
+def _like_public(result, pairs):
+    """result equals the public constructor's polynomial of pairs in every
+    respect: terms, no zero or non-Fraction coefficient, equality, hash."""
+    ref = BivarPoly(pairs)
+    assert type(result) is BivarPoly
+    assert result.terms == ref.terms
+    assert sorted(result.terms.items()) == sorted(ref.terms.items())
+    assert all(type(c) is Fraction and c for c in result.terms.values())
+    assert all(type(i) is int and type(j) is int for i, j in result.terms)
+    assert result == ref and ref == result
+    assert hash(result) == hash(ref)
+
+
+# small integer coefficients, so sums and products cancel often
+cancelling = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(st.integers(-2, 2).map(Fraction), small_rats),
+    max_size=5,
+).map(BivarPoly)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cancelling, cancelling, st.one_of(st.integers(-3, 3), small_rats), st.integers(0, 3))
+def test_arithmetic_results_match_public_constructor(F, G, s, n):
+    Ft, Gt = list(F.terms.items()), list(G.terms.items())
+    neg = [(t, -c) for t, c in Gt]
+    _like_public(F + G, Ft + Gt)
+    _like_public(F - G, Ft + neg)
+    _like_public((F + G) - G, Ft + Gt + neg)
+    _like_public(-F, [(t, -c) for t, c in Ft])
+    _like_public(F * G, _times(F, G))
+    _like_public(F * s, [(t, c * s) for t, c in Ft])
+    _like_public(s * F + F, [(t, c * s) for t, c in Ft] + Ft)
+    power = BivarPoly.const(1)
+    for _ in range(n):
+        power = BivarPoly(_times(power, F))
+    _like_public(F**n, power.terms.items())
+    # full cancellation leaves the zero polynomial, equal and hashed as one
+    _like_public(F - F, [])
+    _like_public(F + (-F), [])
+    assert (F - F).is_zero() and (F - F).degree() == -1
+    assert hash(F - F) == hash(BivarPoly()) and F - F == 0

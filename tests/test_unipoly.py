@@ -137,11 +137,12 @@ def test_convergents_reject_rational_at_any_depth(num, den, n):
     p = [Fraction(c) for c in up.pmul([-num, den], [-2, 0, 1])]
     r = Fraction(num, den)
     ivs = up.isolate_real_roots(p)
-    assert sum(iv.contains_rational(r) for iv in ivs) == 1
+    assert sum(iv.lo < r < iv.hi for iv in ivs) == 1
     for iv in ivs:
-        if iv.contains_rational(r):
-            with pytest.raises(ValueError, match=f"rational \\({r}\\)"):
+        if iv.lo < r < iv.hi:
+            with pytest.raises(up.RationalRootError, match=f"rational \\({r}\\)") as exc:
                 up.convergents_of_root(iv, n)
+            assert exc.value.root == r and isinstance(exc.value, ValueError)
         else:
             assert len(up.convergents_of_root(iv, n)) == n
 

@@ -153,9 +153,12 @@ def test_direct_route_evaluates_each_point_once(monkeypatch, k):
 
     monkeypatch.setattr(BivarPoly, "eval", counting)
     w = witness_for(F, report, SearchBudgets(convergents=20))
-    grid = (F.degree_in(0) + 1) * (F.degree_in(1) + 1)
+    # the kernel's compile check evaluates the triangle i + j <= 6, and the
+    # engine's gate each witness point, and nothing else evaluates F
+    triangle = (F.degree() + 1) * (F.degree() + 2) // 2
     assert w.kind == "negative-value" and w.lemma == "dirichlet-approximation"
-    assert len(calls) <= len(w.points) + grid
+    assert triangle == 28
+    assert len(calls) == len(w.points) + triangle
 
 
 def test_witness_json_shape():
@@ -228,6 +231,52 @@ def test_dirichlet_rational_direction():
     w = dirichlet_witness(F, 24)
     assert w.kind == "negative-value"
     assert all(F.eval(x, y) == v for x, y, v in w.points)
+
+
+def _no_trial_division(p):
+    raise AssertionError("rational_roots must not be called")
+
+
+def test_dirichlet_rational_directions_come_from_the_walk(monkeypatch):
+    # F6 = (x^2 - 4y^2)^2 (x^2 + y^2) has the rational root directions
+    # t = -2 and t = 2, found here by trial division; each walks as
+    # +-(2^k b, 2^k c) for t = b/c, with values from Fraction evaluation
+    F = parse("(x^2 - 4*y^2)^2*(x^2 + y^2) + x^5")
+    roots = up.rational_roots(decompose(F)[6].dehom_x()[0])
+    assert roots == [-2, 2]
+    monkeypatch.setattr(up, "rational_roots", _no_trial_division)
+    n = 12
+    expected = []
+    for t in roots:
+        for k in range(n):
+            for u, v in ((t.numerator << k, t.denominator << k),
+                         (-t.numerator << k, -t.denominator << k)):
+                if F.eval(u, v) < 0:
+                    expected.append((u, v, F.eval(u, v)))
+    w = dirichlet_witness(F, n)
+    assert expected and w.kind == "negative-value"
+    assert w.points == expected
+    assert w.extra == {}  # no irrational direction, so no growth ratio
+
+
+def test_dirichlet_large_coefficient_irrational_direction(monkeypatch):
+    # the root direction t = (10^12 + 1)^(1/3) is irrational; this engine once
+    # found that by trial division up to 10^6, now the walk alone decides it.
+    # The points are those the engine gave when it still used rational_roots
+    monkeypatch.setattr(up, "rational_roots", _no_trial_division)
+    F = parse("(x^3 - 1000000000001*y^3)^2 + x^5")
+    w = dirichlet_witness(F, 6)
+    assert w.kind == "negative-value"
+    assert [(x, y) for x, y, _ in w.points] == [
+        (-10000, -1),
+        (-3000000000001, -300000000),
+        (-30000000000020000, -3000000000001),
+        (-13500000000012000000000001, -1350000000000750000000),
+        (-108000000000126000000000028000, -10800000000009000000000001),
+        (-57857142780080999999910026999999980001, -5785714278006171428565001285714285),
+    ]
+    assert all(F.eval(x, y) == v for x, y, v in w.points)
+    assert w.extra == {"growth_ratio_min": "6.30957"}
 
 
 def test_dirichlet_inconclusive_on_tiny_budget():
