@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Dead-code audit: list every function of src/sexticlab whose body never
-runs while all jobs of the four benchmark workloads go through cli.main.
+runs while all jobs of the four benchmark workloads go through cli.main,
+then every line that never runs inside the functions that do run.
 
 Usage:
     python3 scripts/trace_audit.py --seed 0
@@ -11,16 +12,24 @@ stdlib trace module, so a full run takes about a minute.  A function counts
 as run when any line of its body executed in this process: code reached only
 from tests, or only inside a --workers process pool, is listed as well, so
 check each name against its callers before deleting it.
+
+The second list holds, for each function that ran, its lines that have
+bytecode but never ran, one consecutive stretch per output line
+("file:first-last function").  Most are error branches: the benchmark feeds
+valid input, so a raise that guards a contract shows up here and stays.
 """
 
 import argparse
 import ast
 import contextlib
+import dis
 import io
+import itertools
 import os
 import sys
 import tempfile
 import trace
+import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = os.path.join(ROOT, "src", "sexticlab")
@@ -37,14 +46,23 @@ def run_jobs(seed: int, out_path: str):
                 cli.main(job.argv + ["--out", out_path])
 
 
-def unrun_defs(tree, ran: set, prefix=""):
-    """(line, qualified name) of every def in tree with no executed body line."""
+def defs(tree, prefix=""):
+    """(qualified name, node) of every def at module or class level."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            yield from unrun_defs(node, ran, prefix + node.name + ".")
+            yield from defs(node, prefix + node.name + ".")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not ran.intersection(range(node.body[0].lineno, node.end_lineno + 1)):
-                yield node.lineno, prefix + node.name
+            yield prefix + node.name, node
+
+
+def code_lines(code) -> set:
+    """Lines with bytecode in every code object nested in code."""
+    out = set()
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            out |= {line for _, line in dis.findlinestarts(const) if line}
+            out |= code_lines(const)
+    return out
 
 
 def main(argv=None) -> int:
@@ -59,17 +77,33 @@ def main(argv=None) -> int:
     for (filename, line), _n in tracer.results().counts.items():
         ran.setdefault(os.path.realpath(filename), set()).add(line)
 
-    total = 0
+    unrun_lines, nfuncs, nlines = [], 0, 0
     for name in sorted(os.listdir(PKG)):
         if not name.endswith(".py"):
             continue
         path = os.path.realpath(os.path.join(PKG, name))
         with open(path) as fh:
-            tree = ast.parse(fh.read())
-        for line, qualname in sorted(unrun_defs(tree, ran.get(path, set()))):
-            print(f"{name}:{line} {qualname}")
-            total += 1
-    print(f"# {total} functions never ran (seed {args.seed})", file=sys.stderr)
+            source = fh.read()
+        executable = code_lines(compile(source, path, "exec"))
+        ran_here = ran.get(path, set())
+        for qualname, node in sorted(defs(ast.parse(source)), key=lambda d: d[1].lineno):
+            body = range(node.body[0].lineno, node.end_lineno + 1)
+            if not ran_here.intersection(body):
+                print(f"{name}:{node.lineno} {qualname}")
+                nfuncs += 1
+                continue
+            lines = sorted(executable.intersection(body))
+            for unrun, group in itertools.groupby(lines, lambda line: line not in ran_here):
+                if unrun:
+                    group = list(group)
+                    nlines += len(group)
+                    span = f"{group[0]}" if len(group) == 1 else f"{group[0]}-{group[-1]}"
+                    unrun_lines.append(f"{name}:{span} {qualname}")
+    print(f"# {nfuncs} functions never ran (seed {args.seed})", file=sys.stderr)
+    for line in unrun_lines:
+        print(line)
+    print(f"# {nlines} lines never ran inside functions that ran (seed {args.seed})",
+          file=sys.stderr)
     return 0
 
 

@@ -178,21 +178,15 @@ def matrix_inverse(M):
 
 
 def _xpow_div(form: BinaryForm, k: int) -> bool:
-    """Does x^k divide the form (zero form counts as divisible)?"""
-    if form.is_zero():
-        return True
-    xk = BinaryForm(k, [Fraction(1)] + [Fraction(0)] * k)
-    return form_div(xk, form) is not None
+    """Does x^k divide the form (zero form counts as divisible)?  It does
+    when every coefficient of x^i y^(d-i) with i < k is zero."""
+    return not any(form.coefficients[max(form.degree - k + 1, 0):])
 
 
 def gcd_condition(F6: BinaryForm, F5: BinaryForm):
     """(gcd is constant?, the gcd).  F5 = 0 reports gcd = F6."""
     if F6.is_zero():
         raise ClassifyError("F6 must be nonzero")
-    if F5.is_zero():
-        from .forms import _canonical
-
-        return F6.degree == 0, _canonical(F6)
     g = form_gcd(F6, F5)
     return g.degree == 0, g
 
@@ -204,11 +198,7 @@ def cubic_square_completion(F: BivarPoly) -> SquareCompletion:
     """For F6 = a f^2 with f an irreducible-over-R... any cubic form: requires
     f | F5 and f | F4 and returns a (f + (g5+g4)/(2a))^2 + remainder with the
     remainder of degree <= 4."""
-    return _cubic_square_completion(F, decompose(F))
-
-
-def _cubic_square_completion(F: BivarPoly, parts: list) -> SquareCompletion:
-    """cubic_square_completion on the homogeneous parts of F already taken."""
+    parts = decompose(F)
     F6 = parts[6]
     factors = dict(squarefree_factors(F6))
     f_form = factors.get(2)
@@ -290,11 +280,7 @@ def quadratic_case_analysis(F: BivarPoly, k: int) -> QuadraticCaseReport:
     if k <= 1:
         raise ClassifyError("k must be a positive square-free integer > 1")
     QuadExt(k, 0)  # validates square-freeness
-    return _quadratic_case_analysis(F, k, decompose(F))
-
-
-def _quadratic_case_analysis(F: BivarPoly, k: int, parts: list) -> QuadraticCaseReport:
-    """quadratic_case_analysis, for a valid k, on the homogeneous parts of F."""
+    parts = decompose(F)
     F6 = parts[6]
     factors = dict(squarefree_factors(F6))
     f_form = factors.get(2)
@@ -848,6 +834,7 @@ def classify(F: BivarPoly) -> ClassificationReport:
     F6, F5, F4 = parts[6], parts[5], parts[4]
     profile = squarefree_profile(F6)
     defin = definiteness(F6)
+    factors = dict(squarefree_factors(F6))
     maxmult = max(i for i, _ in profile)
 
     conditions: dict = {}
@@ -884,7 +871,6 @@ def classify(F: BivarPoly) -> ClassificationReport:
         recommended.append("witness" if defin == "positive-semi" and gcd_ok else "density")
 
     elif maxmult == 2:
-        factors = dict(squarefree_factors(F6))
         f = factors[2]
         conditions["f"] = f.to_poly().format()
         conditions["f|F5"] = form_div(f, F5) is not None
@@ -893,7 +879,7 @@ def classify(F: BivarPoly) -> ClassificationReport:
         shape = {}
         if route == "MP1-cubic":
             if conditions["f|F5"] and conditions["f|F4"]:
-                shape["completion"] = _cubic_square_completion(F, parts)
+                shape["completion"] = cubic_square_completion(F)
                 recommended.append("density")
             else:
                 notes.append("f does not divide F5 and F4; negativity witness applies")
@@ -903,7 +889,7 @@ def classify(F: BivarPoly) -> ClassificationReport:
             if k is not None:
                 shape["k"] = k
                 try:
-                    shape["quadratic_case"] = _quadratic_case_analysis(F, k, parts)
+                    shape["quadratic_case"] = quadratic_case_analysis(F, k)
                 except ClassifyError as exc:
                     notes.append(str(exc))
             else:
@@ -915,7 +901,6 @@ def classify(F: BivarPoly) -> ClassificationReport:
 
     elif maxmult == 4:
         route = "MP2"
-        factors = dict(squarefree_factors(F6))
         ell = factors[4]
         if ell.degree != 1:
             raise ClassifyError(
@@ -944,7 +929,6 @@ def classify(F: BivarPoly) -> ClassificationReport:
 
     else:  # maxmult == 6
         route = "MP3"
-        factors = dict(squarefree_factors(F6))
         ell = factors[6]
         if ell.degree != 1:
             raise ClassifyError("6th-power factor must be linear")

@@ -160,32 +160,18 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_curve(args) -> int:
-    if args.family == "rouse":
-        rows = eclab.rouse_family(args.b1, args.b0, _parse_range(args.r))
-        if args.format == "json":
-            _emit(args, _json_dump([list(row) for row in rows]))
-        else:
-            _emit(args, eclab.format_family_csv(rows, with_r=True))
-        return EXIT_OK
-    if args.family == "danilov":
-        rows = eclab.danilov_family(args.count)
-        if args.format == "json":
-            _emit(args, _json_dump([[x, y, g, rt] for x, y, g, rt in rows]))
-        else:
-            _emit(args, eclab.format_family_csv(rows))
-        return EXIT_OK
-    if args.family == "hall":
-        rows = eclab.hall_scan(args.xmax, Fraction(args.threshold))
-        if args.format == "json":
-            _emit(args, _json_dump([[x, y, g, rt] for x, y, g, rt in rows]))
-        else:
-            _emit(args, eclab.format_family_csv(rows))
-        return EXIT_OK
-    if args.family == "pell":
-        try:
+    try:  # CurveError is a ValueError
+        if args.family == "rouse":
+            rows = eclab.rouse_family(args.b1, args.b0, _parse_range(args.r))
+        elif args.family == "danilov":
+            rows = eclab.danilov_family(args.count)
+        elif args.family == "hall":
+            rows = eclab.hall_scan(args.xmax, Fraction(args.threshold))
+        else:  # pell; argparse admits no other family
             sol = eclab.pell_solve(args.d, args.c, args.count)
-        except (ValueError, eclab.CurveError) as exc:
-            raise InputError(str(exc)) from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if args.family == "pell":
         if args.format == "json":
             _emit(args, _json_dump({
                 "d": args.d, "c": args.c,
@@ -193,8 +179,11 @@ def cmd_curve(args) -> int:
             }))
         else:
             _emit(args, "x,y\n" + "\n".join(f"{x},{y}" for x, y in sol.solutions))
-        return EXIT_OK
-    raise InputError(f"unknown curve family {args.family!r}")
+    elif args.format == "json":
+        _emit(args, _json_dump([list(row) for row in rows]))
+    else:
+        _emit(args, eclab.format_family_csv(rows, with_r=args.family == "rouse"))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

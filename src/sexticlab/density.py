@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import BivarPoly, IntKernel
-from .forms import BinaryForm, decompose, definiteness
+from .forms import BinaryForm, definiteness
 from . import unipoly as up
 
 DEFAULT_MEM_BITS = 2**31
@@ -35,9 +35,12 @@ POOL_MIN_COLUMNS = 1024
 
 def _mem_bits() -> int:
     v = os.environ.get("SEXTIC_SIEVE_MEM")
-    if v:
+    if not v:
+        return DEFAULT_MEM_BITS
+    try:
         return int(v)
-    return DEFAULT_MEM_BITS
+    except ValueError:
+        raise DensityError(f"SEXTIC_SIEVE_MEM must be an integer, got {v!r}") from None
 
 
 class DensityError(ValueError):

@@ -106,16 +106,19 @@ class BinaryForm:
         return BinaryForm(degree, coeffs)
 
 
-def decompose(F: BivarPoly, bound: int = 6) -> list[BinaryForm]:
-    """Homogeneous parts F_0..F_bound; errors if deg F exceeds the bound."""
-    if F.degree() > bound:
-        raise ValueError(f"degree {F.degree()} exceeds bound {bound}")
-    out = []
-    for d in range(bound + 1):
-        part = F.homogeneous_part(d)
-        coeffs = [part.coeff(d - k, k) for k in range(d + 1)]
-        out.append(BinaryForm(d, coeffs))
-    return out
+def decompose(F: BivarPoly) -> tuple[BinaryForm, ...]:
+    """The homogeneous parts (F_0, ..., F_6) of F; errors if deg F exceeds 6.
+
+    Computed on first use and kept on F, so every caller handed the same
+    polynomial shares one set of forms, and each form its one Yun
+    decomposition.  The tuple and its forms are shared: do not change them."""
+    if F._parts is None:
+        if F.degree() > 6:
+            raise ValueError(f"degree {F.degree()} exceeds bound 6")
+        F._parts = tuple(
+            BinaryForm(d, [F.coeff(d - k, k) for k in range(d + 1)]) for d in range(7)
+        )
+    return F._parts
 
 
 def form_gcd(A: BinaryForm, B: BinaryForm) -> BinaryForm:

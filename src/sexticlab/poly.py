@@ -16,6 +16,9 @@ evaluation on the triangle of points i + j <= deg F (within the x and y
 degrees of F), which fixes a polynomial of those degrees; Fraction evaluation
 (BivarPoly.eval, which shares no code with the kernel) stays the gate for
 every certificate.
+
+A BivarPoly never changes, so both the kernel and the homogeneous parts
+(the _parts slot, which forms.decompose fills) are kept on the object.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def _kernel_rows(terms: Mapping[Term, Fraction], D: int) -> tuple:
 class BivarPoly:
     """Immutable sparse bivariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("_terms", "_hash", "_kernel")
+    __slots__ = ("_terms", "_hash", "_kernel", "_parts")
 
     def __init__(self, terms: Mapping[Term, Fraction] | Iterable[tuple[Term, Fraction]] = ()):
         d = {}
@@ -140,6 +143,7 @@ class BivarPoly:
         self._terms = d
         self._hash = None
         self._kernel = None
+        self._parts = None
 
     @classmethod
     def _canonical(cls, terms: dict) -> "BivarPoly":
@@ -150,6 +154,7 @@ class BivarPoly:
         p._terms = {t: c for t, c in terms.items() if c}
         p._hash = None
         p._kernel = None
+        p._parts = None
         return p
 
     # -- constructors ------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sexticlab.classify import (
     ClassifyError,
@@ -25,11 +26,13 @@ from sexticlab.classify import (
     quadratic_case_analysis,
     reduce_to_quartic,
     unimodular_matrix_for,
+    _xpow_div,
 )
 from sexticlab import unipoly as up
-from sexticlab.forms import BinaryForm, decompose
+from sexticlab.forms import BinaryForm, decompose, form_div
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
+from sexticlab.witness import witness_for
 
 from corpus import CORPUS
 
@@ -82,8 +85,9 @@ CUBIC_COMPLETION = "(x^3 + x*y^2 + y^3)^2 + x^2*(x^3 + x*y^2 + y^3) + y*(x^3 + x
     ("(y^2 - x^3 - x)^2 - y + 10", "MP3"),
 ])
 def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
-    # profile, definiteness and factors of F6 (and the MP1 analyses that
-    # take F6 apart again) all read one Yun decomposition
+    # profile, definiteness and factors of F6, the MP1 analyses that take F6
+    # apart again, and the witness engine run on the same F (Dirichlet, for
+    # the MP1-quadratic input) all read one Yun decomposition
     p6, _ = decompose(parse(expr))[6].dehom_x()
     real = up.yun_decomposition
     args = []
@@ -93,9 +97,15 @@ def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
         return real(p)
 
     monkeypatch.setattr(up, "yun_decomposition", counting)
-    obj = classify(parse(expr)).to_json_obj()
+    F = parse(expr)
+    report = classify(F)
+    obj = report.to_json_obj()
     assert obj["route"] == route
     assert args.count(p6) == 1
+    w = witness_for(F, report)
+    assert args.count(p6) == 1
+    if route == "MP1-quadratic":
+        assert w.lemma == "dirichlet-approximation" and w.kind == "negative-value"
     if expr in GOLDEN_ANALYZE:
         # the golden report, recorded before the decomposition was shared;
         # `recommended` changed since and is pinned by the CLI tests
@@ -137,6 +147,25 @@ def test_gcd_condition():
     parts = decompose(parse("x^6 + x^5 + x^3"))
     ok, g = gcd_condition(parts[6], parts[5])
     assert not ok and g.to_poly() == parse("x^5")
+    parts = decompose(parse("x^6 + y^6 + x*y"))  # F5 = 0: the gcd is F6
+    ok, g = gcd_condition(parts[6], parts[5])
+    assert not ok and g == BinaryForm(6, [1, 0, 0, 0, 0, 0, 1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=1, max_size=7),
+    st.integers(1, 7),
+)
+@example([0], 1)
+@example([0, 0, 0, 0, 0, 0, 0], 7)
+@example([1, 0, 0], 3)
+@example([1, 2, 0, 0, 0], 3)
+@example([1, 2, 0, 0, 0], 4)
+def test_xpow_div_matches_form_div(coeffs, k):
+    form = BinaryForm(len(coeffs) - 1, coeffs)
+    xk = BinaryForm(k, [1] + [0] * k)
+    assert _xpow_div(form, k) == (form_div(xk, form) is not None)
 
 
 # -- MP1 cubic completion -----------------------------------------------------

@@ -223,6 +223,13 @@ def test_density_requires_bound(capsys):
     assert "--bound" in err
 
 
+def test_density_malformed_mem_env(monkeypatch, capsys):
+    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "lots")
+    code, _, err = run(capsys, "density", "--poly", "x^2 + y^2", "--bound", "100")
+    assert code == EXIT_INPUT
+    assert err.startswith("error: SEXTIC_SIEVE_MEM") and "'lots'" in err
+
+
 def test_density_bad_ladder(capsys):
     code, _, _ = run(
         capsys, "density", "--poly", "x^2 + y^2", "--ladder", "10,zz"
@@ -277,6 +284,18 @@ def test_curve_pell_unsolvable(capsys):
     code, _, err = run(capsys, "curve", "pell", "--d", "3", "--c", "-1")
     assert code == EXIT_INPUT
     assert "no integer solutions" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rouse", "--b1", "1", "--b0", "0", "--r", "1..x"],
+    ["danilov", "--count", "-3"],
+    ["hall", "--xmax", "-5"],
+    ["hall", "--threshold", "-1"],
+])
+def test_curve_input_errors_exit_2(capsys, argv):
+    code, _, err = run(capsys, "curve", *argv)
+    assert code == EXIT_INPUT
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bad_subcommand_exit(capsys):

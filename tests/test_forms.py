@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from sexticlab.classify import apply_matrix
 from sexticlab.forms import (
     BinaryForm,
     decompose,
@@ -28,12 +30,24 @@ def test_roundtrip_poly():
 
 
 def test_decompose():
-    parts = decompose(parse("x^6 + x^2*y^3 + x*y + 4"))
+    F = parse("x^6 + x^2*y^3 + x*y + 4")
+    parts = decompose(F)
     assert parts[6].to_poly() == parse("x^6")
     assert parts[5].to_poly() == parse("x^2*y^3")
     assert parts[2].to_poly() == parse("x*y")
     assert parts[0].to_poly() == parse("4")
     assert parts[4].is_zero() and parts[3].is_zero() and parts[1].is_zero()
+    assert decompose(F) is parts  # kept on F
+    # results of + and * and of a substitution skip BivarPoly.__init__
+    G = parse("x^3") * parse("x^3 - y^3") + parse("y")
+    assert [p.to_poly() for p in decompose(G)] == [
+        parse("0"), parse("y"), parse("0"), parse("0"), parse("0"), parse("0"),
+        parse("x^6 - x^3*y^3"),
+    ]
+    H = apply_matrix(F, [[2, 1], [1, 1]])
+    assert sum((p.to_poly() for p in decompose(H)), parse("0")) == H
+    with pytest.raises(ValueError, match="exceeds"):
+        decompose(parse("x^7"))
 
 
 def test_form_gcd_simple():
