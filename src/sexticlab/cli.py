@@ -41,8 +41,14 @@ def _load_poly(args) -> BivarPoly:
     try:
         with open(args.poly_file) as fh:
             return BivarPoly.from_json_obj(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"cannot read polynomial file: {exc}") from exc
+
+
+def _workers(args) -> int:
+    if args.workers <= 0:
+        raise InputError("--workers must be positive")
+    return args.workers
 
 
 def _budgets(args) -> SearchBudgets:
@@ -96,6 +102,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    _workers(args)  # accepted, unused by the search, and still checked
     F = _load_poly(args)
     budgets = _budgets(args)
     rep = classify(F)
@@ -119,6 +126,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_density(args) -> int:
+    workers = _workers(args)
     if args.baseline:
         nmax = args.bound or 10**6
         count, ratio = density_mod.landau_baseline(nmax)
@@ -133,7 +141,7 @@ def cmd_density(args) -> int:
             Ns = [int(s) for s in args.ladder.split(",")]
         except ValueError as exc:
             raise InputError(f"bad --ladder list: {exc}") from exc
-        probe = density_mod.stanley_probe(F, Ns, workers=args.workers)
+        probe = density_mod.stanley_probe(F, Ns, workers=workers)
         if args.format == "csv":
             lines = ["N,count,normalized"]
             for N, cnt, norm in probe["rows"]:
@@ -144,7 +152,7 @@ def cmd_density(args) -> int:
         return EXIT_OK
     if not args.bound:
         raise InputError("density needs --bound N (or --baseline / --ladder)")
-    rep = density_mod.count_range(F, args.bound, workers=args.workers)
+    rep = density_mod.count_range(F, args.bound, workers=workers)
     if args.format == "csv":
         _emit(args, "N,count,normalized\n" + rep.csv_row())
     else:

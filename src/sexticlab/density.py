@@ -8,7 +8,12 @@ arithmetic on the boundary of the unit square, and the box radius M is the
 smallest integer with c*M^d - S*M^(d-1) > 2N (S = sum of the absolute lower
 coefficients).  Otherwise the box is best-effort and the report says so.
 Enumeration evaluates F through its integer kernel (BivarPoly.kernel), so
-every count is exact without a Fraction per point.
+every count is exact without a Fraction per point.  It covers one point of
+each orbit of F's symmetry group in the box, not the whole box: the group is
+read exactly off the coefficients (sign changes and swaps of x and y that fix
+F), and the value set, so every count, is the same as the full box's.  The
+process pool starts by the box width, 2M + 1 columns, not by the number of
+columns the orbit domain keeps.
 """
 
 from __future__ import annotations
@@ -169,14 +174,78 @@ def certified_box(F: BivarPoly, bound: int) -> tuple[int, Fraction]:
     return M, c
 
 
-def _chunk_values(K: IntKernel, xs, ylimit: int, lo: int, hi: int) -> list[int]:
-    """Sorted distinct integer values of F on the chunk, restricted to
-    [lo, hi); K is F's integer kernel, so F(x, y) = v / K.D."""
+# The eight signed permutations of the plane, as (swap, sx, sy):
+# (x, y) -> (sx*x, sy*y), or (sx*y, sy*x) when swap is set.
+_D4 = tuple((swap, sx, sy) for swap in (False, True) for sx in (1, -1) for sy in (1, -1))
+
+
+def _act(g, x: int, y: int) -> tuple[int, int]:
+    swap, sx, sy = g
+    return (sx * y, sy * x) if swap else (sx * x, sy * y)
+
+
+def _symmetries(F: BivarPoly) -> list:
+    """The g in D4 with F o g == F, read off the Fraction coefficients: g
+    sends c x^i y^j to c sx^i sy^j x^j y^i when it swaps, and to
+    c sx^i sy^j x^i y^j otherwise."""
+    terms = F.terms
+    return [
+        (swap, sx, sy) for swap, sx, sy in _D4
+        if all(
+            terms.get((j, i) if swap else (i, j)) == c * sx**i * sy**j
+            for (i, j), c in terms.items()
+        )
+    ]
+
+
+def _orbit_columns(F: BivarPoly, M: int) -> list:
+    """[(x, y0, y1)]: the columns of a fundamental domain of F's symmetry
+    group H in the box |x|, |y| <= M, column x covering y0 <= y <= y1.  When H
+    is trivial these are the full box columns, (x, -M, M) for every x.
+
+    H is the set of g in D4 (the signed permutations) with F o g == F.  The
+    octants g(O0), with O0 = {0 <= y <= x} and g in D4, cover the plane, and
+    the H-orbit of g(O0) is the set of h g(O0), h in H: one octant per
+    element of the right coset Hg.  The domain is the union of g(O0) over one
+    g per right coset, found as one octant per H-orbit of the interior points
+    g(2, 1).  It meets every orbit of the box: the box is D4-invariant, and a
+    box point p lies in some k(O0), k = h g with g chosen, so h^-1 p lies in
+    g(O0) and in the box, and F(h^-1 p) = F(p).  A column keeps the hull of its octant intervals, a
+    superset of the domain's points in it.  One orbit may keep two points (on
+    octant edges), which the value set absorbs.  (One octant per left coset
+    gH is not a domain when H is not normal in D4.)
+    """
+    H = _symmetries(F)
+    reps, seen = [], set()
+    for g in _D4:
+        q = _act(g, 2, 1)
+        if q not in seen:
+            reps.append(g)
+            seen.update(_act(h, *q) for h in H)
+    cols = []
+    for x in range(-M, M + 1):
+        y0, y1 = M + 1, -M - 1
+        for swap, sx, sy in reps:
+            t = sx * x  # g(O0) is {0 <= sy*y <= t}, or {0 <= t <= sy*y} if swap
+            if t >= 0:
+                a, b = (t, M) if swap else (0, t)
+                if sy < 0:
+                    a, b = -b, -a
+                y0, y1 = min(y0, a), max(y1, b)
+        if y0 <= y1:
+            cols.append((x, y0, y1))
+    return cols
+
+
+def _chunk_values(K: IntKernel, columns, lo: int, hi: int) -> list[int]:
+    """Sorted distinct integer values of F on the chunk's columns
+    [(x, y0, y1)], restricted to [lo, hi); K is F's integer kernel, so
+    F(x, y) = v / K.D."""
     D = K.D
     Dlo, Dhi = D * lo, D * hi
-    ys = range(-ylimit, ylimit + 1)
     vals = set()
-    for x in xs:
+    for x, y0, y1 in columns:
+        ys = range(y0, y1 + 1)
         vals.update([v // D for v in K.values(x, ys) if Dlo <= v < Dhi and not v % D])
     return sorted(vals)
 
@@ -209,11 +278,11 @@ def count_range(
         M = max(64, 4 * up.iroot(2 * N, max(d, 1)))
     lo, hi = N, 2 * N
 
-    # deterministic shard decomposition by x; merge order is shard order, so
-    # the result is identical for any worker count
-    xs_all = list(range(-M, M + 1))
-    nshards = max(1, min(workers * 4, len(xs_all)))
-    shards = [xs_all[i::nshards] for i in range(nshards)]
+    # deterministic shards of the orbit columns; merge order is shard order,
+    # so the result is identical for any worker count
+    columns = _orbit_columns(F, M)
+    nshards = max(1, min(workers * 4, len(columns)))
+    shards = [columns[i::nshards] for i in range(nshards)]
 
     # each absorb returns how many of its values were new, so the running
     # total is the count and the store is never recounted
@@ -243,16 +312,16 @@ def count_range(
 
     K = F.kernel()
     count = 0
-    if workers > 1 and len(xs_all) >= POOL_MIN_COLUMNS:
+    if workers > 1 and 2 * M + 1 >= POOL_MIN_COLUMNS:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(_chunk_values, K, xs, M, lo, hi) for xs in shards]
+            futs = [ex.submit(_chunk_values, K, cols, lo, hi) for cols in shards]
             for fut in futs:  # shard order, not completion order
                 count += absorb(fut.result())
     else:
-        for xs in shards:
-            count += absorb(_chunk_values(K, xs, M, lo, hi))
+        for cols in shards:
+            count += absorb(_chunk_values(K, cols, lo, hi))
 
     if not certified:
         added = absorb(_near_curve_values(F, lo, hi))
@@ -301,10 +370,10 @@ def distinct_values_up_to(F: BivarPoly, N: int) -> int:
     K = F.kernel()
     D = K.D
     DN = D * N
-    span = range(-M, M + 1)
     vals = set()
-    for x in span:
-        vals.update([v // D for v in K.values(x, span) if v <= DN and not v % D])
+    for x, y0, y1 in _orbit_columns(F, M):
+        ys = range(y0, y1 + 1)
+        vals.update([v // D for v in K.values(x, ys) if v <= DN and not v % D])
     return len(vals)
 
 

@@ -85,6 +85,30 @@ def test_bad_poly_file(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["density", "--bound", "10"]])
+def test_poly_file_zero_denominator(tmp_path, capsys, argv):
+    pf = tmp_path / "zero.json"
+    pf.write_text(json.dumps({"terms": [[1, 0, "1/0"]]}))
+    code, _, err = run(capsys, *argv, "--poly-file", str(pf))
+    assert code == EXIT_INPUT
+    assert err.startswith("error: cannot read polynomial file")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--poly", "x^2 + y^2", "--bound", "100"],
+    ["density", "--poly", "x^6 + y^6", "--ladder", "100,200,400"],
+    ["density", "--baseline", "--bound", "1000"],
+    ["witness", "--poly", "x^6 - y^6"],
+])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_rejected(capsys, argv, workers):
+    code, out, err = run(capsys, *argv, "--workers", workers)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: --workers must be positive\n"
+
+
 # -- witness ------------------------------------------------------------------
 
 

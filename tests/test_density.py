@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sexticlab.density as density_mod
 
@@ -20,6 +21,7 @@ from sexticlab.density import (
 )
 from sexticlab.forms import BinaryForm
 from sexticlab.parser import parse
+from sexticlab.poly import BivarPoly
 
 
 def window_values(F, N, M):
@@ -152,12 +154,14 @@ def test_worker_determinism(monkeypatch):
     # columns, workers > 1 really runs the process pool; shards merge in
     # shard order in both modes.  Every shard of 2*x^2 + x + 2*y^2 at
     # N = 2000, for 2, 3 and 5 workers, holds a value no other shard has,
-    # so a lost first, middle or last shard changes the count
+    # so a lost first, middle or last shard changes the count; so does
+    # every shard of the orbit columns of x^4 + y^4 + x^2*y at N = 600000
     monkeypatch.setattr(density_mod, "POOL_MIN_COLUMNS", 64)
     cases = (
         (parse("x^6 + y^6 + x*y"), 2000),
         (parse("x^2 + x*y + 2*y^2 + 3*x"), 500),
         (parse("2*x^2 + x + 2*y^2"), 2000),
+        (parse("x^4 + y^4 + x^2*y"), 600000),
     )
     for mem_bits, mode in ((10**6, "bitmap"), (1, "dedup")):
         for F, N in cases:
@@ -222,6 +226,96 @@ def test_report_json_and_csv():
     assert obj["count"] == rep.count
     row = rep.csv_row().split(",")
     assert int(row[0]) == 128 and int(row[1]) == rep.count
+
+
+# -- enumeration by symmetry orbit ---------------------------------------------
+
+# One input per subgroup of D4, with its order.  The order-2 groups other
+# than {id, -id} are not normal in D4, so one octant per left coset gH would
+# miss orbits there.
+SYMMETRIC = (
+    ("x^2 + y^2", 8),
+    ("x^6 + y^6", 8),
+    ("x^4 + y^4 + x^2*y", 2),  # x -> -x
+    ("x^4 + y^4 + x*y^2", 2),  # y -> -y
+    ("x^4 + x^2*y^2 + y^4 + x + y", 2),  # the swap
+    ("x^6 + y^6 + x*y + x - y", 2),  # the anti-swap (x, y) -> (-y, -x)
+    ("1/2*x^6 + 1/3*y^6 + x*y", 2),  # (x, y) -> (-x, -y)
+    ("x^4 + y^4 + x^3*y - x*y^3", 4),  # the quarter turns
+    ("x^4 + 2*y^4 + x^2", 4),  # the sign changes
+    ("x^4 + y^4 + x*y", 4),  # -1 and the two swaps
+    ("x^2 + x*y + 2*y^2 + 3*x", 1),
+    ("x^6 + x^2*y^3", 2),  # x -> -x; the box is not certified
+)
+
+
+def act(g, x, y):
+    swap, sx, sy = g
+    return (sx * y, sy * x) if swap else (sx * x, sy * y)
+
+
+def fixing(F):
+    """The signed permutations g with F(g(p)) == F(p) on a 7 x 7 grid, which
+    decides F o g == F for degrees up to 6 in each variable."""
+    grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    return {
+        (swap, sx, sy)
+        for swap in (False, True) for sx in (1, -1) for sy in (1, -1)
+        if all(F.eval(*act((swap, sx, sy), x, y)) == F.eval(x, y) for x, y in grid)
+    }
+
+
+def full_box_values(F, M, keep):
+    K = F.kernel()
+    span = range(-M, M + 1)
+    return {v // K.D for x in span for v in K.values(x, span) if not v % K.D and keep(v // K.D)}
+
+
+@pytest.mark.parametrize("text, order", SYMMETRIC)
+def test_symmetry_group(text, order):
+    F = parse(text)
+    H = density_mod._symmetries(F)
+    assert len(H) == order
+    assert set(H) == fixing(F)
+
+
+@pytest.mark.parametrize("text, changed, lost", [
+    ("x^2 + y^2", "x^2 + 2*y^2", [(True, 1, 1), (True, -1, -1)]),
+    ("x^4 + y^4 + x^2*y", "x^4 + y^4 + x^2*y + x", [(False, -1, 1)]),
+    ("x^4 + y^4 + x*y^2", "x^4 + y^4 + x*y^2 + y^3", [(False, 1, -1)]),
+    ("x^4 + x^2*y^2 + y^4 + x + y", "x^4 + x^2*y^2 + y^4 + x + 2*y", [(True, 1, 1)]),
+    ("x^6 + y^6 + x*y + x - y", "x^6 + y^6 + x*y + x + y", [(True, -1, -1)]),
+    ("1/2*x^6 + 1/3*y^6 + x*y", "1/2*x^6 + 1/3*y^6 + x*y + x", [(False, -1, -1)]),
+    ("x^4 + y^4 + x^3*y - x*y^3", "x^4 + y^4 + x^3*y - 2*x*y^3", [(True, -1, 1)]),
+])
+def test_symmetry_broken_by_one_coefficient(text, changed, lost):
+    before = set(density_mod._symmetries(parse(text)))
+    after = set(density_mod._symmetries(parse(changed)))
+    assert after == fixing(parse(changed))
+    for g in lost:
+        assert g in before and g not in after
+
+
+@pytest.mark.parametrize("text", [t for t, _order in SYMMETRIC])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 300),
+    st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)),
+)
+def test_orbit_domain_matches_full_box(text, N, extra):
+    # with extra, one lower term c x^i y^j is added, which breaks some or
+    # all of the symmetries of F
+    F = parse(text)
+    if extra is not None and extra[0] + extra[1] < F.degree():
+        F = F + BivarPoly({extra[:2]: extra[2]})
+    rep = count_range(F, N)
+    ref = full_box_values(F, rep.box, lambda v: N <= v < 2 * N)
+    if not rep.certified:
+        ref |= set(density_mod._near_curve_values(F, N, 2 * N))
+    assert rep.count == len(ref)
+    if rep.certified:
+        M, _c = certified_box(F, N)
+        assert distinct_values_up_to(F, N) == len(full_box_values(F, M, lambda v: v <= N))
 
 
 # -- growth exponent ----------------------------------------------------------
