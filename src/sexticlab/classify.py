@@ -80,7 +80,11 @@ class ClassificationReport:
     """`shape` holds the normal-form objects themselves (BivarPoly,
     SquareCompletion, QuadraticCaseReport, MP2SquareResult, ECRecord);
     to_json_obj is their only serializer.  `ecform_error` is the reason an
-    MP3 input has no ECRecord; it stays out of the JSON report."""
+    MP3 input has no ECRecord.  `engine` is the witness engine classify
+    chose: (name, theta), name one of ray, growth, dirichlet, anisotropic,
+    mp2-fallback, weighted-cubic, family and theta the anisotropic exponent
+    or None; None when no engine applies.  witness_for runs it, and a
+    sextic's `recommended` follows from it.  Neither enters the JSON report."""
 
     degree: int
     profile: list
@@ -91,6 +95,7 @@ class ClassificationReport:
     notes: list = field(default_factory=list)
     recommended: list = field(default_factory=list)
     ecform_error: str | None = None
+    engine: tuple | None = None
 
     def to_json_obj(self) -> dict:
         shape = None
@@ -195,9 +200,10 @@ def gcd_condition(F6: BinaryForm, F5: BinaryForm):
 
 
 def cubic_square_completion(F: BivarPoly) -> SquareCompletion:
-    """For F6 = a f^2 with f an irreducible-over-R... any cubic form: requires
-    f | F5 and f | F4 and returns a (f + (g5+g4)/(2a))^2 + remainder with the
-    remainder of degree <= 4."""
+    """For F6 = a f^2 with f a cubic form, reducible or not: requires f | F5
+    and f | F4, writes F5 = f g5 and F4 = f g4, and returns
+    F = a (f + (g5 + g4)/(2a))^2 + remainder with the remainder of degree
+    <= 4."""
     parts = decompose(F)
     F6 = parts[6]
     factors = dict(squarefree_factors(F6))
@@ -577,11 +583,10 @@ def f40_layers(F: BivarPoly) -> F40Layers:
 
 @dataclass
 class MP3Core:
-    alpha2: Fraction  # normalized to 1
-    alpha1: Fraction
+    alpha1: Fraction  # alpha2 is normalized to 1
     betas: tuple  # (beta1, beta2, beta3, beta4)
     scale: Fraction  # a'
-    core: BivarPoly  # alpha2 x^3 - alpha1 y^2 + b1 xy + b2 x^2 + b3 x + b4 y
+    core: BivarPoly  # x^3 - alpha1 y^2 + b1 xy + b2 x^2 + b3 x + b4 y
     x_flipped: bool
     shape: MP3Shape
 
@@ -642,7 +647,6 @@ def mp3_square_and_proportionality(shape: MP3Shape) -> MP3Core:
             f"(residual monomials {stuck}); size-comparison witness applies"
         )
     return MP3Core(
-        alpha2=Fraction(1),
         alpha1=alpha1,
         betas=(b1, b2, b3, b4),
         scale=aprime,
@@ -727,45 +731,35 @@ def _taoshape_try(F: BivarPoly) -> ECRecord | None:
     return None
 
 
-def ecform_normalize(F: BivarPoly, core: MP3Core | None = None) -> ECRecord:
+def ecform_normalize(F: BivarPoly) -> ECRecord:
     """Rational change of coordinates bringing the inner cubic core to the
     monic y^2 - x^3 - b1 x - b0 shape: a shear in y removes the xy and y
     terms, a shift in x removes x^2, and a scaling makes the cubic monic.
-    The scaling mu2 = alpha1, mu3 = alpha1 (with alpha2 = 1) is always
-    rational, so no irrational obstruction arises on this pipeline; the
-    obstruction error path is kept for direct calls with alpha1 <= 0.
-    Constant drift between G and the core is absorbed into b0 afterwards.
+    The scaling mu2 = mu3 = alpha1 is always rational, so no irrational
+    obstruction arises on this pipeline.  Constant drift between G and the
+    core is absorbed into b0 afterwards.
     """
     tao = _taoshape_try(F)
     if tao is not None:
         return tao
-    if core is None:
-        shape = mp3_shape_extract(F)
-        core = mp3_square_and_proportionality(shape)
+    core = mp3_square_and_proportionality(mp3_shape_extract(F))
     alpha1 = core.alpha1
-    alpha2 = core.alpha2
-    if alpha1 <= 0 or alpha2 <= 0:
-        raise ClassifyError(
-            f"cannot normalize: alpha1 = {alpha1}, alpha2 = {alpha2} "
-            "(shear requires positive weights)"
-        )
     beta1, beta2, beta3, beta4 = core.betas
     work_F = core.shape.F  # possibly x-flipped relative to the input
     aprime = core.scale
 
     # shear: y = y1 + (beta1 x + beta4)/(2 alpha1) turns the core into
-    # alpha2 x^3 - alpha1 y1^2 + b2' x^2 + b1' x + b0'
+    # x^3 - alpha1 y1^2 + b2' x^2 + b1' x + b0'
     b2p = beta2 + beta1 * beta1 / (4 * alpha1)
     b1p = beta3 + beta1 * beta4 / (2 * alpha1)
     b0p = beta4 * beta4 / (4 * alpha1)
-    # shift: x = x1 - b2'/(3 alpha2) kills the x^2 term
-    sh = -b2p / (3 * alpha2)
-    c1 = b1p + 3 * alpha2 * sh * sh + 2 * b2p * sh
-    c0 = b0p + alpha2 * sh**3 + b2p * sh * sh + b1p * sh
-    # scale: x1 = mu2 X, y1 = mu3 Y with mu2 = alpha1 alpha2, mu3 = alpha1 alpha2^2
-    mu2 = alpha1 * alpha2
-    mu3 = alpha1 * alpha2 * alpha2
-    a_scale = alpha1**3 * alpha2**4
+    # shift: x = x1 - b2'/3 kills the x^2 term
+    sh = -b2p / 3
+    c1 = b1p + 3 * sh * sh + 2 * b2p * sh
+    c0 = b0p + sh**3 + b2p * sh * sh + b1p * sh
+    # scale: x1 = mu2 X, y1 = mu3 Y with mu2 = mu3 = alpha1
+    mu2 = mu3 = alpha1
+    a_scale = alpha1**3
     b1_out = c1 * mu2 / a_scale
     b0_out = c0 / a_scale
     a_out = aprime * a_scale * a_scale
@@ -828,7 +822,9 @@ def classify(F: BivarPoly) -> ClassificationReport:
             route="not-a-sextic",
             conditions={},
             notes=[f"degree is {deg}, not 6; density and witness tools still apply"],
+            # the growth diagnostic certifies no negativity: density comes first
             recommended=["density"],
+            engine=("growth", None),
         )
     parts = decompose(F)
     F6, F5, F4 = parts[6], parts[5], parts[4]
@@ -843,11 +839,13 @@ def classify(F: BivarPoly) -> ClassificationReport:
     conditions["gcd(F6,F5)"] = g.to_poly().format()
 
     notes: list = []
-    recommended: list = []
     shape: dict | None = None
     ecform_error: str | None = None
+    # the witness engine the route admits, decided here and nowhere else
+    engine: tuple | None = None
+    # Dirichlet's preconditions, shared by MP0, MP1-* and paper-gap
+    dirichlet = ("dirichlet", None) if defin == "positive-semi" and gcd_ok else None
 
-    # `recommended` names bare subcommands; witness_for alone picks the engine
     if maxmult in (3, 5):
         # taxonomy gap: no completeness analysis for these two profiles;
         # this takes precedence over the definiteness shortcut so that both
@@ -857,18 +855,18 @@ def classify(F: BivarPoly) -> ClassificationReport:
             f"max multiplicity {maxmult}: no covering case analysis; "
             "witness search still offered, no completeness claim"
         )
-        recommended.append("witness" if gcd_ok else "density")
+        engine = dirichlet
 
     elif defin in ("negative-definite", "negative-semi", "indefinite"):
         route = "not-positive-leading"
         notes.append(
             "F6 takes negative values on integer rays, so F is unbounded below"
         )
-        recommended.append("witness")
+        engine = ("ray", None)
 
     elif profile == [(1, 6)]:
         route = "MP0"
-        recommended.append("witness" if defin == "positive-semi" and gcd_ok else "density")
+        engine = dirichlet
 
     elif maxmult == 2:
         f = factors[2]
@@ -877,13 +875,12 @@ def classify(F: BivarPoly) -> ClassificationReport:
         conditions["f|F4"] = form_div(f, F4) is not None
         route = {3: "MP1-cubic", 2: "MP1-quadratic", 1: "MP1-linear"}[f.degree]
         shape = {}
+        engine = dirichlet
         if route == "MP1-cubic":
             if conditions["f|F5"] and conditions["f|F4"]:
                 shape["completion"] = cubic_square_completion(F)
-                recommended.append("density")
             else:
                 notes.append("f does not divide F5 and F4; negativity witness applies")
-                recommended.append("witness")
         elif route == "MP1-quadratic":
             k = _detect_pell_k(f)
             if k is not None:
@@ -894,10 +891,8 @@ def classify(F: BivarPoly) -> ClassificationReport:
                     notes.append(str(exc))
             else:
                 notes.append("doubled factor not equivalent to x^2 - k y^2 over Q")
-            recommended.append("witness" if gcd_ok else "density")
         else:
             notes.append("doubled linear factor; root-direction walk applies")
-            recommended.append("witness" if gcd_ok else "density")
 
     elif maxmult == 4:
         route = "MP2"
@@ -912,20 +907,16 @@ def classify(F: BivarPoly) -> ClassificationReport:
         shape = {"matrix": M, "normalized": Fn}
         partsn = decompose(Fn)
         conditions["x^2|F5"] = _xpow_div(partsn[5], 2)
-        if conditions["x^2|F5"]:
+        if not conditions["x^2|F5"]:
+            engine = _anisotropic(notes, "x^2 does not divide F5", Fraction(7, 12))
+        else:
             res = mp2_square_check(Fn)
             shape["square_check"] = res
-            if res.ok and res.completion is not None:
-                recommended.append("density")
-            elif res.ok and res.fixed_x_dearth:
-                recommended.append("density")
+            if not res.ok:
+                engine = _anisotropic(notes, res.reason or "square check failed",
+                                      Fraction(1, 2), "mp2-fallback")
+            elif res.fixed_x_dearth:
                 notes.append("alpha2 = 0: representable values come from O(1) many x")
-            else:
-                notes.append(res.reason or "square check failed")
-                recommended.append("witness")
-        else:
-            notes.append("x^2 does not divide F5; anisotropic witness applies")
-            recommended.append("witness")
 
     else:  # maxmult == 6
         route = "MP3"
@@ -944,30 +935,40 @@ def classify(F: BivarPoly) -> ClassificationReport:
         conditions["x|F4"] = _xpow_div(F4n, 1)
         conditions["x^2|F4"] = _xpow_div(F4n, 2)
         conditions["x|F4 exactly"] = conditions["x|F4"] and not conditions["x^2|F4"]
-        recommended.append("witness")
 
         if not conditions["x^2|F5"]:
-            notes.append("x^2 does not divide F5; anisotropic witness, theta = 1/2")
+            engine = _anisotropic(notes, "x^2 does not divide F5", Fraction(1, 2))
         elif not conditions["x^3|F5"]:
-            notes.append("x^3 does not divide F5; anisotropic witness, theta = 2/3")
+            engine = _anisotropic(notes, "x^3 does not divide F5", Fraction(2, 3))
         elif conditions["x^4|F5"] and conditions["x|F4 exactly"]:
-            notes.append("x^4 | F5 with x | F4 exactly; anisotropic witness, theta = 1/6")
+            engine = _anisotropic(notes, "x^4 | F5 with x | F4 exactly", Fraction(1, 6))
         else:
             if conditions["x^4|F5"] and conditions["x^2|F4"]:
                 lay = f40_layers(Fn)
                 shape["f40_lead"] = [str(u) for u in lay.u]
                 notes.append("x^4 | F5 and x^2 | F4; weighted-cubic sign search applies")
+                # the families still run when the sign search is inconclusive
+                engine = ("weighted-cubic", None)
             try:
                 shape["ecform"] = ecform_normalize(Fn)
+                engine = engine or ("family", None)
             except ClassifyError as exc:
                 ecform_error = str(exc)
                 notes.append(ecform_error)
 
     return ClassificationReport(
         degree=6, profile=profile, definiteness=defin, route=route,
-        conditions=conditions, shape=shape, notes=notes, recommended=recommended,
-        ecform_error=ecform_error,
+        conditions=conditions, shape=shape, notes=notes,
+        recommended=["witness"] if engine else ["density"],
+        ecform_error=ecform_error, engine=engine,
     )
+
+
+def _anisotropic(notes: list, why: str, theta: Fraction, name: str = "anisotropic") -> tuple:
+    """The engine running the anisotropic schedule with exponent theta; the
+    note it adds names theta."""
+    notes.append(f"{why}; anisotropic witness, theta = {theta}")
+    return (name, theta)
 
 
 def _detect_pell_k(f: BinaryForm) -> int | None:

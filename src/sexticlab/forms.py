@@ -66,13 +66,11 @@ class BinaryForm:
     # -- dehomogenization --------------------------------------------------
 
     def dehom_x(self) -> tuple[list, int]:
-        """Returns (p(t) = A(t, 1) as a coeff list in t, m) where y^m || A.
-
-        A(x, y) = y^(deg - m - deg p) * ... ; precisely
-        A(x, y) = y^m * x-part with p(t) = A(t,1)/1 after removing nothing:
-        here p[i] = coefficient of t^i, so p(t) = sum coeff[d-i] t^i and m is
-        the y-content (min k with coefficients[k] != 0).
-        """
+        """(p, m) for the form A: p lists the coefficients of p(t) = A(t, 1),
+        lowest power first (p[i] = coefficients[d - i], trailing zeros
+        trimmed), and m is the exponent of the highest power of y dividing
+        A, the least k with coefficients[k] != 0.  The zero form gives
+        ([], 0)."""
         d = self.degree
         if self.is_zero():
             return [], 0

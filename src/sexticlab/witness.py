@@ -451,9 +451,9 @@ def witness_for(
     report: ClassificationReport | None = None,
     budgets: SearchBudgets | None = None,
 ) -> Witness:
-    """Chooses and runs the engine matching the classification route, then
-    verifies the witness against F itself: on every route, and after any
-    change of variables, this is the one check against the input."""
+    """Runs the engine that classify chose (report.engine), then verifies
+    the witness against F itself: on every route, and after any change of
+    variables, this is the one check against the input."""
     if report is None:
         report = classify(F)
     w = _route_witness(F, report, budgets or SearchBudgets())
@@ -463,64 +463,50 @@ def witness_for(
 
 
 def _route_witness(F: BivarPoly, report: ClassificationReport, budgets: SearchBudgets) -> Witness:
-    route = report.route
-    if route == "not-positive-leading":
-        return ray_witness(F, box=min(report.degree * 4, budgets.box))
-    if route == "not-a-sextic":
-        return growth_diagnostic(F, Fraction(1), box=min(budgets.box, 60))
-
-    cond = report.conditions
     shape = report.shape or {}
     Fn = shape.get("normalized", F)
     M = shape.get("matrix", [[1, 0], [0, 1]])
+    name, theta = report.engine or (None, None)
 
-    if route == "MP3":
-        w = None
-        if not cond.get("x^2|F5", True):
-            w = anisotropic_witness(Fn, Fraction(1, 2), budgets.Tmax)
-        elif not cond.get("x^3|F5", True):
-            w = anisotropic_witness(Fn, Fraction(2, 3), budgets.Tmax)
-        elif cond.get("x^4|F5") and cond.get("x|F4 exactly"):
-            w = anisotropic_witness(Fn, Fraction(1, 6), budgets.Tmax)
-        if w is not None:
+    if name == "ray":
+        return ray_witness(F, box=min(report.degree * 4, budgets.box))
+    if name == "growth":
+        return growth_diagnostic(F, Fraction(1), box=min(budgets.box, 60))
+    if name == "dirichlet":
+        return dirichlet_witness(F, budgets.convergents)
+    if name in ("anisotropic", "mp2-fallback"):
+        w = anisotropic_witness(Fn, theta, budgets.Tmax)
+        if name == "anisotropic" or w.kind != "inconclusive":
             return _map_back(w, M)
-        if cond.get("x^4|F5") and cond.get("x^2|F4"):
-            w = weighted_cubic_sign_search(Fn, budgets.Nmax)
-            if w.kind != "inconclusive":
-                return _map_back(w, M)
-        rec = shape.get("ecform")
-        if rec is None:
-            return Witness(kind="inconclusive", lemma="mp3", points=[], note=report.ecform_error)
+        return Witness(
+            kind="inconclusive", lemma="mp2", points=[],
+            note="square check failed but no negative found on the schedule",
+            exhausted=w.exhausted,
+        )
+    if name == "weighted-cubic":
+        w = weighted_cubic_sign_search(Fn, budgets.Nmax)
+        if w.kind != "inconclusive":
+            return _map_back(w, M)
+    rec = shape.get("ecform")
+    if name in ("weighted-cubic", "family") and rec is not None:
         if rec.b1:
             w = rouse_witness(Fn, rec, budgets.rmax)
         else:
             w = danilov_witness(Fn, rec)
         return _map_back(w, M)
 
-    if route == "MP2":
-        if not cond.get("x^2|F5", True):
-            return _map_back(anisotropic_witness(Fn, Fraction(7, 12), budgets.Tmax), M)
-        if not shape["square_check"].ok:
-            w = anisotropic_witness(Fn, Fraction(1, 2), budgets.Tmax)
-            if w.kind != "inconclusive":
-                return _map_back(w, M)
-            return Witness(
-                kind="inconclusive", lemma="mp2", points=[],
-                note="square check failed but no negative found on the schedule",
-                exhausted=w.exhausted,
-            )
+    # no engine applies, or the sign search found nothing and no ECRecord exists
+    if report.route == "MP3":
+        return Witness(kind="inconclusive", lemma="mp3", points=[], note=report.ecform_error)
+    if report.route == "MP2":
         return Witness(
             kind="inconclusive", lemma="mp2", points=[],
             note="completed-square shape; representable values are sparse "
             "(density probe recommended)",
         )
-
-    # MP0, MP1-*, paper-gap: Dirichlet when applicable
-    if report.definiteness == "positive-semi" and cond.get("gcd(F6,F5)=1"):
-        return dirichlet_witness(F, budgets.convergents)
     return Witness(
         kind="inconclusive",
-        lemma=route.lower(),
+        lemma=report.route.lower(),
         points=[],
         note="no negativity engine applies; density probe recommended",
     )

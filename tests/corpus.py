@@ -22,3 +22,13 @@ CORPUS = [
     ("-x^6 - y^6 + x*y", "not-positive-leading"),
     ("x^4 + y^4", "not-a-sextic"),
 ]
+
+# Sextics whose route admits no witness engine although the leading-form
+# notes talk of one; `recommended` must say density for each.
+ENGINELESS = [
+    ("(x^2+y^2)^2*(x^2+2*y^2) + x^5", "MP1-quadratic"),  # F6 positive-definite
+    ("x^5*y + x^3*y^3 + x^5 + y^5", "paper-gap"),  # F6 indefinite, gcd(F6, F5) = 1
+    ("(x^3 + x*y^2 + y^3)^2 + (x^3 + x*y^2 + y^3)*x^2 + x^4", "MP1-cubic"),  # f | F5 only
+    ("(x*(x^2+y^2))^2 + x^5", "MP1-cubic"),  # reducible f, gcd(F6, F5) = x^2
+    ("x^6 + x^3*y^2", "MP3"),  # no EC normal form and no anisotropic theta
+]

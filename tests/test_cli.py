@@ -17,7 +17,7 @@ from sexticlab.cli import (
 from sexticlab.classify import classify
 from sexticlab.parser import parse
 
-from corpus import CORPUS
+from corpus import CORPUS, ENGINELESS
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "corpus_cli.json").read_text()
@@ -405,15 +405,55 @@ def test_cli_runs_cold_in_a_fresh_interpreter():
 # -- corpus contracts ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("expr,route", CORPUS)
+# the lemmas a witness of each engine can carry: an engine that finds
+# nothing may hand over to the curve families or report its route's result
+ENGINE_LEMMAS = {
+    "ray": {"indefinite-leading"},
+    "growth": {"growth-bound"},
+    "dirichlet": {"dirichlet-approximation"},
+    "anisotropic": {"anisotropic-schedule"},
+    "mp2-fallback": {"anisotropic-schedule", "mp2"},
+    "weighted-cubic": {"weighted-cubic", "rouse-3p", "danilov-gap", "mp3"},
+    "family": {"rouse-3p", "danilov-gap"},
+}
+
+
+def _no_engine_result(rep):
+    """(lemma, note) of the inconclusive witness of a route with no engine."""
+    if rep.route == "MP3":
+        return "mp3", rep.ecform_error
+    if rep.route == "MP2":
+        return "mp2", ("completed-square shape; representable values are sparse "
+                       "(density probe recommended)")
+    return rep.route.lower(), "no negativity engine applies; density probe recommended"
+
+
+@pytest.mark.parametrize("expr,route", CORPUS + ENGINELESS)
 def test_recommended_steps_run(capsys, expr, route):
+    """A sextic's `recommended` is ["witness"] exactly when classify chose an
+    engine, and `witness` then runs that engine; with no engine, `witness`
+    gives the route's inconclusive result (exit 3) and `recommended` says
+    density."""
     rep = classify(parse(expr))
-    assert rep.recommended
+    assert rep.route == route
+    code, out, _ = run(capsys, "witness", "--poly", expr)
+    w = json.loads(out)
+    if (w["kind"], w["lemma"], w["note"]) == ("inconclusive", *_no_engine_result(rep)):
+        assert rep.recommended == ["density"]
+    if rep.engine is None:
+        assert route != "not-a-sextic" and rep.recommended == ["density"]
+        assert (code, w["kind"], w["lemma"], w["note"]) == (
+            EXIT_INCONCLUSIVE, "inconclusive", *_no_engine_result(rep))
+    else:
+        name, theta = rep.engine
+        # the growth diagnostic of a non-sextic certifies no negativity
+        assert rep.recommended == (["density"] if name == "growth" else ["witness"])
+        assert code != EXIT_INPUT and w["lemma"] in ENGINE_LEMMAS[name]
+        if theta is not None:
+            assert any(n.endswith(f"anisotropic witness, theta = {theta}") for n in rep.notes)
     for step in rep.recommended:
         # a bare subcommand name that the parser accepts
         build_parser().parse_args([step, "--poly", expr])
-        if step == "witness":
-            assert run(capsys, step, "--poly", expr)[0] != EXIT_INPUT
 
 
 @pytest.mark.parametrize("row", GOLDEN, ids=[row["poly"] for row in GOLDEN])

@@ -29,6 +29,8 @@ from sexticlab.witness import (
     witness_for,
 )
 
+from corpus import CORPUS, ENGINELESS
+
 
 # -- Witness container --------------------------------------------------------
 
@@ -549,3 +551,53 @@ def test_dispatch_respects_budgets():
     if rep.route.startswith("MP"):
         w = witness_for(F, rep, SearchBudgets(Tmax=4))
         assert isinstance(w, Witness)
+
+
+class _SealedConditions(dict):
+    """A conditions dict that fails any read: the dispatch must take its
+    engine from report.engine alone."""
+
+    def _read(self, *args):
+        pytest.fail(f"witness dispatch read report.conditions{list(args)[:1]}")
+
+    __getitem__ = get = __contains__ = __iter__ = _read
+
+
+@pytest.mark.parametrize("expr", [e for e, _ in CORPUS + ENGINELESS] + [
+    "x^4*(x^2 + y^2) + x*y^4",  # MP2, x^2 does not divide F5
+    "x^4*(x^2 + y^2) + x^2*y^3 + y^4",  # MP2, failed square check
+    "x^6 + x*y^4",  # MP3, x^2 does not divide F5
+    "x^6 + x*y^3",  # MP3, x^4 | F5 with x | F4 exactly
+    "x^6 - x^2*y^2",  # MP3, weighted-cubic sign search
+])
+def test_dispatch_reads_only_the_engine(expr):
+    F = parse(expr)
+    rep = classify(F)
+    budgets = SearchBudgets(Tmax=2**20)
+    sealed = replace(rep, conditions=_SealedConditions())
+    assert witness_for(F, sealed, budgets) == witness_for(F, rep, budgets)
+
+
+@pytest.mark.parametrize("expr,engine", [
+    ("x^4*(x^2 + y^2) + x*y^4", ("anisotropic", Fraction(7, 12))),
+    ("x^4*(x^2 + y^2) + x^2*y^3 + y^4", ("mp2-fallback", Fraction(1, 2))),
+    ("x^6 + x*y^4", ("anisotropic", Fraction(1, 2))),
+    ("x^6 + x^2*y^3", ("anisotropic", Fraction(2, 3))),
+    ("x^6 + x*y^3", ("anisotropic", Fraction(1, 6))),
+])
+def test_notes_name_the_theta_that_runs(monkeypatch, expr, engine):
+    import sexticlab.witness as witness_mod
+
+    thetas = []
+
+    def recording(F, theta, Tmax=10**12):
+        thetas.append(theta)
+        return anisotropic_witness(F, theta, Tmax)
+
+    monkeypatch.setattr(witness_mod, "anisotropic_witness", recording)
+    F = parse(expr)
+    rep = classify(F)
+    assert rep.engine == engine
+    assert rep.notes[-1].endswith(f"; anisotropic witness, theta = {engine[1]}")
+    witness_for(F, rep, SearchBudgets(Tmax=2**20))
+    assert thetas == [engine[1]]
