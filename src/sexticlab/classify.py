@@ -843,8 +843,6 @@ def classify(F: BivarPoly) -> ClassificationReport:
     ecform_error: str | None = None
     # the witness engine the route admits, decided here and nowhere else
     engine: tuple | None = None
-    # Dirichlet's preconditions, shared by MP0, MP1-* and paper-gap
-    dirichlet = ("dirichlet", None) if defin == "positive-semi" and gcd_ok else None
 
     if maxmult in (3, 5):
         # taxonomy gap: no completeness analysis for these two profiles;
@@ -855,7 +853,6 @@ def classify(F: BivarPoly) -> ClassificationReport:
             f"max multiplicity {maxmult}: no covering case analysis; "
             "witness search still offered, no completeness claim"
         )
-        engine = dirichlet
 
     elif defin in ("negative-definite", "negative-semi", "indefinite"):
         route = "not-positive-leading"
@@ -866,7 +863,6 @@ def classify(F: BivarPoly) -> ClassificationReport:
 
     elif profile == [(1, 6)]:
         route = "MP0"
-        engine = dirichlet
 
     elif maxmult == 2:
         f = factors[2]
@@ -875,12 +871,20 @@ def classify(F: BivarPoly) -> ClassificationReport:
         conditions["f|F4"] = form_div(f, F4) is not None
         route = {3: "MP1-cubic", 2: "MP1-quadratic", 1: "MP1-linear"}[f.degree]
         shape = {}
-        engine = dirichlet
+        # Dirichlet needs F6 positive-semi, which only this branch reaches:
+        # MP0's F6 is square-free, so a real root of it is simple, and a
+        # paper-gap F6 has a real factor of odd multiplicity or is the cube of
+        # a definite quadratic.  MP1-cubic and MP1-linear are always
+        # positive-semi, so there the engine turns on the gcd alone.
+        if defin == "positive-semi" and gcd_ok:
+            engine = ("dirichlet", None)
+        no_engine = "gcd(F6,F5) is not constant, so no negativity engine applies"
         if route == "MP1-cubic":
             if conditions["f|F5"] and conditions["f|F4"]:
                 shape["completion"] = cubic_square_completion(F)
             else:
-                notes.append("f does not divide F5 and F4; negativity witness applies")
+                notes.append("f does not divide F5 and F4; "
+                             + ("negativity witness applies" if engine else no_engine))
         elif route == "MP1-quadratic":
             k = _detect_pell_k(f)
             if k is not None:
@@ -892,17 +896,13 @@ def classify(F: BivarPoly) -> ClassificationReport:
             else:
                 notes.append("doubled factor not equivalent to x^2 - k y^2 over Q")
         else:
-            notes.append("doubled linear factor; root-direction walk applies")
+            notes.append("doubled linear factor; "
+                         + ("root-direction walk applies" if engine else no_engine))
 
     elif maxmult == 4:
         route = "MP2"
-        ell = factors[4]
-        if ell.degree != 1:
-            raise ClassifyError(
-                "4th-power factor of degree > 1: a rational sextic cannot have "
-                "an irrational 4th-power linear divisor; input is inconsistent"
-            )
-        M = unimodular_matrix_for(ell)
+        # the multiplicities add up to 6, so the 4th-power factor is linear
+        M = unimodular_matrix_for(factors[4])
         Fn = apply_matrix(F, M)
         shape = {"matrix": M, "normalized": Fn}
         partsn = decompose(Fn)
@@ -920,10 +920,7 @@ def classify(F: BivarPoly) -> ClassificationReport:
 
     else:  # maxmult == 6
         route = "MP3"
-        ell = factors[6]
-        if ell.degree != 1:
-            raise ClassifyError("6th-power factor must be linear")
-        M = unimodular_matrix_for(ell)
+        M = unimodular_matrix_for(factors[6])
         Fn = apply_matrix(F, M)
         shape = {"matrix": M, "normalized": Fn}
         partsn = decompose(Fn)

@@ -2,11 +2,12 @@
 
 Coefficient convention: coefficients[k] multiplies x^(d-k) y^k.  Provides the
 homogeneous decomposition of a BivarPoly, form gcds via x-dehomogenization,
-Yun square-free profiles, real root-direction isolation, and exact
-definiteness classification.  A form is never changed after construction, so
-the one Yun decomposition that the profile, the factors and the definiteness
-of a form all read is computed once per form object.
-"""
+and one square-free factorization per form: the primitive factor B_i of each
+multiplicity i, found by Yun's algorithm, with the isolating intervals of its
+real roots.  The square-free profile, the factors, the real root directions
+and the exact definiteness of a form are all read off that one record.  A
+form is never changed after construction, so the record is computed once per
+form object, on first use."""
 
 from __future__ import annotations
 
@@ -80,14 +81,6 @@ class BinaryForm:
         for k, c in enumerate(self.coefficients):
             p[d - k] = c
         return up.trim(p), m
-
-    def _yun_parts(self) -> tuple[int, list]:
-        """(m, [B1, B2, ...]): the y-content m of dehom_x() and the Yun
-        decomposition of its p, computed on first use and kept."""
-        if self._yun is None:
-            p, m = self.dehom_x()
-            self._yun = (m, up.yun_decomposition(p))
-        return self._yun
 
     @staticmethod
     def from_univariate(p: list, degree: int) -> "BinaryForm":
@@ -188,28 +181,38 @@ def form_div(A: BinaryForm, B: BinaryForm):
     return out
 
 
-def squarefree_profile(A: BinaryForm) -> list[tuple[int, int]]:
-    """Multiset {(multiplicity, degree of factor product)} of the form.
+def _factorization(A: BinaryForm) -> list:
+    """[(i, B_i, roots_i)] for the nonzero form A, sorted by multiplicity i:
+    A = lc * prod B_i^i with each B_i a primitive square-free integer form
+    whose first nonzero coefficient is positive, and roots_i the isolating
+    intervals of the real roots of B_i(t, 1).
 
-    Yun decomposition of the dehomogenization plus explicit handling of the
-    y^m content (y joins the multiplicity-m factor product).  Multiplicities
-    computed over Q are valid over the algebraic closure in characteristic 0.
-    Returned sorted by multiplicity.
-    """
+    Yun's algorithm runs on the x-dehomogenization; when y^m || A, y joins
+    the multiplicity-m factor.  Multiplicities computed over Q are valid over
+    the algebraic closure in characteristic 0.  Computed on first use and
+    kept on A."""
+    if A._yun is None:
+        p, m = A.dehom_x()
+        yun = {i: b for i, b in enumerate(up.yun_decomposition(p), start=1) if up.pdeg(b) >= 1}
+        if m:
+            yun.setdefault(m, [Fraction(1)])
+        record = []
+        for i, b in sorted(yun.items()):
+            # homogenizing to one degree more multiplies by y
+            B = _canonical(BinaryForm.from_univariate(b, up.pdeg(b) + (i == m)))
+            record.append((i, B, up.isolate_real_roots(b) if up.pdeg(b) >= 1 else []))
+        if sum(i * b.degree for i, b, _ in record) != A.degree:
+            raise IdentityError("squarefree factors: multiplicities do not add up to the degree")
+        A._yun = record
+    return A._yun
+
+
+def squarefree_profile(A: BinaryForm) -> list[tuple[int, int]]:
+    """[(multiplicity i, degree of B_i)] of the square-free factorization,
+    sorted by multiplicity."""
     if A.is_zero():
         raise ValueError("zero form")
-    m, yun = A._yun_parts()
-    parts: dict[int, int] = {}
-    for i, b in enumerate(yun, start=1):
-        db = up.pdeg(b)
-        if db >= 1:
-            parts[i] = parts.get(i, 0) + db
-    if m:
-        parts[m] = parts.get(m, 0) + 1
-    out = sorted(parts.items())
-    if A.degree and sum(i * d for i, d in out) != A.degree:
-        raise IdentityError("squarefree_profile: multiplicities do not add up to the degree")
-    return out
+    return [(i, b.degree) for i, b, _ in _factorization(A)]
 
 
 def squarefree_factors(A: BinaryForm) -> list[tuple[int, BinaryForm]]:
@@ -219,29 +222,19 @@ def squarefree_factors(A: BinaryForm) -> list[tuple[int, BinaryForm]]:
     """
     if A.is_zero():
         raise ValueError("zero form")
-    m, yun = A._yun_parts()
-    by_mult: dict[int, BinaryForm] = {}
-    for i, b in enumerate(yun, start=1):
-        db = up.pdeg(b)
-        if db >= 1:
-            by_mult[i] = BinaryForm.from_univariate(b, db)
-    if m:
-        yform = BinaryForm(1, [Fraction(0), Fraction(1)])
-        if m in by_mult:
-            by_mult[m] = BinaryForm.from_poly(by_mult[m].to_poly() * yform.to_poly())
-        else:
-            by_mult[m] = yform
-    return sorted((i, _canonical(b)) for i, b in by_mult.items())
+    return [(i, b) for i, b, _ in _factorization(A)]
 
 
 def real_roots(A: BinaryForm) -> tuple[list[IsolatingInterval], bool]:
-    """Isolating intervals for real slopes t = x/y of A(t, 1), plus a flag
-    for the projective root (1:0) (i.e. y | A)."""
+    """Isolating intervals for the real slopes t = x/y of A(t, 1), plus a flag
+    for the projective root (1:0) (i.e. y | A).
+
+    The intervals are listed factor by factor in order of multiplicity, and
+    by position within a factor; each isolates its root on that factor."""
     if A.is_zero():
         raise ValueError("zero form")
-    p, m = A.dehom_x()
-    ivs = up.isolate_real_roots(p) if up.pdeg(p) >= 1 else []
-    return ivs, m > 0
+    ivs = [iv for _, _, roots in _factorization(A) for iv in roots]
+    return ivs, not A.coefficients[0]
 
 
 def definiteness(A: BinaryForm) -> str:
@@ -251,22 +244,19 @@ def definiteness(A: BinaryForm) -> str:
     Odd total degree is always indefinite (sign flips under (x,y) -> (-x,-y)).
     Otherwise: a real root of odd multiplicity forces a sign change; only
     even multiplicities means semi-definite with the sign of a nonzero
-    sample; no real roots at all means definite.
+    sample; no real roots at all means definite.  A factor has a real root
+    when it has a real slope or y divides it.
     """
     if A.is_zero():
         return "zero"
     if A.degree % 2 == 1:
         return "indefinite"
-    m, yun = A._yun_parts()
-    has_real_root = m > 0
-    odd_mult_real_root = m % 2 == 1 and m > 0
-    for i, b in enumerate(yun, start=1):
-        if up.pdeg(b) >= 1 and up.isolate_real_roots(b):
-            has_real_root = True
+    has_real_root = False
+    for i, b, roots in _factorization(A):
+        if roots or not b.coefficients[0]:
             if i % 2 == 1:
-                odd_mult_real_root = True
-    if odd_mult_real_root:
-        return "indefinite"
+                return "indefinite"
+            has_real_root = True
     # sample a nonzero value: A(1,0) or A(0,1) or A(1,n) for small n
     for x, y in [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2)]:
         v = A.eval(x, y)

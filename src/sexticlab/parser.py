@@ -1,8 +1,9 @@
 """Recursive-descent parser for polynomial expressions in x and y.
 
-Grammar: +, -, *, ^ (right-associative), parentheses, integer and rational
-literals (written INT/INT; there is no general division operator), unary
-minus.  Implicit multiplication is rejected so that format() round-trips
+Grammar: +, -, *, ^ with a nonnegative integer literal exponent (a stacked
+exponent such as x^2^3 is rejected; parenthesize the base instead),
+parentheses, integer and rational literals (written INT/INT; there is no
+general division operator), unary minus.  Implicit multiplication is rejected so that format() round-trips
 unambiguously.
 """
 
@@ -108,21 +109,15 @@ class _Parser:
 
     def parse_power(self) -> BivarPoly:
         base = self.parse_atom()
+        if self.peek().kind != "^":
+            return base
+        pos = self.take().pos
+        if self.peek().kind != "int":
+            raise ParseError("exponent must be a nonnegative integer literal", pos)
+        exp = self.take().value
         if self.peek().kind == "^":
-            pos = self.take().pos
-            if self.peek().kind == "-":
-                raise ParseError("exponent must be a nonnegative integer literal", pos)
-            exp_tok = self.take("int") if self.peek().kind == "int" else None
-            if exp_tok is None:
-                # allow parenthesized recursion for right-associativity: a^b^c
-                raise ParseError("exponent must be a nonnegative integer literal", pos)
-            # right-associative: x^2^3 = x^(2^3)
-            if self.peek().kind == "^":
-                raise ParseError(
-                    "stacked exponents on a literal are ambiguous; parenthesize", pos
-                )
-            return base ** exp_tok.value
-        return base
+            raise ParseError("stacked exponents on a literal are ambiguous; parenthesize", pos)
+        return base**exp
 
     def parse_atom(self) -> BivarPoly:
         t = self.peek()
@@ -130,7 +125,7 @@ class _Parser:
             self.take()
             # rational literal INT/INT
             if self.peek().kind == "/":
-                slash = self.take()
+                self.take()
                 den = self.take("int")
                 if den.value == 0:
                     raise ParseError("zero denominator", den.pos)

@@ -23,8 +23,8 @@ CORPUS = [
     ("x^4 + y^4", "not-a-sextic"),
 ]
 
-# Sextics whose route admits no witness engine although the leading-form
-# notes talk of one; `recommended` must say density for each.
+# Sextics whose route admits no witness engine, although the route names
+# one for other inputs; `recommended` must say density for each.
 ENGINELESS = [
     ("(x^2+y^2)^2*(x^2+2*y^2) + x^5", "MP1-quadratic"),  # F6 positive-definite
     ("x^5*y + x^3*y^3 + x^5 + y^5", "paper-gap"),  # F6 indefinite, gcd(F6, F5) = 1

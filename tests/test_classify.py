@@ -29,7 +29,14 @@ from sexticlab.classify import (
     _xpow_div,
 )
 from sexticlab import unipoly as up
-from sexticlab.forms import BinaryForm, decompose, form_div
+from sexticlab.forms import (
+    BinaryForm,
+    decompose,
+    definiteness,
+    form_div,
+    squarefree_factors,
+    squarefree_profile,
+)
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
 from sexticlab.witness import witness_for
@@ -85,18 +92,23 @@ CUBIC_COMPLETION = "(x^3 + x*y^2 + y^3)^2 + x^2*(x^3 + x*y^2 + y^3) + y*(x^3 + x
     ("(y^2 - x^3 - x)^2 - y + 10", "MP3"),
 ])
 def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
-    # profile, definiteness and factors of F6, the MP1 analyses that take F6
-    # apart again, and the witness engine run on the same F (Dirichlet, for
-    # the MP1-quadratic input) all read one Yun decomposition
-    p6, _ = decompose(parse(expr))[6].dehom_x()
-    real = up.yun_decomposition
-    args = []
+    # profile, definiteness, factors and real roots of F6, the MP1 analyses
+    # that take F6 apart again, and the witness engine run on the same F
+    # (Dirichlet, for the MP1-quadratic input) all read one square-free
+    # factorization: one Yun decomposition, and one root isolation per factor
+    F6 = decompose(parse(expr))[6]
+    p6, _ = F6.dehom_x()
+    factors = [up.monic(b.dehom_x()[0]) for _, b in squarefree_factors(F6)]
+    args, isolated = [], []
 
-    def counting(p):
-        args.append(list(p))
-        return real(p)
+    def counting(real, calls):
+        def wrapper(p):
+            calls.append(list(p))
+            return real(p)
+        return wrapper
 
-    monkeypatch.setattr(up, "yun_decomposition", counting)
+    monkeypatch.setattr(up, "yun_decomposition", counting(up.yun_decomposition, args))
+    monkeypatch.setattr(up, "isolate_real_roots", counting(up.isolate_real_roots, isolated))
     F = parse(expr)
     report = classify(F)
     obj = report.to_json_obj()
@@ -104,6 +116,7 @@ def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
     assert args.count(p6) == 1
     w = witness_for(F, report)
     assert args.count(p6) == 1
+    assert [up.monic(p) for p in isolated] == factors
     if route == "MP1-quadratic":
         assert w.lemma == "dirichlet-approximation" and w.kind == "negative-value"
     if expr in GOLDEN_ANALYZE:
@@ -113,6 +126,41 @@ def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
         assert obj == gold
     else:
         assert "completion" in obj["shape"]
+
+
+@st.composite
+def leading_forms(draw):
+    """c * prod f_j^m_j for small integer forms f_j of degree 1-3, of total
+    degree 6; equal or reducible f_j give every profile of a sextic."""
+    deg, A = 0, BivarPoly.const(draw(st.sampled_from([-2, -1, 1, 3])))
+    while deg < 6:
+        d = draw(st.integers(1, min(3, 6 - deg)))
+        m = draw(st.integers(1, (6 - deg) // d))
+        cs = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1).filter(any))
+        A = A * BinaryForm(d, cs).to_poly() ** m
+        deg += d * m
+    return BinaryForm.from_poly(A)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(leading_forms())
+@example(BinaryForm.from_poly(parse("x^6 + y^6")))
+@example(BinaryForm.from_poly(parse("(x^2 + y^2)^3")))
+@example(BinaryForm.from_poly(parse("x^5*y")))
+@example(BinaryForm.from_poly(parse("x^3*(x^3 + y^3)")))
+@example(BinaryForm.from_poly(parse("x^4*(x^2 + y^2)")))
+@example(BinaryForm.from_poly(parse("-(x - 2*y)^6")))
+def test_leading_form_facts_behind_the_routes(A):
+    # classify offers Dirichlet (which needs F6 positive-semi) only on MP1:
+    # an MP0 or paper-gap leading form is never positive-semi; and it
+    # normalizes the 4th- or 6th-power factor of MP2 and MP3 as a linear form
+    profile = squarefree_profile(A)
+    maxmult = max(i for i, _ in profile)
+    if profile == [(1, 6)] or maxmult in (3, 5):
+        assert definiteness(A) != "positive-semi"
+    for i, b in squarefree_factors(A):
+        if i in (4, 6):
+            assert b.degree == 1
 
 
 # -- unimodular normalization -------------------------------------------------

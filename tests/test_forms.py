@@ -15,6 +15,7 @@ from sexticlab.forms import (
     squarefree_factors,
     squarefree_profile,
 )
+from sexticlab import unipoly as up
 from sexticlab.parser import parse
 
 
@@ -116,6 +117,12 @@ def test_real_roots_flags():
     assert len(ivs) == 1 and at_inf  # root t=0 plus the (1,0) direction
     ivs, at_inf = real_roots(form("x^2 + y^2"))
     assert not ivs and not at_inf
+    # real slopes in the factors x (multiplicity 1) and x - y (multiplicity
+    # 2), listed in that order, each isolated on its own factor; y^3 gives
+    # the (1, 0) direction
+    ivs, at_inf = real_roots(form("x*(x - y)^2*y^3"))
+    slopes = [[t for t in (0, 1) if iv.lo < t < iv.hi and not up.peval(iv.poly, t)] for iv in ivs]
+    assert slopes == [[0], [1]] and at_inf
 
 
 def test_definiteness_cases():

@@ -601,3 +601,15 @@ def test_notes_name_the_theta_that_runs(monkeypatch, expr, engine):
     assert rep.notes[-1].endswith(f"; anisotropic witness, theta = {engine[1]}")
     witness_for(F, rep, SearchBudgets(Tmax=2**20))
     assert thetas == [engine[1]]
+
+
+@pytest.mark.parametrize("expr,engine", [
+    ("(x^3 + x*y^2 + y^3)^2 + x^5", ("dirichlet", None)),  # MP1-cubic
+    ("(x*(x^2+y^2))^2 + x^5", None),  # MP1-cubic, gcd(F6, F5) = x^2
+    ("x^2*(x^4 + y^4) + x^5 + y^5", ("dirichlet", None)),  # MP1-linear
+    ("x^2*y^4 + x^6 + 1", None),  # MP1-linear, F5 = 0
+])
+def test_mp1_notes_name_an_engine_only_when_it_runs(expr, engine):
+    rep = classify(parse(expr))
+    assert rep.engine == engine
+    assert rep.notes[-1].endswith("so no negativity engine applies") == (engine is None)
