@@ -5,13 +5,17 @@ byte-identical output with one command in each.
 
 Usage:
     python3 scripts/output_digest.py --seeds 0 1
+    python3 scripts/output_digest.py --seeds 0 1 --runs > runs.txt
 
 The job lists come from bench/jobs.py (imported, never changed).  Each job
 runs in process through cli.main at every given seed, once plain and once
 under _seeds.perturbed(), which jitters the float constants that feed
 report-only numbers.  Each output line is "workload runs digest"; equal
 lines on two trees mean every run of that workload printed the same bytes
-and exited with the same code.
+and exited with the same code.  With --runs, the output is instead one line
+per run, "workload index digest argv" (index counts the runs of the
+workload, plain and perturbed), so a diff of two trees' listings names each
+changed run.
 """
 
 import argparse
@@ -19,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shlex
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,6 +44,7 @@ def run(argv: list) -> bytes:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    ap.add_argument("--runs", action="store_true", help="print one line per run instead of one per workload")
     args = ap.parse_args(argv)
 
     total = 0
@@ -49,10 +55,15 @@ def main(argv=None) -> int:
             for perturb in (contextlib.nullcontext, _seeds.perturbed):
                 with perturb():
                     for job in jobs:
-                        digest.update(run(job.argv))
+                        record = run(job.argv)
+                        digest.update(record)
+                        if args.runs:
+                            sha = hashlib.sha256(record).hexdigest()
+                            print(f"{workload} {runs} {sha} {shlex.join(job.argv)}")
                         runs += 1
         total += runs
-        print(f"{workload} {runs} {digest.hexdigest()}")
+        if not args.runs:
+            print(f"{workload} {runs} {digest.hexdigest()}")
     print(f"# {total} runs, seeds {' '.join(map(str, args.seeds))}", file=sys.stderr)
     return 0
 

@@ -33,6 +33,7 @@ from .forms import (
     squarefree_profile,
 )
 from .quadext import QuadExt, _rat_sqrt
+from . import unipoly as up
 
 SCHEMA_VERSION = "1"
 
@@ -210,8 +211,7 @@ def cubic_square_completion(F: BivarPoly) -> SquareCompletion:
     f_form = factors.get(2)
     if f_form is None or f_form.degree != 3 or len(factors) != 1:
         raise ClassifyError("leading form is not a constant times a cubic squared")
-    f2 = BinaryForm.from_poly(f_form.to_poly() * f_form.to_poly())
-    aq = form_div(f2, F6)
+    aq = form_div(f_form * f_form, F6)
     if aq is None or aq.degree != 0:
         raise ClassifyError("leading form is not a constant times f^2")
     a = aq.coefficients[0]
@@ -256,27 +256,11 @@ class QuadraticCaseReport:
         }
 
 
-def _form_eval_quad(form: BinaryForm, k: int) -> QuadExt:
-    """form(sqrt(k), 1) as an element of Q(sqrt(k))."""
+def _at_sqrt(form: BinaryForm, k: int) -> tuple[QuadExt, QuadExt]:
+    """(A(sqrt k, 1), dA/dx(sqrt k, 1)) in Q(sqrt k), for the form A."""
+    p, _ = form.dehom_x()
     rt = QuadExt(k, 0, 1)
-    acc = QuadExt(k, 0)
-    d = form.degree
-    power = QuadExt(k, 1)
-    # sum c_j * sqrt(k)^(d - j); iterate from j = d down to 0
-    for j in range(d, -1, -1):
-        acc = acc + power * form.coefficients[j]
-        power = power * rt
-    return acc
-
-
-def _form_dx_eval_quad(form: BinaryForm, k: int) -> QuadExt:
-    """(d/dx form)(sqrt(k), 1)."""
-    d = form.degree
-    if d == 0:
-        return QuadExt(k, 0)
-    dcoeffs = [form.coefficients[j] * (d - j) for j in range(d)]
-    dform = BinaryForm(d - 1, dcoeffs)
-    return _form_eval_quad(dform, k)
+    return up.peval(p, rt), up.peval(up.pderiv(p), rt)
 
 
 def quadratic_case_analysis(F: BivarPoly, k: int) -> QuadraticCaseReport:
@@ -300,7 +284,8 @@ def quadratic_case_analysis(F: BivarPoly, k: int) -> QuadraticCaseReport:
         if not p:
             raise ClassifyError("doubled factor has a rational root; not x^2 - k y^2")
         rprime = r - q * q / (4 * p)
-        tval = -rprime / (p * k)
+        # x = X + shift*Y, y = s*Y leaves s^2 r' on Y^2, which must be -p k
+        tval = -p * k / rprime
         s = _rat_sqrt(tval)
         if s is None or not s:
             raise ClassifyError(
@@ -314,21 +299,17 @@ def quadratic_case_analysis(F: BivarPoly, k: int) -> QuadraticCaseReport:
         parts = decompose(work)
         F6 = parts[6]
     fk = BinaryForm(2, [Fraction(1), Fraction(0), Fraction(-k)])
-    fk2 = BinaryForm.from_poly(fk.to_poly() * fk.to_poly())
-    g = form_div(fk2, F6)
+    g = form_div(fk * fk, F6)
     if g is None:
         raise ClassifyError("normalized leading form is not divisible by (x^2-ky^2)^2")
     h = form_div(fk, parts[5])
     if h is None:
         raise ClassifyError("F5 is not divisible by the doubled factor")
 
-    g_v = _form_eval_quad(g, k)
-    gp_v = _form_dx_eval_quad(g, k)
-    h_v = _form_eval_quad(h, k)
-    hp_v = _form_dx_eval_quad(h, k)
-    f4_v = _form_eval_quad(parts[4], k)
-    f4p_v = _form_dx_eval_quad(parts[4], k)
-    f3_v = _form_eval_quad(parts[3], k)
+    g_v, gp_v = _at_sqrt(g, k)
+    h_v, hp_v = _at_sqrt(h, k)
+    f4_v, f4p_v = _at_sqrt(parts[4], k)
+    f3_v, _ = _at_sqrt(parts[3], k)
     rt = QuadExt(k, 0, 1)
 
     va = g_v * (4 * k)
@@ -351,9 +332,7 @@ def quadratic_case_analysis(F: BivarPoly, k: int) -> QuadraticCaseReport:
             notes.append("v_k degenerates to a nonzero constant; not a square")
     wk_at_beta = None
     if vk_is_square:
-        from .quadext import quad_poly_eval
-
-        wk_at_beta = quad_poly_eval([wd, wc, wb, wa], beta)
+        wk_at_beta = up.peval([wd, wc, wb, wa], beta)
     else:
         notes.append("not arithmetically complete by sign change (v_k not a square)")
     return QuadraticCaseReport(
@@ -564,21 +543,11 @@ def mp3_shape_extract(F: BivarPoly) -> MP3Shape:
     return MP3Shape(a2=a2, a1=a1, a0=a0, L=L, G=G, F=F)
 
 
-@dataclass
-class F40Layers:
-    u: tuple  # (u3, u2, u1, u0): lead form G(m,n) = u3 m^3 + u2 m^2 n + u1 m n^2 + u0 n^3
-
-    def lead_eval(self, m, n) -> Fraction:
-        u3, u2, u1, u0 = self.u
-        m, n = Fraction(m), Fraction(n)
-        return u3 * m**3 + u2 * m * m * n + u1 * m * n * n + u0 * n**3
-
-
-def f40_layers(F: BivarPoly) -> F40Layers:
-    """Weighted (x:1, y:2) lead form layers for the x^4 | F5, x^2 | F4 case:
-    lead = u3 x^6 + u2 x^4 y + u1 x^2 y^2 + u0 y^3."""
-    u = (F.coeff(6, 0), F.coeff(4, 1), F.coeff(2, 2), F.coeff(0, 3))
-    return F40Layers(u=u)
+def f40_layers(F: BivarPoly) -> BinaryForm:
+    """Weighted (x:1, y:2) lead form for the x^4 | F5, x^2 | F4 case, as the
+    cubic G(m, n) = u3 m^3 + u2 m^2 n + u1 m n^2 + u0 n^3 with
+    G(x^2, y) = u3 x^6 + u2 x^4 y + u1 x^2 y^2 + u0 y^3."""
+    return BinaryForm(3, [F.coeff(6, 0), F.coeff(4, 1), F.coeff(2, 2), F.coeff(0, 3)])
 
 
 @dataclass
@@ -942,7 +911,7 @@ def classify(F: BivarPoly) -> ClassificationReport:
         else:
             if conditions["x^4|F5"] and conditions["x^2|F4"]:
                 lay = f40_layers(Fn)
-                shape["f40_lead"] = [str(u) for u in lay.u]
+                shape["f40_lead"] = [str(u) for u in lay.coefficients]
                 notes.append("x^4 | F5 and x^2 | F4; weighted-cubic sign search applies")
                 # the families still run when the sign search is inconclusive
                 engine = ("weighted-cubic", None)

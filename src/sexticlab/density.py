@@ -12,8 +12,8 @@ every count is exact without a Fraction per point.  It covers one point of
 each orbit of F's symmetry group in the box, not the whole box: the group is
 read exactly off the coefficients (sign changes and swaps of x and y that fix
 F), and the value set, so every count, is the same as the full box's.  The
-process pool starts by the box width, 2M + 1 columns, not by the number of
-columns the orbit domain keeps.
+process pool starts by the number of points those columns hold, so a
+symmetric F counts in process on a box whose full width would start it.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ from . import unipoly as up
 
 DEFAULT_MEM_BITS = 2**31
 
-# count_range runs its --workers process pool only for boxes at least this
-# many columns wide; narrower boxes count in process.  Measured on a 2-vCPU
-# host, x^2 + x*y + 2*y^2 + 3*x, best of 3, one worker against 2:
+# count_range runs its --workers process pool only when the orbit columns
+# hold at least this many points; fewer count in process.  For F with a
+# trivial symmetry group the columns are the whole (2M+1)^2 box, so this is a
+# box at least 1024 columns wide.  Measured on a 2-vCPU host,
+# x^2 + x*y + 2*y^2 + 3*x (trivial group), best of 3, one worker against 2:
 #   columns     97      227     573     1273    2537
 #   1 worker    5.0 ms  14 ms   101 ms  573 ms  2.16 s
 #   2 workers   15.3 ms 28 ms   124 ms  274 ms  1.33 s
-POOL_MIN_COLUMNS = 1024
+POOL_MIN_POINTS = 1024**2
 
 
 def _mem_bits() -> int:
@@ -166,7 +168,8 @@ def certified_box(F: BivarPoly, bound: int) -> tuple[int, Fraction]:
     c = certified_form_floor(top)
     S = _lower_abs_sum(F, d)
     M = 1
-    while c * Fraction(M) ** d - S * Fraction(M) ** (d - 1) <= bound:
+    # a constant (d = 0) never grows past the bound: radius 1 holds its value
+    while d and c * Fraction(M) ** d - S * Fraction(M) ** (d - 1) <= bound:
         M += max(1, M // 16)
     # M grew geometrically; walk back to the smallest sufficient radius
     while M > 1 and c * Fraction(M - 1) ** d - S * Fraction(M - 1) ** (d - 1) > bound:
@@ -312,7 +315,7 @@ def count_range(
 
     K = F.kernel()
     count = 0
-    if workers > 1 and 2 * M + 1 >= POOL_MIN_COLUMNS:
+    if workers > 1 and sum(y1 - y0 + 1 for _, y0, y1 in columns) >= POOL_MIN_POINTS:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:

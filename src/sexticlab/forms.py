@@ -1,13 +1,17 @@
 """Binary forms: homogeneous bivariate polynomials of declared degree.
 
-Coefficient convention: coefficients[k] multiplies x^(d-k) y^k.  Provides the
-homogeneous decomposition of a BivarPoly, form gcds via x-dehomogenization,
-and one square-free factorization per form: the primitive factor B_i of each
-multiplicity i, found by Yun's algorithm, with the isolating intervals of its
-real roots.  The square-free profile, the factors, the real root directions
-and the exact definiteness of a form are all read off that one record.  A
-form is never changed after construction, so the record is computed once per
-form object, on first use."""
+Coefficient convention: coefficients[k] multiplies x^(d-k) y^k, so the
+coefficient list, read lowest power first, is the polynomial A(1, y).  Form
+arithmetic is arithmetic on these lists in `unipoly`: the product of two
+forms is the product of their lists, the exact quotient is one division of
+them, and the gcd is the gcd of the lists times the common power of x.
+Provides the homogeneous decomposition of a BivarPoly and one square-free
+factorization per form: the primitive factor B_i of each multiplicity i,
+found by Yun's algorithm on the x-dehomogenization A(t, 1), with the
+isolating intervals of its real roots (the slopes t = x/y).  The square-free
+profile, the factors, the real root directions and the exact definiteness of
+a form are all read off that one record.  A form is never changed after
+construction, so the record is computed once per form object, on first use."""
 
 from __future__ import annotations
 
@@ -53,6 +57,9 @@ class BinaryForm:
             (c * x ** (d - k) * y**k for k, c in enumerate(self.coefficients) if c),
             Fraction(0),
         )
+
+    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
+        return _form(up.pmul(self.coefficients, other.coefficients), self.degree + other.degree)
 
     def __eq__(self, other):
         return (
@@ -112,11 +119,16 @@ def decompose(F: BivarPoly) -> tuple[BinaryForm, ...]:
     return F._parts
 
 
+def _form(p: list, degree: int) -> BinaryForm:
+    """The degree-`degree` form whose list A(1, y) is p (len(p) <= degree + 1)."""
+    return BinaryForm(degree, p + [Fraction(0)] * (degree + 1 - len(p)))
+
+
 def form_gcd(A: BinaryForm, B: BinaryForm) -> BinaryForm:
     """Primitive-integer gcd with positive leading coefficient.
 
-    Computed on x-dehomogenizations with the y-power content tracked
-    separately: gcd(y^m1 * a(x,y), y^m2 * b(x,y)) = y^min(m1,m2) * gcd(a, b).
+    e = deg A - deg A(1, y) is the power of x dividing A, and gcd(A, B) is
+    x^min(eA, eB) times the homogenized gcd of the lists A(1, y), B(1, y).
     """
     if A.is_zero() and B.is_zero():
         raise ValueError("gcd of two zero forms")
@@ -124,18 +136,10 @@ def form_gcd(A: BinaryForm, B: BinaryForm) -> BinaryForm:
         return _canonical(B)
     if B.is_zero():
         return _canonical(A)
-    pa, ma = A.dehom_x()
-    pb, mb = B.dehom_x()
+    pa, pb = up.trim(list(A.coefficients)), up.trim(list(B.coefficients))
+    e = min(A.degree - up.pdeg(pa), B.degree - up.pdeg(pb))
     g = up.pgcd(pa, pb)
-    m = min(ma, mb)
-    d = up.pdeg(g) + m
-    form = BinaryForm.from_univariate([c for c in g], up.pdeg(g))
-    # shift by y^m: coefficients move, degree grows
-    coeffs = [Fraction(0)] * (d + 1)
-    for k, c in enumerate(form.coefficients):
-        coeffs[k + m] = c
-    out = BinaryForm(d, coeffs)
-    return _canonical(out)
+    return _canonical(_form(g, up.pdeg(g) + e))
 
 
 def _canonical(A: BinaryForm) -> BinaryForm:
@@ -150,35 +154,19 @@ def _canonical(A: BinaryForm) -> BinaryForm:
 
 
 def form_div(A: BinaryForm, B: BinaryForm):
-    """Exact quotient B / A as a BinaryForm, or None if not divisible."""
+    """Exact quotient B / A as a BinaryForm, or None if not divisible.
+
+    A divides B when A(1, y) divides B(1, y) with a quotient of degree at
+    most deg B - deg A, the rest of the quotient being a power of x.  The
+    zero form is divisible by every form, with the zero quotient of degree
+    max(deg B - deg A, 0)."""
     if A.is_zero():
         raise ZeroDivisionError("division by zero form")
-    if B.is_zero():
-        return BinaryForm(0, [Fraction(0)]) if A.degree == 0 else BinaryForm(
-            max(B.degree - A.degree, 0), [Fraction(0)] * (max(B.degree - A.degree, 0) + 1)
-        )
-    if B.degree < A.degree:
-        return None
-    pa, ma = A.dehom_x()
-    pb, mb = B.dehom_x()
-    if mb < ma:
-        return None
-    q, r = up.pdivmod(pb, pa)
-    if r:
-        return None
+    q, r = up.pdivmod(B.coefficients, up.trim(list(A.coefficients)))
     dq = B.degree - A.degree
-    if up.pdeg(q) + (mb - ma) > dq:
+    if r or (q and up.pdeg(q) > dq):
         return None
-    coeffs = [Fraction(0)] * (dq + 1)
-    for i, c in enumerate(q):
-        # q contributes t^i, homogenized with y^(dq - i - (mb-ma)) and y-content
-        k = dq - i
-        coeffs[k] = c
-    out = BinaryForm(dq, coeffs)
-    # verify (cheap, exact) since the y-content bookkeeping is fiddly
-    if (out.to_poly() * A.to_poly()) != B.to_poly():
-        return None
-    return out
+    return _form(q, max(dq, 0))
 
 
 def _factorization(A: BinaryForm) -> list:

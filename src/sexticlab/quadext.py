@@ -140,14 +140,3 @@ def _rat_sqrt(r: Fraction):
     if sn * sn == n and sd * sd == d:
         return Fraction(sn, sd)
     return None
-
-
-def quad_poly_eval(coeffs: list, z: QuadExt) -> QuadExt:
-    """Evaluate a polynomial with QuadExt (or rational) coefficients at z.
-
-    coeffs lowest-degree-first.
-    """
-    acc = QuadExt(z.k, 0)
-    for c in reversed(coeffs):
-        acc = acc * z + (c if isinstance(c, QuadExt) else QuadExt(z.k, c))
-    return acc

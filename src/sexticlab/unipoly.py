@@ -2,11 +2,14 @@
 
 Polynomials are coefficient lists [c0, c1, ...] of Fractions, lowest degree
 first, with no trailing zeros (the zero polynomial is the empty list).  Used
-for dehomogenized binary forms: gcds, Yun square-free decomposition, Sturm
-real-root isolation, continued-fraction convergents of an isolated root, and
-the integer k-th root.  The convergents come from Lagrange's method on
-integer polynomials and are certified by checking that consecutive ones
-bracket the root.
+for binary forms, whose coefficient lists are such polynomials: products,
+division, gcds, Yun square-free decomposition, Sturm real-root isolation,
+continued-fraction convergents of an isolated root, and the integer k-th
+root.  `peval` is the one Horner evaluation; it works in the ring of its
+argument, so it also evaluates at an element of Q(sqrt k).  `pgcd` and
+`sturm_chain` read one remainder sequence, `_remainders`.  The convergents
+come from Lagrange's method on integer polynomials and are certified by
+checking that consecutive ones bracket the root.
 """
 
 from __future__ import annotations
@@ -74,9 +77,10 @@ def pdivmod(p: list, q: list) -> tuple[list, list]:
     return trim(quo), r
 
 
-def peval(p: list, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
+def peval(p: list, x):
+    """p(x) by Horner's rule, in the ring of x: a Fraction (or int) at a
+    rational x, a QuadExt at an element of Q(sqrt k)."""
+    acc = x * 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -109,15 +113,21 @@ def monic(p: list) -> list:
     return [c / lead for c in p]
 
 
+def _remainders(a: list, b: list) -> list:
+    """[r_0, r_1, r_2, ...] with r_0 = a, r_1 = b and r_(i+1) the primitive
+    form of -(r_(i-1) mod r_i), ending at its last nonzero member, a gcd of
+    a and b (b = [] gives [a])."""
+    seq = [a, b]
+    while seq[-1]:
+        _, r = pdivmod(seq[-2], seq[-1])
+        seq.append(primitive(pneg(r)))
+    seq.pop()
+    return seq
+
+
 def pgcd(p: list, q: list) -> list:
-    """Monic gcd via the Euclidean algorithm with primitive-part rescaling."""
-    a, b = trim(list(p)), trim(list(q))
-    while b:
-        _, r = pdivmod(a, b)
-        a, b = b, primitive(r) if r else []
-    if not a:
-        return []
-    return monic(a)
+    """Monic gcd: the last member of the remainder sequence, made monic."""
+    return monic(_remainders(trim(list(p)), trim(list(q)))[-1])
 
 
 def squarefree_part(p: list) -> list:
@@ -162,19 +172,13 @@ def yun_decomposition(p: list) -> list:
 
 
 def sturm_chain(p: list) -> list:
-    """Standard Sturm chain; remainders rescaled to primitive integer form.
+    """Standard Sturm chain p, p', ...: the remainder sequence of p and p'.
 
     Rescaling uses positive scalars only (primitive does this), so the sign
-    variation count is unchanged.
+    variation count is unchanged.  The last member is gcd(p, p').
     """
     p = primitive(trim(list(p)))
-    chain = [p, primitive(pderiv(p))]
-    while chain[-1]:
-        _, r = pdivmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(primitive(pneg(r)))
-    return [c for c in chain if c]
+    return [c for c in _remainders(p, primitive(pderiv(p))) if c]
 
 
 def sign_variations(chain: list, x: Fraction) -> int:
@@ -215,15 +219,18 @@ def isolate_real_roots(p: list) -> list[IsolatingInterval]:
     """Isolating intervals for the distinct real roots of p (any multiplicity).
 
     Isolation runs on the square-free part; each returned interval contains
-    exactly one real root and neither endpoint is a root.
+    exactly one real root and neither endpoint is a root.  The Sturm chain of
+    p ends at gcd(p, p'), so p is its own square-free part when that member
+    is a constant; only otherwise is the square-free part computed.
     """
     p = trim(list(p))
     if pdeg(p) < 1:
         return []
-    sf = squarefree_part(p)
-    if pdeg(sf) < 1:
-        return []
-    chain = sturm_chain(sf)
+    chain = sturm_chain(p)
+    sf = monic(p)
+    if pdeg(chain[-1]) >= 1:
+        sf = squarefree_part(p)
+        chain = sturm_chain(sf)
     bound = cauchy_bound(sf)
     out = []
 

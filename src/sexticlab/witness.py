@@ -245,7 +245,7 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
     until F itself is negative.  The scaling identity (the N^6 coefficient of
     F(c1 N, c2 N^2) equals G(c1^2, c2)) is checked symbolically."""
     lay = f40_layers(F)
-    if not any(lay.u):
+    if lay.is_zero():
         return Witness(
             kind="inconclusive",
             lemma="weighted-cubic",
@@ -255,7 +255,7 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
     found = None
     for c1 in range(1, 9):
         for c2 in sorted(range(-16, 17), key=lambda t: (abs(t), -t)):
-            if lay.lead_eval(c1 * c1, c2) < 0:
+            if lay.eval(c1 * c1, c2) < 0:
                 found = (c1, c2)
                 break
         if found:
@@ -269,7 +269,7 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
             "degenerate, routed onward",
         )
     c1, c2 = found
-    gval = lay.lead_eval(c1 * c1, c2)
+    gval = lay.eval(c1 * c1, c2)
     # symbolic scaling identity: substitute (x, y) -> (c1 N, c2 N^2); the
     # result is univariate in N and its N^6 coefficient must be G(c1^2, c2)
     N = BivarPoly.x()

@@ -255,6 +255,24 @@ def test_quadratic_case_square_branch():
     assert len(rep.v_coeffs) == 3 and len(rep.w_coeffs) == 4
 
 
+@pytest.mark.parametrize("expr", [
+    "(2*x^2 - y^2)^2*(x^2 + y^2) + (2*x^2 - y^2)*x^3 + x*y + 1",
+    "(x^2 - 8*y^2)^2*(x^2 + y^2) + (x^2 - 8*y^2)*x^3 + x*y + 1",
+])
+def test_quadratic_case_scales_the_doubled_factor_to_x2_minus_ky2(expr):
+    # x = X + t*Y, y = s*Y takes the doubled factor p x^2 + q x y + r y^2
+    # to p (X^2 - k Y^2): the report is that of F composed with the
+    # recorded substitution, apart from the substitution itself
+    F = parse(expr)
+    rep = quadratic_case_analysis(F, 2).to_json_obj()
+    sub = rep.pop("substitution")
+    assert sub != {"x": "x", "y": "y"}
+    G = F.subs(parse(sub["x"]), parse(sub["y"]))
+    again = quadratic_case_analysis(G, 2).to_json_obj()
+    again.pop("substitution")
+    assert again == rep
+
+
 def test_quadratic_case_rejects_wrong_k():
     F = parse("(x^2 - 2*y^2)^2*(x^2 + y^2) + (x^2 - 2*y^2)*x^3")
     with pytest.raises(ClassifyError):

@@ -22,6 +22,9 @@ from corpus import CORPUS, ENGINELESS
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "corpus_cli.json").read_text()
 )
+QUADRATIC_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "quadratic_case_cli.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -39,6 +42,14 @@ def test_analyze_json(capsys):
     obj = json.loads(out)
     assert obj["route"] == "MP0"
     assert obj["schema"] == "1"
+
+
+@pytest.mark.parametrize("row", QUADRATIC_GOLDEN, ids=[row["poly"] for row in QUADRATIC_GOLDEN])
+def test_analyze_quadratic_case_matches_golden(capsys, row):
+    """The Q(sqrt k) arithmetic of the MP1-quadratic analysis, byte for byte:
+    v_k a square, v_k not a square, and a doubled factor that needs the
+    shift x + (-1)*y."""
+    assert run(capsys, "analyze", "--poly", row["poly"])[:2] == (row["exit"], row["stdout"])
 
 
 def test_analyze_text_format(capsys):

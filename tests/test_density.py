@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -150,13 +155,14 @@ def test_mem_env_var(monkeypatch):
 
 
 def test_worker_determinism(monkeypatch):
-    # with the pool threshold lowered below the quadratics' 97 and 91
-    # columns, workers > 1 really runs the process pool; shards merge in
+    # with the pool threshold lowered below the 2,415 to 9,409 orbit points
+    # of the quadratics and the quartic (the sextic keeps 36 and counts in
+    # process), workers > 1 really runs the process pool; shards merge in
     # shard order in both modes.  Every shard of 2*x^2 + x + 2*y^2 at
     # N = 2000, for 2, 3 and 5 workers, holds a value no other shard has,
     # so a lost first, middle or last shard changes the count; so does
     # every shard of the orbit columns of x^4 + y^4 + x^2*y at N = 600000
-    monkeypatch.setattr(density_mod, "POOL_MIN_COLUMNS", 64)
+    monkeypatch.setattr(density_mod, "POOL_MIN_POINTS", 1024)
     cases = (
         (parse("x^6 + y^6 + x*y"), 2000),
         (parse("x^2 + x*y + 2*y^2 + 3*x"), 500),
@@ -181,17 +187,58 @@ def test_pool_starts_only_for_wide_boxes(monkeypatch):
     def no_pool(*args, **kwargs):
         raise PoolStarted
 
+    def orbit_points(F, N):
+        M = certified_box(F, 2 * N)[0]
+        return 2 * M + 1, sum(y1 - y0 + 1 for _, y0, y1 in density_mod._orbit_columns(F, M))
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     F = parse("x^2 + y^2")
     # the box of `density --bound 3000 --workers 2` counts in process
     rep = count_range(F, 3000, workers=2)
     assert 2 * rep.box + 1 == 157
     assert rep.to_json_obj() == count_range(F, 3000).to_json_obj()
-    # boxes of POOL_MIN_COLUMNS columns or more start the pool
-    N = 140000
-    assert 2 * certified_box(F, 2 * N)[0] + 1 >= density_mod.POOL_MIN_COLUMNS
+    # the pool starts by the points of the orbit columns, not the box width:
+    # F's group of order 8 keeps 141,246 of the 1061^2 points at N = 140000
+    columns, points = orbit_points(F, 140000)
+    assert columns >= 1024 and points < density_mod.POOL_MIN_POINTS
+    assert count_range(F, 140000, workers=2).to_json_obj() == count_range(F, 140000).to_json_obj()
+    assert orbit_points(F, 1100000)[1] >= density_mod.POOL_MIN_POINTS
     with pytest.raises(PoolStarted):
-        count_range(F, N, workers=2)
+        count_range(F, 1100000, workers=2)
+    # with a trivial group the columns are the whole box: 1024 columns start it
+    G = parse("x^2 + x*y + 2*y^2 + 3*x")
+    columns, points = orbit_points(G, 140000)
+    assert points == columns**2 >= density_mod.POOL_MIN_POINTS
+    with pytest.raises(PoolStarted):
+        count_range(G, 140000, workers=2)
+
+
+@pytest.mark.parametrize(
+    "poly,count,up_to_100", [("1", 0, 1), ("60", 1, 1), ("1/2", 0, 0), ("x^0", 0, 1)]
+)
+def test_density_of_a_positive_constant_returns(poly, count, up_to_100):
+    # a constant never grows past the bound, so its box has radius 1
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"))
+
+    def density(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "sexticlab.cli", "density", "--poly", poly, *argv],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+
+    proc = density("--bound", "50")
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert (obj["count"], obj["box"]) == (count, 1)
+    assert density("--ladder", "100,1000,10000").returncode == 0
+    code = (
+        "from sexticlab.density import distinct_values_up_to\n"
+        "from sexticlab.parser import parse\n"
+        f"print(distinct_values_up_to(parse({poly!r}), 100))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.stdout == f"{up_to_100}\n"
 
 
 def test_curve_family_merge_counts_only_new_values(monkeypatch):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sexticlab.classify import apply_matrix
 from sexticlab.forms import (
@@ -90,6 +90,69 @@ def test_form_div_exact():
     q = form_div(A, B)
     assert q.to_poly() == parse("x + y")
     assert form_div(form("x - y"), B) is None
+
+
+X, Y = sympy.symbols("x y")
+
+
+def to_sympy(A):
+    return sum(sympy.Rational(c) * X ** (A.degree - k) * Y**k for k, c in enumerate(A.coefficients))
+
+
+def primitive_up_to_sign(expr):
+    """The primitive integer polynomial of expr, with the sign of a fixed
+    term order, so that two gcds compare exactly."""
+    P = sympy.Poly(expr, X, Y).primitive()[1]
+    return -P if P.LC() < 0 else P
+
+
+SPECIAL_FORMS = (
+    [BinaryForm(d, [0] * (d + 1)) for d in range(4)]
+    + [BinaryForm(0, [c]) for c in (1, -2, 3)]
+    + [BinaryForm(d, [1] + [0] * d) for d in range(1, 4)]  # x^d
+    + [BinaryForm(d, [0] * d + [1]) for d in range(1, 4)]  # y^d
+)
+INT_FORMS = st.one_of(
+    st.sampled_from(SPECIAL_FORMS),
+    st.integers(0, 3)
+    .flatmap(lambda d: st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1))
+    .map(lambda cs: BinaryForm(len(cs) - 1, cs)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(INT_FORMS, INT_FORMS)
+@example(BinaryForm(0, [2]), BinaryForm(3, [0, 0, 0, 0]))  # zero by a constant
+@example(BinaryForm(2, [1, 0, 0]), BinaryForm(3, [1, 0, 0, 0]))  # x^2 | x^3
+@example(BinaryForm(2, [0, 0, 1]), BinaryForm(3, [0, 0, 0, 1]))  # y^2 | y^3
+@example(BinaryForm(1, [1, 0]), BinaryForm(2, [0, 0, 1]))  # x does not divide y^2
+@example(BinaryForm(3, [1, 0, 0, 0]), BinaryForm(1, [0, 0]))  # zero by x^3
+@example(BinaryForm(1, [1, 1]), BinaryForm(3, [1, 2, 1, 0]))  # x + y | x^3 + 2x^2y + xy^2
+def test_form_arithmetic_matches_sympy(A, B):
+    a, b = to_sympy(A), to_sympy(B)
+    P = A * B
+    assert P.degree == A.degree + B.degree and sympy.expand(to_sympy(P) - a * b) == 0
+    if not (A.is_zero() and B.is_zero()):
+        g = form_gcd(A, B)
+        want = primitive_up_to_sign(sympy.gcd(a, b))
+        assert primitive_up_to_sign(to_sympy(g)) == want
+        assert g.degree == want.total_degree()
+    if A.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            form_div(A, B)
+        return
+    q = form_div(A, B)
+    quo, rem = sympy.div(b, a, X, Y)
+    if B.is_zero():
+        # zero is divisible by every form; the quotient keeps the degree
+        # difference, and degree 0 below it
+        assert q == BinaryForm(max(B.degree - A.degree, 0), [0] * (max(B.degree - A.degree, 0) + 1))
+    elif rem != 0:
+        assert q is None
+    else:
+        assert q is not None and q.degree == B.degree - A.degree
+        assert sympy.expand(to_sympy(q) - quo) == 0
+    assert form_div(A, A * B) == B
 
 
 def test_squarefree_profile():

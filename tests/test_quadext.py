@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sexticlab.quadext import QuadExt, is_squarefree, quad_poly_eval, _rat_sqrt
+from sexticlab import unipoly as up
+from sexticlab.quadext import QuadExt, is_squarefree, _rat_sqrt
 
 
 def test_is_squarefree():
@@ -59,6 +60,6 @@ def test_rat_sqrt():
 def test_quad_poly_eval():
     # p(z) = z^2 - 2 at z = sqrt(2) is 0
     z = QuadExt(2, 0, 1)
-    assert quad_poly_eval([Fraction(-2), Fraction(0), Fraction(1)], z).is_zero()
-    v = quad_poly_eval([Fraction(1), Fraction(1)], z)  # 1 + sqrt2
+    assert up.peval([Fraction(-2), Fraction(0), Fraction(1)], z).is_zero()
+    v = up.peval([Fraction(1), Fraction(1)], z)  # 1 + sqrt2
     assert v == QuadExt(2, 1, 1)

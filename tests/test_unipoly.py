@@ -93,6 +93,26 @@ def test_isolation_matches_sympy_root_count(cs):
     assert len(ivs) == expected
 
 
+def test_isolation_takes_the_square_free_part_only_on_repeated_roots(monkeypatch):
+    calls = []
+    squarefree_part = up.squarefree_part
+    monkeypatch.setattr(up, "squarefree_part", lambda p: calls.append(p) or squarefree_part(p))
+    sf = [Fraction(c) for c in (2, -1, -3, 1)]  # t^3 - 3t^2 - t + 2, square-free
+    ivs = up.isolate_real_roots(sf)
+    assert calls == [] and len(ivs) == 3
+    # a negative leading coefficient changes no interval
+    assert [(iv.lo, iv.hi, iv.poly) for iv in up.isolate_real_roots(up.pneg(sf))] == [
+        (iv.lo, iv.hi, iv.poly) for iv in ivs
+    ]
+    # (t^2 - 2)^2 (t + 1)^3 (t - 3): the intervals of its square-free part
+    p = up.pmul(up.pmul(up.pmul([-2, 0, 1], [-2, 0, 1]), [-3, 1]), [1, 3, 3, 1])
+    p = [Fraction(c) for c in p]
+    ivs = up.isolate_real_roots(p)
+    assert len(calls) == 1 and len(ivs) == 4
+    want = up.isolate_real_roots(squarefree_part(p))
+    assert [(iv.lo, iv.hi, iv.poly) for iv in ivs] == [(iv.lo, iv.hi, iv.poly) for iv in want]
+
+
 def test_rational_roots():
     # 2t^2 - 3t + 1 = (2t - 1)(t - 1)
     p = [Fraction(1), Fraction(-3), Fraction(2)]
