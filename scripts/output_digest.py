@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
-"""Output digest: one sha256 per benchmark workload over the exit code,
-stdout and stderr of every job, so two trees can be compared for
-byte-identical output with one command in each.
+"""Output digest: one sha256 per benchmark run and per benchmark workload
+over the exit code, stdout and stderr of every job, so two trees can be
+compared for byte-identical output with one command in each.
 
 Usage:
-    python3 scripts/output_digest.py --seeds 0 1
-    python3 scripts/output_digest.py --seeds 0 1 --runs > runs.txt
+    python3 scripts/output_digest.py --seeds 0 1 > digest.txt
 
 The job lists come from bench/jobs.py (imported, never changed).  Each job
 runs in process through cli.main at every given seed, once plain and once
 under _seeds.perturbed(), which jitters the float constants that feed
-report-only numbers.  Each output line is "workload runs digest"; equal
-lines on two trees mean every run of that workload printed the same bytes
-and exited with the same code.  With --runs, the output is instead one line
-per run, "workload index digest argv" (index counts the runs of the
-workload, plain and perturbed), so a diff of two trees' listings names each
-changed run.
+report-only numbers.  The output is one line per run, "workload index
+digest argv" (index counts the runs of the workload, plain and perturbed),
+then one line per workload, "workload runs digest".  A diff of two trees'
+listings names each changed run; equal workload lines mean every run of
+that workload printed the same bytes and exited with the same code.
 """
 
 import argparse
@@ -44,10 +42,9 @@ def run(argv: list) -> bytes:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    ap.add_argument("--runs", action="store_true", help="print one line per run instead of one per workload")
     args = ap.parse_args(argv)
 
-    total = 0
+    total, lines = 0, []
     for workload in joblist.WORKLOADS:
         digest, runs = hashlib.sha256(), 0
         for seed in args.seeds:
@@ -57,13 +54,12 @@ def main(argv=None) -> int:
                     for job in jobs:
                         record = run(job.argv)
                         digest.update(record)
-                        if args.runs:
-                            sha = hashlib.sha256(record).hexdigest()
-                            print(f"{workload} {runs} {sha} {shlex.join(job.argv)}")
+                        sha = hashlib.sha256(record).hexdigest()
+                        print(f"{workload} {runs} {sha} {shlex.join(job.argv)}")
                         runs += 1
         total += runs
-        if not args.runs:
-            print(f"{workload} {runs} {digest.hexdigest()}")
+        lines.append(f"{workload} {runs} {digest.hexdigest()}")
+    print("\n".join(lines))
     print(f"# {total} runs, seeds {' '.join(map(str, args.seeds))}", file=sys.stderr)
     return 0
 

@@ -218,19 +218,16 @@ class IsolatingInterval:
 def isolate_real_roots(p: list) -> list[IsolatingInterval]:
     """Isolating intervals for the distinct real roots of p (any multiplicity).
 
-    Isolation runs on the square-free part; each returned interval contains
-    exactly one real root and neither endpoint is a root.  The Sturm chain of
-    p ends at gcd(p, p'), so p is its own square-free part when that member
-    is a constant; only otherwise is the square-free part computed.
+    Each returned interval contains exactly one real root, neither endpoint
+    is a root, and its poly is the monic square-free part of p.  The Sturm
+    chain of p ends at gcd(p, p'), which divides p into that part; at points
+    that are not roots of p, the chain counts distinct roots.
     """
     p = trim(list(p))
     if pdeg(p) < 1:
         return []
     chain = sturm_chain(p)
-    sf = monic(p)
-    if pdeg(chain[-1]) >= 1:
-        sf = squarefree_part(p)
-        chain = sturm_chain(sf)
+    sf = monic(p) if pdeg(chain[-1]) < 1 else monic(pdivmod(p, chain[-1])[0])
     bound = cauchy_bound(sf)
     out = []
 

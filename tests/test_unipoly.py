@@ -93,7 +93,7 @@ def test_isolation_matches_sympy_root_count(cs):
     assert len(ivs) == expected
 
 
-def test_isolation_takes_the_square_free_part_only_on_repeated_roots(monkeypatch):
+def test_isolation_runs_on_the_square_free_part(monkeypatch):
     calls = []
     squarefree_part = up.squarefree_part
     monkeypatch.setattr(up, "squarefree_part", lambda p: calls.append(p) or squarefree_part(p))
@@ -104,13 +104,15 @@ def test_isolation_takes_the_square_free_part_only_on_repeated_roots(monkeypatch
     assert [(iv.lo, iv.hi, iv.poly) for iv in up.isolate_real_roots(up.pneg(sf))] == [
         (iv.lo, iv.hi, iv.poly) for iv in ivs
     ]
-    # (t^2 - 2)^2 (t + 1)^3 (t - 3): the intervals of its square-free part
+    # (t^2 - 2)^2 (t + 1)^3 (t - 3): the intervals and poly of its square-free part
     p = up.pmul(up.pmul(up.pmul([-2, 0, 1], [-2, 0, 1]), [-3, 1]), [1, 3, 3, 1])
     p = [Fraction(c) for c in p]
-    ivs = up.isolate_real_roots(p)
-    assert len(calls) == 1 and len(ivs) == 4
-    want = up.isolate_real_roots(squarefree_part(p))
-    assert [(iv.lo, iv.hi, iv.poly) for iv in ivs] == [(iv.lo, iv.hi, iv.poly) for iv in want]
+    for q in (p, up.pneg(p)):
+        ivs = up.isolate_real_roots(q)
+        want = up.isolate_real_roots(squarefree_part(q))
+        assert len(ivs) == 4
+        assert [(iv.lo, iv.hi, iv.poly) for iv in ivs] == [(iv.lo, iv.hi, iv.poly) for iv in want]
+        assert all(iv.poly == squarefree_part(q) for iv in ivs)
 
 
 def test_rational_roots():
