@@ -202,18 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_poly_opts(p):
+    def add_poly_opts(p, formats):
         p.add_argument("--poly", help="polynomial expression in x, y (quoted)")
         p.add_argument("--poly-file", help="JSON term-list file")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     pa = sub.add_parser("analyze", help="classify a polynomial by its leading form")
-    add_poly_opts(pa)
+    add_poly_opts(pa, ("json", "text"))
     pa.set_defaults(func=cmd_analyze)
 
     pw = sub.add_parser("witness", help="search for a negative-value or small-core witness")
-    add_poly_opts(pw)
+    add_poly_opts(pw, ("json", "text"))
     pw.add_argument("--budget-convergents", type=int, default=None)
     pw.add_argument("--budget-tmax", type=int, default=None)
     pw.add_argument("--budget-box", type=int, default=None)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.set_defaults(func=cmd_witness)
 
     pd = sub.add_parser("density", help="count distinct values in [N, 2N)")
-    add_poly_opts(pd)
+    add_poly_opts(pd, ("json", "csv"))
     pd.add_argument("--bound", type=int, help="N for the [N, 2N) window")
     pd.add_argument("--ladder", help="comma-separated N values for a normalized table")
     pd.add_argument("--baseline", action="store_true",
@@ -271,13 +271,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ClassifyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except density_mod.DensityError as exc:
+    except (InputError, ClassifyError, density_mod.DensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

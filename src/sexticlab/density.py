@@ -352,7 +352,7 @@ def _near_curve_values(F: BivarPoly, lo: int, hi: int) -> list[int]:
     if F.degree() != 6:
         return []
     from .classify import classify
-    from .witness import rouse_witness, danilov_witness
+    from .witness import CertificateError, rouse_witness, danilov_witness
 
     shape = classify(F).shape or {}
     rec = shape.get("ecform")
@@ -360,6 +360,8 @@ def _near_curve_values(F: BivarPoly, lo: int, hi: int) -> list[int]:
         return []
     Fn = shape["normalized"]
     w = rouse_witness(Fn, rec, 25) if rec.b1 else danilov_witness(Fn, rec, 10)
+    if not w.verify(Fn):  # Fn = F o M with M unimodular: the same values
+        raise CertificateError(f"{w.lemma}: family values fail verification")
     return sorted({int(v) for _x, _y, v in w.points if v.denominator == 1 and lo <= v < hi})
 
 

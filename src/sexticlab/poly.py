@@ -376,4 +376,12 @@ class BivarPoly:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "BivarPoly":
-        return BivarPoly({(int(i), int(j)): Fraction(c) for i, j, c in obj["terms"]})
+        """Reads the term list [[i, j, "coeff"], ...] exactly: exponents must
+        be JSON integers and coefficients strings or JSON integers, so a
+        float or a bool raises ValueError instead of being rounded or cast."""
+        terms = {}
+        for i, j, c in obj["terms"]:
+            if type(i) is not int or type(j) is not int or type(c) not in (int, str):
+                raise ValueError(f"term {[i, j, c]} is not [int, int, \"coeff\"]")
+            terms[i, j] = Fraction(c)
+        return BivarPoly(terms)

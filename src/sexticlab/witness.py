@@ -1,15 +1,15 @@
-"""Search engines producing verified integer-point certificates.
+"""Search engines for integer-point certificates, and the one gate that checks them.
 
 Every engine takes explicit budgets and returns a Witness; an exhausted
 budget yields kind "inconclusive" with `exhausted` set instead of looping.
 Searches over many points (Dirichlet convergents, curve families, the growth
 box) take their values from F.kernel(), which is proved equal to D*F when it
-is compiled.  Recorded values are exact and each point is checked once in
-Fraction against each polynomial it is certified for: the engine checks it
-against the polynomial it searched, and witness_for against the input when
-that differs.  A failed check raises CertificateError, so it holds under
-`python -O` too.  Floating point never decides a predicate here; it only
-appears in reported ratios.
+is compiled.  Engines search and record exact values; they do not certify.
+witness_for runs the engine on the polynomial its route searches, maps the
+points back to the input's coordinates once, and checks every point once in
+Fraction against the input.  A failed check raises CertificateError, so it
+holds under `python -O` too.  Floating point never decides a predicate here;
+it only appears in reported ratios.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class Witness:
     note: str = ""
     extra: dict = field(default_factory=dict)
     exhausted: bool = False  # an inconclusive search ran out of budget; not serialized
-    # (F, kind, points) as _checked verified them; never serialized or compared,
-    # and dataclasses.replace resets it, so changed points are checked again
-    _gate: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def verify(self, F: BivarPoly) -> bool:
         for x, y, v in self.points:
@@ -76,28 +73,6 @@ class Witness:
 
 class CertificateError(RuntimeError):
     """A witness failed exact verification against its polynomial."""
-
-
-def _checked(F: BivarPoly, kind: str, lemma: str, points, note="", extra=None) -> Witness:
-    """Wraps an engine's (x, y, F(x, y)) triples, verified in Fraction against F.
-
-    The search values may come from the kernel; this is the gate that checks
-    them.  The Witness remembers what it checked, so witness_for does not
-    evaluate the same points against the same F again."""
-    w = Witness(kind=kind, lemma=lemma, points=points, note=note, extra=extra or {})
-    if not w.verify(F):
-        raise CertificateError(f"{lemma}: {kind} witness fails verification")
-    w._gate = _gate_key(F, w)
-    return w
-
-
-def _gate_key(F: BivarPoly, w: Witness) -> tuple:
-    return (F, w.kind, tuple(map(tuple, w.points)))
-
-
-def _passed_gate(F: BivarPoly, w: Witness) -> bool:
-    """w was checked by _checked against this very F with these very points."""
-    return w._gate == _gate_key(F, w) and w._gate[0] is F
 
 
 # -- Dirichlet convergent walk ------------------------------------------------
@@ -156,8 +131,7 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
     if best_log is not None:
         extra["growth_ratio_min"] = f"{math.exp(best_log):.6g}"
     if negatives:
-        return _checked(
-            F,
+        return Witness(
             "negative-value",
             "dirichlet-approximation",
             negatives,
@@ -218,8 +192,7 @@ def anisotropic_witness(F: BivarPoly, theta: Fraction, Tmax: int = 10**12) -> Wi
                                 f"|F{j}|": str(abs(parts[j].eval(x, y)))
                                 for j in range(1, 7)
                             }
-                            return _checked(
-                                F,
+                            return Witness(
                                 "negative-value",
                                 "anisotropic-schedule",
                                 [(x, y, v)],
@@ -281,8 +254,7 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
         x, y = c1 * N_int, c2 * N_int * N_int
         v = F.eval(x, y)
         if v < 0:
-            return _checked(
-                F,
+            return Witness(
                 "negative-value",
                 "weighted-cubic",
                 [(x, y, v)],
@@ -323,8 +295,7 @@ def growth_diagnostic(F: BivarPoly, delta: Fraction, box: int = 200) -> Witness:
             if best is None or ratio < best[0]:
                 best = (ratio, x, y, v)
     ratio, x, y, v = best
-    return _checked(
-        F,
+    return Witness(
         "dearth-diagnostic",
         "growth-bound",
         [(x, y, Fraction(v, D))],
@@ -384,10 +355,10 @@ def _family_walk(F: BivarPoly, rec: ECRecord, family, lemma: str, note: str, ext
             evaluated.append((x, y, Fraction(K(x, y), K.D)))
     negatives = [p for p in evaluated if p[2] < 0]
     if negatives:
-        return _checked(F, "negative-value", lemma, negatives, note=note, extra=extra)
+        return Witness("negative-value", lemma, negatives, note=note, extra=extra)
     if evaluated:
         mn = min(evaluated, key=lambda t: t[2])
-        return _checked(F, "small-core-sequence", lemma, [mn], note=min_note(mn, len(evaluated)))
+        return Witness("small-core-sequence", lemma, [mn], note=min_note(mn, len(evaluated)))
     return Witness(
         kind="inconclusive",
         lemma=lemma,
@@ -426,8 +397,7 @@ def ray_witness(F: BivarPoly, box: int = 24, scale_max: int = 10**12) -> Witness
     while n <= scale_max:
         val = F.eval(n * u, n * v)
         if val < 0:
-            return _checked(
-                F,
+            return Witness(
                 "negative-value",
                 "indefinite-leading",
                 [(n * u, n * v, val)],
@@ -451,21 +421,23 @@ def witness_for(
     report: ClassificationReport | None = None,
     budgets: SearchBudgets | None = None,
 ) -> Witness:
-    """Runs the engine that classify chose (report.engine), then verifies
-    the witness against F itself: on every route, and after any change of
-    variables, this is the one check against the input."""
+    """Runs the engine that classify chose (report.engine) on the polynomial
+    its route searches, maps the points back to the input's coordinates, and
+    verifies the witness against F itself.  This is the one certificate
+    check: every route passes it, and nothing skips it."""
     if report is None:
         report = classify(F)
-    w = _route_witness(F, report, budgets or SearchBudgets())
-    if not _passed_gate(F, w) and not w.verify(F):
+    shape = report.shape or {}
+    w = _route_witness(shape.get("normalized", F), report, budgets or SearchBudgets())
+    w = _map_back(w, shape.get("matrix", [[1, 0], [0, 1]]))
+    if not w.verify(F):
         raise CertificateError(f"{w.lemma}: witness fails verification against the input")
     return w
 
 
 def _route_witness(F: BivarPoly, report: ClassificationReport, budgets: SearchBudgets) -> Witness:
-    shape = report.shape or {}
-    Fn = shape.get("normalized", F)
-    M = shape.get("matrix", [[1, 0], [0, 1]])
+    """The witness of the engine report.engine names, searched on F: the
+    input, or its normalized form on the MP2 and MP3 routes."""
     name, theta = report.engine or (None, None)
 
     if name == "ray":
@@ -475,25 +447,23 @@ def _route_witness(F: BivarPoly, report: ClassificationReport, budgets: SearchBu
     if name == "dirichlet":
         return dirichlet_witness(F, budgets.convergents)
     if name in ("anisotropic", "mp2-fallback"):
-        w = anisotropic_witness(Fn, theta, budgets.Tmax)
+        w = anisotropic_witness(F, theta, budgets.Tmax)
         if name == "anisotropic" or w.kind != "inconclusive":
-            return _map_back(w, M)
+            return w
         return Witness(
             kind="inconclusive", lemma="mp2", points=[],
             note="square check failed but no negative found on the schedule",
             exhausted=w.exhausted,
         )
     if name == "weighted-cubic":
-        w = weighted_cubic_sign_search(Fn, budgets.Nmax)
+        w = weighted_cubic_sign_search(F, budgets.Nmax)
         if w.kind != "inconclusive":
-            return _map_back(w, M)
-    rec = shape.get("ecform")
+            return w
+    rec = (report.shape or {}).get("ecform")
     if name in ("weighted-cubic", "family") and rec is not None:
         if rec.b1:
-            w = rouse_witness(Fn, rec, budgets.rmax)
-        else:
-            w = danilov_witness(Fn, rec)
-        return _map_back(w, M)
+            return rouse_witness(F, rec, budgets.rmax)
+        return danilov_witness(F, rec)
 
     # no engine applies, or the sign search found nothing and no ECRecord exists
     if report.route == "MP3":
@@ -513,9 +483,9 @@ def _route_witness(F: BivarPoly, report: ClassificationReport, budgets: SearchBu
 
 
 def _map_back(w: Witness, M) -> Witness:
-    """Rewrites witness points found in normalized coordinates as points for
-    the original polynomial via the unimodular matrix; witness_for checks
-    them against that polynomial."""
+    """Rewrites witness points found in normalized coordinates as points of
+    the input polynomial via the unimodular matrix M.  witness_for calls it
+    once per witness, and then checks the mapped points against the input."""
     if M == [[1, 0], [0, 1]] or not w.points:
         return w
     pts = [

@@ -106,6 +106,41 @@ def test_poly_file_zero_denominator(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+# a float coefficient is not rounded to its binary expansion, a float
+# exponent is not truncated, and a bool is not read as 1
+@pytest.mark.parametrize("terms", [
+    [[6, 0, "1"], [0, 6, "1"], [0, 0, 0.1]],
+    [[6, 0, "1"], [2.5, 0, "1"]],
+    [[6, 0, "1"], [0, 6, True]],
+], ids=["float-coeff", "float-exponent", "bool-coeff"])
+@pytest.mark.parametrize("argv", [["analyze"], ["density", "--bound", "10"]])
+def test_poly_file_rejects_inexact_json(tmp_path, capsys, argv, terms):
+    pf = tmp_path / "inexact.json"
+    pf.write_text(json.dumps({"terms": terms}))
+    code, out, err = run(capsys, *argv, "--poly-file", str(pf))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: cannot read polynomial file")
+
+
+def test_poly_file_accepts_integer_coefficients(tmp_path, capsys):
+    pf = tmp_path / "ints.json"
+    pf.write_text(json.dumps({"terms": [[6, 0, 1], [0, 6, "1"], [0, 0, "1/10"]]}))
+    code, out, _ = run(capsys, "analyze", "--poly-file", str(pf))
+    assert code == EXIT_OK
+    assert json.loads(out)["route"] == "MP0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--poly", "x^6 + y^6", "--format", "csv"],
+    ["witness", "--poly", "x^6 - y^6", "--format", "csv"],
+    ["density", "--poly", "x^2 + y^2", "--bound", "100", "--format", "text"],
+])
+def test_format_a_subcommand_does_not_implement_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "argument --format: invalid choice" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--poly", "x^2 + y^2", "--bound", "100"],
     ["density", "--poly", "x^6 + y^6", "--ladder", "100,200,400"],
@@ -179,8 +214,8 @@ def test_witness_large_convergent_budget(capsys):
     ("anisotropic_witness", "(x+y)^6 + (x+y)^2*y^3", [[0, -1], [1, 1]]),
 ])
 def test_witness_rejects_corrupted_engine_point(monkeypatch, tmp_path, capsys, engine, expr, matrix):
-    # the stub skips the engine's own _checked, so only the check against
-    # the input in witness_for stands between the bad point and the output
+    # engines do not check their points; the check against the input in
+    # witness_for is what stands between the bad point and the output
     import sexticlab.witness as witness_mod
 
     real = getattr(witness_mod, engine)

@@ -15,10 +15,8 @@ from sexticlab.witness import (
     CertificateError,
     SearchBudgets,
     Witness,
-    _checked,
     _eval_pm,
     _map_back,
-    _passed_gate,
     anisotropic_witness,
     dirichlet_witness,
     danilov_witness,
@@ -46,32 +44,37 @@ def test_witness_verify_checks_values():
     assert not nn.verify(F)
 
 
-def test_checked_rejects_false_certificate():
-    F = parse("x^2 + y^2")
-    with pytest.raises(CertificateError):
-        _checked(F, "negative-value", "t", [(1, 1, Fraction(2))])
-    with pytest.raises(CertificateError):
-        _checked(F, "small-core-sequence", "t", [(1, 1, Fraction(3))])
+def test_checked_rejects_false_certificate(monkeypatch):
+    # F(1, 1) = 0 for x^6 - y^6: a wrong value, and for negative-value no
+    # negative value either; the engine does not check, witness_for does
+    import sexticlab.witness as witness_mod
+
+    for kind, value in (("negative-value", 2), ("small-core-sequence", 3)):
+        w = Witness(kind, "t", [(1, 1, Fraction(value))])
+        monkeypatch.setattr(witness_mod, "ray_witness", lambda F, box, w=w: w)
+        with pytest.raises(CertificateError, match="against the input"):
+            witness_for(parse("x^6 - y^6"))
 
 
 def test_certificate_gates_survive_optimize():
     # assert statements vanish under python -O; the gates must not
     code = (
         "from fractions import Fraction\n"
+        "from sexticlab.classify import classify\n"
+        "from sexticlab.density import _near_curve_values\n"
         "from sexticlab.parser import parse\n"
         "import sexticlab.witness as W\n"
-        "from sexticlab.witness import CertificateError, Witness, _checked, witness_for\n"
-        "F = parse('x^2 + y^2')\n"
-        "def corrupting(F, box):\n"
-        "    w = _checked(F, 'negative-value', 't', [(1, 2, Fraction(-63))])\n"
-        "    w.points[0] = (1, 2, Fraction(-1))  # in place, after the engine's gate\n"
-        "    return w\n"
-        "def stubbed(engine):\n"
-        "    W.ray_witness = engine\n"
+        "from sexticlab.witness import CertificateError, Witness, witness_for\n"
+        "def stubbed_engine():\n"
+        "    W.ray_witness = lambda F, box: Witness('negative-value', 't', [(1, 2, Fraction(-1))])\n"
         "    return witness_for(parse('x^6 - y^6'))\n"
-        "for gate in (lambda: _checked(F, 'negative-value', 't', [(1, 1, Fraction(2))]),\n"
-        "             lambda: stubbed(lambda F, box: Witness('negative-value', 't', [(1, 1, Fraction(-2))])),\n"
-        "             lambda: stubbed(corrupting)):\n"
+        "def stubbed_family():\n"
+        "    F = parse('(y^2 - x^3 - x)^2 - y + 100')\n"
+        "    if not classify(F).shape['ecform'].b1:\n"
+        "        raise SystemExit('the family route is not the Rouse engine')\n"
+        "    W.rouse_witness = lambda Fn, rec, rmax: Witness('small-core-sequence', 't', [(0, 0, Fraction(150))])\n"
+        "    return _near_curve_values(F, 100, 200)\n"
+        "for gate in (stubbed_engine, stubbed_family):\n"
         "    try:\n"
         "        gate()\n"
         "    except CertificateError:\n"
@@ -85,33 +88,39 @@ def test_certificate_gates_survive_optimize():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-# Each case builds a witness through _checked and then changes it; the
-# engine stub hands it to witness_for, which must check it against F again.
+# Each case is a true witness for some polynomial that an engine then
+# changed or got wrong; the engine stub hands it to witness_for, which
+# checks it against the input.
+def _true_witness(F):
+    return Witness("negative-value", "t", [(1, 2, Fraction(-63))])
+
+
 def _changed_in_place(F):
-    w = _checked(F, "negative-value", "t", [(1, 2, Fraction(-63))])
+    w = _true_witness(F)
     w.points[0] = (1, 2, Fraction(-1))
     return w
 
 
 def _point_appended(F):
-    w = _checked(F, "negative-value", "t", [(1, 2, Fraction(-63))])
+    w = _true_witness(F)
     w.points.append((1, 1, Fraction(-5)))
     return w
 
 
 def _kind_changed(F):
-    w = _checked(F, "small-core-sequence", "t", [(1, 1, Fraction(0))])
+    w = Witness("small-core-sequence", "t", [(1, 1, Fraction(0))])
     w.kind = "negative-value"  # the same point, but no negative value
     return w
 
 
 def _replaced(F):
-    w = _checked(F, "negative-value", "t", [(1, 2, Fraction(-63))])
-    return replace(w, points=[(1, 2, Fraction(-1))])
+    return replace(_true_witness(F), points=[(1, 2, Fraction(-1))])
 
 
 def _checked_against_another_polynomial(F):
-    return _checked(parse("x^6 - 2*y^6"), "negative-value", "t", [(1, 1, Fraction(-1))])
+    w = Witness("negative-value", "t", [(1, 1, Fraction(-1))])
+    assert w.verify(parse("x^6 - 2*y^6")) and F.eval(1, 1) == 0
+    return w
 
 
 @pytest.mark.parametrize("engine", [
@@ -121,46 +130,49 @@ def _checked_against_another_polynomial(F):
 def test_witness_for_rechecks_what_its_engine_did_not(monkeypatch, engine):
     import sexticlab.witness as witness_mod
 
+    F = parse("x^6 - y^6")
+    assert _true_witness(F).verify(F)
     monkeypatch.setattr(witness_mod, "ray_witness", lambda F, box: engine(F))
     with pytest.raises(CertificateError, match="against the input"):
-        witness_for(parse("x^6 - y^6"))
+        witness_for(F)
 
 
-def test_gate_marker_is_not_serialized_or_compared():
-    F = parse("x^6 - y^6")
-    w = _checked(F, "negative-value", "t", [(1, 2, Fraction(-63))])
-    plain = Witness("negative-value", "t", [(1, 2, Fraction(-63))])
-    assert w._gate is not None and plain._gate is None
-    assert w == plain
-    assert w.to_json_obj() == plain.to_json_obj()
-    assert "_gate" not in repr(w)
-    # it names the very polynomial object checked, and replace() drops it
-    assert _passed_gate(F, w) and not _passed_gate(parse("x^6 - y^6"), w)
-    assert replace(w, note="n")._gate is None
+# acceptance-4 Dirichlet family, searched on F itself, and a Rouse family
+# input, searched on its normalized form Fn and mapped back to F
+ONE_EVAL_PER_POINT = [
+    *[(f"(x^2 - {k}*y^2)^2*(x^2 + y^2) + x^5", "dirichlet-approximation") for k in (2, 3, 5)],
+    ("(y^2 - x^3 - x)^2 - y + 10", "rouse-3p"),
+]
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_direct_route_evaluates_each_point_once(monkeypatch, k):
-    # acceptance-4 Dirichlet family: the search runs on the kernel, the
-    # engine's gate checks each point in Fraction, and witness_for does not
-    # check the same points against the same F a second time
-    F = parse(f"(x^2 - {k}*y^2)^2*(x^2 + y^2) + x^5")
+@pytest.mark.parametrize("expr,lemma", ONE_EVAL_PER_POINT, ids=["2", "3", "5", "rouse-normalized"])
+def test_direct_route_evaluates_each_point_once(monkeypatch, expr, lemma):
+    # the search runs on the kernel and witness_for checks each point once
+    # in Fraction, against the input F, and nowhere else
+    F = parse(expr)
     report = classify(F)
+    searched = report.shape.get("normalized", F) if report.shape else F
     real = BivarPoly.eval
     calls = []
 
     def counting(self, x, y):
-        calls.append((x, y))
+        calls.append((self, x, y))
         return real(self, x, y)
 
     monkeypatch.setattr(BivarPoly, "eval", counting)
     w = witness_for(F, report, SearchBudgets(convergents=20))
-    # the kernel's compile check evaluates the triangle i + j <= 6, and the
-    # engine's gate each witness point, and nothing else evaluates F
-    triangle = (F.degree() + 1) * (F.degree() + 2) // 2
-    assert w.kind == "negative-value" and w.lemma == "dirichlet-approximation"
-    assert triangle == 28
-    assert len(calls) == len(w.points) + triangle
+    # the kernel's compile check evaluates the searched polynomial on its
+    # staircase i <= deg_x, j <= deg_y, i + j <= 6 (the 28 points of the
+    # triangle for the Dirichlet inputs, 25 for deg_y = 4), and witness_for
+    # each witness point against F
+    dx, dy = searched.degree_in(0), searched.degree_in(1)
+    stair = sum(min(dy, 6 - i) + 1 for i in range(dx + 1))
+    assert stair == (28 if lemma == "dirichlet-approximation" else 25)
+    assert w.kind == "negative-value" and w.lemma == lemma
+    assert len(calls) == len(w.points) + stair
+    assert all(G is searched for G, _x, _y in calls[:stair])
+    assert [(G is F, x, y) for G, x, y in calls[stair:]] == [(True, x, y) for x, y, _v in w.points]
+    assert (searched is F) == (lemma == "dirichlet-approximation")
 
 
 def test_witness_json_shape():
