@@ -128,15 +128,17 @@ def cmd_witness(args) -> int:
 def cmd_density(args) -> int:
     workers = _workers(args)
     if args.baseline:
-        nmax = args.bound or 10**6
+        nmax = 10**6 if args.bound is None else args.bound
         count, ratio = density_mod.landau_baseline(nmax)
         if args.format == "csv":
             _emit(args, f"Nmax,count,ratio\n{nmax},{count},{ratio:.12g}")
         else:
             _emit(args, _json_dump({"Nmax": nmax, "count": count, "ratio": ratio}))
         return EXIT_OK
+    if args.ladder is not None and args.bound is not None:
+        raise InputError("--ladder and --bound are exclusive: give one")
     F = _load_poly(args)
-    if args.ladder:
+    if args.ladder is not None:
         try:
             Ns = [int(s) for s in args.ladder.split(",")]
         except ValueError as exc:
@@ -150,7 +152,7 @@ def cmd_density(args) -> int:
         else:
             _emit(args, _json_dump(probe))
         return EXIT_OK
-    if not args.bound:
+    if args.bound is None:
         raise InputError("density needs --bound N (or --baseline / --ladder)")
     rep = density_mod.count_range(F, args.bound, workers=workers)
     if args.format == "csv":
@@ -163,7 +165,10 @@ def cmd_density(args) -> int:
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
+        rs = list(range(int(a), int(b) + 1))
+        if not rs:
+            raise InputError(f"empty range {text!r}: need a <= b in a..b")
+        return rs
     return [int(s) for s in text.split(",")]
 
 
@@ -227,9 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("density", help="count distinct values in [N, 2N)")
     add_poly_opts(pd, ("json", "csv"))
     pd.add_argument("--bound", type=int, help="N for the [N, 2N) window")
-    pd.add_argument("--ladder", help="comma-separated N values for a normalized table")
-    pd.add_argument("--baseline", action="store_true",
-                    help="sums-of-two-squares sieve table instead of enumeration")
+    mode = pd.add_mutually_exclusive_group()
+    mode.add_argument("--ladder", help="comma-separated N values for a normalized table")
+    mode.add_argument("--baseline", action="store_true",
+                      help="sums-of-two-squares sieve table instead of enumeration")
     pd.add_argument("--workers", type=int, default=1)
     pd.set_defaults(func=cmd_density)
 

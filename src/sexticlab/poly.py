@@ -1,19 +1,23 @@
 """Exact bivariate polynomials over the rationals.
 
 A BivarPoly is a canonical sparse map from exponent pairs (i, j) to nonzero
-Fraction coefficients, representing  sum c_{ij} x^i y^j.  All arithmetic is
+exact rational coefficients, representing  sum c_{ij} x^i y^j.  A coefficient
+is stored as an int when it is integral and as a Fraction otherwise, so
+arithmetic and evaluation on integer polynomials at integer points run in
+plain integers.  The public accessors (coeff, terms, eval) still give
+Fractions, so no int reaches a caller's exact division.  All arithmetic is
 exact; no floating point anywhere in this module.
 
 The public constructor validates and canonicalizes its input; the results of
-+, - and * are already canonical (int-pair keys, Fraction values), so they
-are built without that pass and only drop the coefficients that cancelled.
++, - and * have int-pair keys already, so they are built without that pass:
+they only drop the coefficients that cancelled and store the rest as above.
 
 Enumeration loops and the witness searches over many points (Dirichlet
 convergents, curve families) evaluate through BivarPoly.kernel(), the same
 polynomial compiled once to integer rows of D*F (D the lcm of the coefficient
-denominators).  When it is built, the kernel is checked against Fraction
+denominators).  When it is built, the kernel is checked against exact
 evaluation on the triangle of points i + j <= deg F (within the x and y
-degrees of F), which fixes a polynomial of those degrees; Fraction evaluation
+degrees of F), which fixes a polynomial of those degrees; exact evaluation
 (BivarPoly.eval, which shares no code with the kernel) stays the gate for
 every certificate.
 
@@ -41,7 +45,8 @@ def _rat(v) -> Fraction:
 
 
 def _int_or_rat(v):
-    """v as an int when it is integral, else as a Fraction."""
+    """v as an int when it is integral, else as a Fraction: the form in
+    which BivarPoly stores a coefficient."""
     if isinstance(v, int):
         return v
     v = _rat(v)
@@ -62,7 +67,7 @@ class IdentityError(RuntimeError):
 
 
 class KernelMismatchError(IdentityError):
-    """A compiled integer kernel disagrees with exact Fraction evaluation."""
+    """A compiled integer kernel disagrees with exact evaluation."""
 
 
 class IntKernel:
@@ -124,7 +129,7 @@ def _kernel_rows(terms: Mapping[Term, Fraction], D: int) -> tuple:
 
 
 class BivarPoly:
-    """Immutable sparse bivariate polynomial with Fraction coefficients."""
+    """Immutable sparse bivariate polynomial with exact rational coefficients."""
 
     __slots__ = ("_terms", "_hash", "_kernel", "_parts")
 
@@ -137,7 +142,7 @@ class BivarPoly:
             c = _rat(c)
             if c:
                 key = (int(i), int(j))
-                d[key] = d.get(key, Fraction(0)) + c
+                d[key] = _int_or_rat(d.get(key, 0) + c)
                 if not d[key]:
                     del d[key]
         self._terms = d
@@ -147,11 +152,11 @@ class BivarPoly:
 
     @classmethod
     def _canonical(cls, terms: dict) -> "BivarPoly":
-        """Internal constructor for terms that are already canonical: int-pair
-        keys with nonnegative entries and Fraction values, as arithmetic on
-        BivarPolys yields.  Only zero coefficients are dropped."""
+        """Internal constructor for int-pair keys with nonnegative entries and
+        int or Fraction values, as arithmetic on BivarPolys yields.  Zero
+        coefficients are dropped and the rest stored as _int_or_rat gives."""
         p = object.__new__(cls)
-        p._terms = {t: c for t, c in terms.items() if c}
+        p._terms = {t: _int_or_rat(c) for t, c in terms.items() if c}
         p._hash = None
         p._kernel = None
         p._parts = None
@@ -183,10 +188,11 @@ class BivarPoly:
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        """{(i, j): c} with Fraction values."""
+        return {t: Fraction(c) for t, c in self._terms.items()}
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._terms.get((i, j), 0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -216,7 +222,7 @@ class BivarPoly:
         other = self._coerce(other)
         d = dict(self._terms)
         for t, c in other._terms.items():
-            d[t] = d.get(t, Fraction(0)) + c
+            d[t] = d.get(t, 0) + c
         return BivarPoly._canonical(d)
 
     def __radd__(self, other):
@@ -241,7 +247,7 @@ class BivarPoly:
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 t = (i1 + i2, j1 + j2)
-                d[t] = d.get(t, Fraction(0)) + c1 * c2
+                d[t] = d.get(t, 0) + c1 * c2
         return BivarPoly._canonical(d)
 
     def __rmul__(self, other):
@@ -282,16 +288,18 @@ class BivarPoly:
     # -- evaluation and substitution --------------------------------------
 
     def eval(self, x, y) -> Fraction:
-        """Exact F(x, y): the gate every certificate passes through.
+        """Exact F(x, y) as a Fraction: the gate every certificate passes
+        through.
 
         The powers of x and y are taken once per call, in integers where the
-        argument is integral, so each term costs one Fraction product."""
+        argument is integral.  With integral coefficients as well, the sum is
+        taken in integers and made a Fraction once, at the end."""
         xp = _powers(_int_or_rat(x), self.degree_in(0))
         yp = _powers(_int_or_rat(y), self.degree_in(1))
-        total = Fraction(0)
+        total = 0
         for (i, j), c in self._terms.items():
             total += c * (xp[i] * yp[j])
-        return total
+        return Fraction(total)
 
     def kernel(self) -> IntKernel:
         """The integer kernel of self, compiled and checked on first use.
@@ -299,7 +307,7 @@ class BivarPoly:
         The rows are checked to have degree <= deg_x in x, <= deg_y in y and
         total degree <= deg F, as D * F has.  So the difference G of the rows
         and D * F has its exponents in the staircase S of (i, j) with i <= deg_x,
-        j <= deg_y and i + j <= deg F, and the rows are compared with Fraction
+        j <= deg_y and i + j <= deg F, and the rows are compared with exact
         evaluation on the points of S: at most the 28 points of the triangle
         i + j <= 6 for a sextic.  A polynomial G with exponents in S that
         vanishes on S is zero: G(x, 0) has degree <= deg_x and vanishes at

@@ -293,6 +293,19 @@ def test_density_requires_bound(capsys):
     assert "--bound" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--baseline", "--bound", "0"], "Nmax must be >= 100"),
+    (["--baseline", "--bound", "-3"], "Nmax must be >= 100"),
+    (["--poly", "x^2 + y^2", "--bound", "0"], "N must be >= 2"),
+    (["--baseline", "--ladder", "100", "--poly", "x^2 + y^2"], "not allowed with"),
+    (["--poly", "x^2 + y^2", "--ladder", "100", "--bound", "5"], "--ladder and --bound"),
+])
+def test_density_bad_bound_or_mode_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "density", *argv)
+    assert code == EXIT_INPUT
+    assert out == "" and message in err and "Traceback" not in err
+
+
 def test_density_malformed_mem_env(monkeypatch, capsys):
     monkeypatch.setenv("SEXTIC_SIEVE_MEM", "lots")
     code, _, err = run(capsys, "density", "--poly", "x^2 + y^2", "--bound", "100")
@@ -358,6 +371,7 @@ def test_curve_pell_unsolvable(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["rouse", "--b1", "1", "--b0", "0", "--r", "1..x"],
+    ["rouse", "--b1", "1", "--b0", "0", "--r", "3..1"],
     ["danilov", "--count", "-3"],
     ["hall", "--xmax", "-5"],
     ["hall", "--threshold", "-1"],

@@ -119,12 +119,13 @@ def test_kernel_matches_fraction_eval(F, a, b):
     assert F.kernel() is K  # compiled once per polynomial object
 
 
-def termwise_eval(F, x, y):
+def termwise_eval(terms, x, y):
     """The Fraction evaluation BivarPoly.eval replaced, kept as its oracle:
-    c * x**i * y**j summed term by term, with Fraction powers."""
+    c * x**i * y**j summed over a dict {(i, j): Fraction c}, with Fraction
+    powers."""
     x, y = Fraction(x), Fraction(y)
     total = Fraction(0)
-    for (i, j), c in F.terms.items():
+    for (i, j), c in terms.items():
         total += c * x**i * y**j
     return total
 
@@ -143,7 +144,7 @@ huge = st.one_of(
 def test_eval_matches_termwise_formula(F, a, b):
     v = F.eval(a, b)
     assert type(v) is Fraction
-    assert v == termwise_eval(F, a, b)
+    assert v == termwise_eval(F.terms, a, b)
 
 
 def test_kernel_denominator_and_integrality():
@@ -262,3 +263,95 @@ def test_arithmetic_results_match_public_constructor(F, G, s, n):
     _like_public(F + (-F), [])
     assert (F - F).is_zero() and (F - F).degree() == -1
     assert hash(F - F) == hash(BivarPoly()) and F - F == 0
+
+
+# -- int storage against a pure-Fraction reference ----------------------------
+#
+# The reference works on plain dicts {(i, j): Fraction}, never on BivarPoly,
+# so it shares no code with the int-or-Fraction storage it checks.
+
+
+def _ref_sum(*dicts):
+    out = {}
+    for d in dicts:
+        for t, c in d.items():
+            out[t] = out.get(t, Fraction(0)) + c
+    return {t: c for t, c in out.items() if c}
+
+
+def _ref_neg(A):
+    return {t: -c for t, c in A.items()}
+
+
+def _ref_mul(A, B):
+    return _ref_sum(*({(i1 + i2, j1 + j2): c1 * c2} for (i1, j1), c1 in A.items()
+                      for (i2, j2), c2 in B.items()))
+
+
+def _ref_pow(A, n):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, A)
+    return out
+
+
+def _ref_subs(A, X, Y):
+    return _ref_sum(*(_ref_mul(_ref_mul(_ref_pow(X, i), _ref_pow(Y, j)), {(0, 0): c})
+                      for (i, j), c in A.items()))
+
+
+def _matches_ref(P, ref):
+    """P holds exactly ref: equal Fraction terms at the accessors, ints stored
+    for the integral coefficients and Fractions for the rest, and the hash
+    and equality of the public constructor's polynomial of ref."""
+    assert P.terms == ref
+    assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in P._terms.values())
+    _like_public(P, ref.items())
+
+
+def _ref_dicts(coeffs, top, size):
+    return st.dictionaries(
+        st.tuples(st.integers(0, top), st.integers(0, top)), coeffs, max_size=size
+    ).map(lambda d: {t: c for t, c in d.items() if c})
+
+
+# integral polynomials (all ints in storage) and rational ones (mixed)
+integral_coeffs = st.integers(-6, 6).map(Fraction)
+mixed_coeffs = st.one_of(integral_coeffs, small_rats)
+ref_dicts = st.one_of(_ref_dicts(integral_coeffs, 3, 5), _ref_dicts(mixed_coeffs, 3, 5))
+small_ref_dicts = st.one_of(_ref_dicts(integral_coeffs, 2, 3), _ref_dicts(mixed_coeffs, 2, 3))
+points = st.one_of(st.integers(-9, 9), small_rats, st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ref_dicts, ref_dicts, small_ref_dicts, small_ref_dicts, st.integers(0, 3),
+       points, points)
+def test_int_storage_matches_fraction_reference(A, B, X, Y, n, a, b):
+    F, G = BivarPoly(A), BivarPoly(B)
+    _matches_ref(F, A)
+    _matches_ref(F + G, _ref_sum(A, B))
+    _matches_ref(F - G, _ref_sum(A, _ref_neg(B)))
+    _matches_ref(F * G, _ref_mul(A, B))
+    _matches_ref(F**n, _ref_pow(A, n))
+    _matches_ref(F.subs(BivarPoly(X), BivarPoly(Y)), _ref_subs(A, X, Y))
+    for P, ref in ((F, A), (F * G, _ref_mul(A, B))):
+        v = P.eval(a, b)
+        assert type(v) is Fraction and v == termwise_eval(ref, a, b)
+
+
+def test_public_accessors_give_fractions_on_integral_input():
+    from sexticlab.forms import decompose
+
+    F = parse("(2*x - y)^6 + 3")
+    assert F._terms and all(type(c) is int for c in F._terms.values())
+    assert type(F.coeff(6, 0)) is Fraction and F.coeff(6, 0) == 64
+    assert type(F.coeff(5, 5)) is Fraction and F.coeff(5, 5) == 0
+    assert all(type(c) is Fraction for c in F.terms.values())
+    assert type(F.eval(1, 1)) is Fraction and F.eval(1, 1) == 4
+    assert type(F.eval(Fraction(1, 2), 1)) is Fraction and F.eval(Fraction(1, 2), 1) == 3
+    forms = decompose(F)
+    assert all(type(c) is Fraction for A in forms for c in A.coefficients)
+    assert forms[6].coefficients[0] == 64 and forms[0].coefficients == [3]
+    # int / int would be a float; the accessors keep such divisions exact
+    assert F.coeff(6, 0) / 128 == Fraction(1, 2)
