@@ -6,9 +6,13 @@ divisibility structure of F5/F4, assigns one of the routes
     MP0, MP1-cubic, MP1-quadratic, MP1-linear, MP2, MP3,
     paper-gap, not-positive-leading, not-a-sextic
 
-and, where the route admits one, computes the associated normal form: square
-completions, the quartic reduction, the weighted layer decompositions, and
-the (y^2 - x^3 - b1 x - b0)^2 shape with its rational change of coordinates.
+and, where the route admits one, computes the associated normal form: the
+MP1 square completions, the MP2 square check and quartic reduction, the MP3
+weighted cubic lead form, and the (y^2 - x^3 - b1 x - b0)^2 shape with its
+rational change of coordinates.  The MP2 and MP3 normal forms read their
+weighted layers straight off the coefficients of F, one pass each.  Every
+normal form checks its own exact identity and raises poly.IdentityError
+(not a ClassifyError, so never a note) when the check fails.
 
 Route tokens are part of the stable report schema.  "paper-gap" marks the
 two ramification profiles (max multiplicity exactly 3 on the linear part, or
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as igcd
 
-from .poly import BivarPoly
+from .poly import BivarPoly, IdentityError
 from .forms import (
     BinaryForm,
     decompose,
@@ -42,15 +46,12 @@ class ClassifyError(ValueError):
     pass
 
 
-class NormalFormError(RuntimeError):
-    """A normal form failed its own exact identity check.  Not a ValueError,
-    so the ClassifyError handlers never turn it into a note."""
-
-
 def _require(ok: bool, what: str) -> None:
-    """An identity check that, unlike assert, also holds under python -O."""
+    """An identity check that, unlike assert, also holds under python -O.
+    IdentityError is not a ValueError, so the ClassifyError handlers never
+    turn a failed check into a note."""
     if not ok:
-        raise NormalFormError(what)
+        raise IdentityError(what)
 
 
 @dataclass
@@ -360,21 +361,6 @@ def _sqrt_pair(r: Fraction):
 
 
 @dataclass
-class MP2Layers:
-    a: tuple  # (a2, a1, a0)
-    b: tuple
-
-
-def mp2_layers(F: BivarPoly) -> MP2Layers:
-    """The a- and b-layers for F6 = x^4 f6 inputs (already normalized):
-    F = y^2 (a2 x^4 + a1 x^2 y + a0 y^2) + xy (b2 x^4 + b1 x^2 y + b0 y^2)
-      + x^2 (c2 x^4 + c1 x^2 y + c0 y^2) + G5."""
-    a = (F.coeff(4, 2), F.coeff(2, 3), F.coeff(0, 4))
-    b = (F.coeff(5, 1), F.coeff(3, 2), F.coeff(1, 3))
-    return MP2Layers(a=a, b=b)
-
-
-@dataclass
 class MP2SquareResult:
     ok: bool
     alpha1: tuple | None = None  # (value, under_sqrt)
@@ -400,14 +386,16 @@ class MP2SquareResult:
 
 
 def mp2_square_check(F: BivarPoly) -> MP2SquareResult:
-    """Decides whether the weighted quadratic a2 x^4 + a1 x^2 y + a0 y^2 is a
+    """For F6 = x^4 f6 inputs (already normalized), read as
+    F = y^2 (a2 x^4 + a1 x^2 y + a0 y^2) + xy (b2 x^4 + b1 x^2 y + b0 y^2)
+      + x^2 (c2 x^4 + c1 x^2 y + c0 y^2) + G5,
+    decides whether the weighted quadratic a2 x^4 + a1 x^2 y + a0 y^2 is a
     perfect square over R, and on success completes the square through the
     b-layer.  Internally the square is written a2 (x^2 - rho y)^2 with the
     rational rho = -a1/(2 a2); the (alpha1, alpha2) of the real factorization
     (alpha1 x^2 - alpha2 y)^2 are reported as exact (value, under-sqrt) pairs.
     """
-    lay = mp2_layers(F)
-    a2, a1, a0 = lay.a
+    a2, a1, a0 = F.coeff(4, 2), F.coeff(2, 3), F.coeff(0, 4)
     if not a2:
         return MP2SquareResult(ok=False, reason="a2 = 0 (x^5 divides F6?)")
     disc = a1 * a1 - 4 * a2 * a0
@@ -431,7 +419,7 @@ def mp2_square_check(F: BivarPoly) -> MP2SquareResult:
         )
     rho = -a1 / (2 * a2)  # alpha2/alpha1, exactly rational when disc = 0
     A = a2
-    b2, b1, b0 = lay.b
+    b2, b1, b0 = F.coeff(5, 1), F.coeff(3, 2), F.coeff(1, 3)
     # b-layer must vanish on x^2 = rho y
     if b2 * rho * rho + b1 * rho + b0:
         return MP2SquareResult(
@@ -470,7 +458,7 @@ def reduce_to_quartic(F: BivarPoly, comp: SquareCompletion) -> BivarPoly:
     degree <= 4 (weights x:1, t:2), so F becomes scale * Q1^2 + Q2 with Q1, Q2
     weighted quartics.  Returns the substituted polynomial (second variable
     slot holds t); the decomposition identity and the round trip back to F are
-    checked (NormalFormError on failure, also under python -O)."""
+    checked (IdentityError on failure, also under python -O)."""
     sub = comp.substitution
     rho, beta1, beta2 = sub["rho"], sub["beta1"], sub["beta2"]
     if not rho:
@@ -502,47 +490,6 @@ def reduce_to_quartic(F: BivarPoly, comp: SquareCompletion) -> BivarPoly:
 # -- MP3 ----------------------------------------------------------------------
 
 
-@dataclass
-class MP3Shape:
-    a2: Fraction
-    a1: Fraction
-    a0: Fraction
-    L: list  # [(l1a, l1b), (l2a, l2b), (l3a, l3b), (l4a, l4b)]
-    G: BivarPoly
-    F: BivarPoly
-
-
-def mp3_shape_extract(F: BivarPoly) -> MP3Shape:
-    """Weighted layer decomposition for F6 = a2 x^6 with x^3 | F5:
-    F = a2 x^6 + a1 x^3 y^2 + a0 y^4 + xy L1(x^3,y^2) + x^2 L2(x^3,y^2)
-      + y L3(x^3,y^2) + x L4(x^3,y^2) + G."""
-    parts = decompose(F)
-    F5 = parts[5]
-    if not _xpow_div(F5, 3):
-        raise ClassifyError("x^3 does not divide F5 (anisotropic witness applies)")
-    a2 = F.coeff(6, 0)
-    a1 = F.coeff(3, 2)
-    a0 = F.coeff(0, 4)
-    L = [
-        (F.coeff(4, 1), F.coeff(1, 3)),
-        (F.coeff(5, 0), F.coeff(2, 2)),
-        (F.coeff(3, 1), F.coeff(0, 3)),
-        (F.coeff(4, 0), F.coeff(1, 2)),
-    ]
-    layered = BivarPoly(
-        {
-            (6, 0): a2, (3, 2): a1, (0, 4): a0,
-            (4, 1): L[0][0], (1, 3): L[0][1],
-            (5, 0): L[1][0], (2, 2): L[1][1],
-            (3, 1): L[2][0], (0, 3): L[2][1],
-            (4, 0): L[3][0], (1, 2): L[3][1],
-        }
-    )
-    G = F - layered
-    _require(layered + G == F, "MP3 shape: layers do not reassemble F")
-    return MP3Shape(a2=a2, a1=a1, a0=a0, L=L, G=G, F=F)
-
-
 def f40_layers(F: BivarPoly) -> BinaryForm:
     """Weighted (x:1, y:2) lead form for the x^4 | F5, x^2 | F4 case, as the
     cubic G(m, n) = u3 m^3 + u2 m^2 n + u1 m n^2 + u0 n^3 with
@@ -550,79 +497,12 @@ def f40_layers(F: BivarPoly) -> BinaryForm:
     return BinaryForm(3, [F.coeff(6, 0), F.coeff(4, 1), F.coeff(2, 2), F.coeff(0, 3)])
 
 
-@dataclass
-class MP3Core:
-    alpha1: Fraction  # alpha2 is normalized to 1
-    betas: tuple  # (beta1, beta2, beta3, beta4)
-    scale: Fraction  # a'
-    core: BivarPoly  # x^3 - alpha1 y^2 + b1 xy + b2 x^2 + b3 x + b4 y
-    x_flipped: bool
-    shape: MP3Shape
-
-
-def mp3_square_and_proportionality(shape: MP3Shape) -> MP3Core:
-    """Decides whether the weighted form a2 x^6 + a1 x^3 y^2 + a0 y^4 is a
-    perfect square over R and whether each L_i is proportional to the square
-    root factor; on success assembles the inner cubic core.
-
-    Internally alpha2 is normalized to 1 (absorbing a2 into the scale), so
-    alpha1 = -a1/(2 a2) which the discriminant condition makes rational.  If
-    a1 > 0 the polynomial is first composed with x -> -x so alpha1 > 0.
-    """
-    a2, a1, a0 = shape.a2, shape.a1, shape.a0
-    if not a2:
-        raise ClassifyError("a2 = 0: leading coefficient vanished")
-    disc = a1 * a1 - 4 * a2 * a0
-    if disc or a2 < 0 or a0 <= 0:
-        raise ClassifyError(
-            "weighted lead form is not a perfect square with nonzero alpha1; "
-            f"discriminant {disc}, a0 = {a0} (not arithmetically positive route)"
-        )
-    x_flipped = False
-    if a1 > 0:
-        # compose with x -> -x: flips the signs of a1 and of the odd-x layers
-        Fflip = shape.F.subs(-BivarPoly.x(), BivarPoly.y())
-        shape = mp3_shape_extract(Fflip)
-        a2, a1, a0 = shape.a2, shape.a1, shape.a0
-        x_flipped = True
-    alpha1 = -a1 / (2 * a2)
-    _require(alpha1 > 0, "MP3 core: alpha1 is not positive after the flip")
-    aprime = a2
-    # solve the betas from the x-heavy slot of each layer; the layers mix the
-    # betas triangularly because squaring the core feeds beta products back
-    # into the lighter slots (e.g. (b1 xy)^2 lands in the x^2 y^2 slot)
-    b1 = shape.L[0][0] / (2 * aprime)
-    b2 = shape.L[1][0] / (2 * aprime)
-    b4 = (shape.L[2][0] / aprime - 2 * b1 * b2) / 2
-    b3 = (shape.L[3][0] / aprime - b2 * b2) / 2
-    x, y = BivarPoly.x(), BivarPoly.y()
-    core = (
-        x**3
-        - y * y * alpha1
-        + x * y * b1
-        + x * x * b2
-        + x * b3
-        + y * b4
-    )
-    residual = shape.F - core * core * aprime
-    layer_slots = (
-        (6, 0), (3, 2), (0, 4),
-        (4, 1), (1, 3), (5, 0), (2, 2), (3, 1), (0, 3), (4, 0), (1, 2),
-    )
-    stuck = [m for m in layer_slots if residual.coeff(*m)]
-    if stuck:
-        raise ClassifyError(
-            f"layers are not proportional to x^3 - {alpha1} y^2 "
-            f"(residual monomials {stuck}); size-comparison witness applies"
-        )
-    return MP3Core(
-        alpha1=alpha1,
-        betas=(b1, b2, b3, b4),
-        scale=aprime,
-        core=core,
-        x_flipped=x_flipped,
-        shape=shape,
-    )
+# the layer monomials of ecform_normalize: weight 2i + 3j >= 8, in the order
+# the proportionality error lists them
+_MP3_SLOTS = (
+    (6, 0), (3, 2), (0, 4),
+    (4, 1), (1, 3), (5, 0), (2, 2), (3, 1), (0, 3), (4, 0), (1, 2),
+)
 
 
 @dataclass
@@ -701,22 +581,57 @@ def _taoshape_try(F: BivarPoly) -> ECRecord | None:
 
 
 def ecform_normalize(F: BivarPoly) -> ECRecord:
-    """Rational change of coordinates bringing the inner cubic core to the
-    monic y^2 - x^3 - b1 x - b0 shape: a shear in y removes the xy and y
-    terms, a shift in x removes x^2, and a scaling makes the cubic monic.
-    The scaling mu2 = mu3 = alpha1 is always rational, so no irrational
-    obstruction arises on this pipeline.  Constant drift between G and the
-    core is absorbed into b0 afterwards.
+    """For F6 = a2 x^6 with x^3 | F5, read as the weighted layers
+    F = a2 x^6 + a1 x^3 y^2 + a0 y^4 + xy L1(x^3,y^2) + x^2 L2(x^3,y^2)
+      + y L3(x^3,y^2) + x L4(x^3,y^2) + G:
+    requires a2 x^6 + a1 x^3 y^2 + a0 y^4 to be a perfect square over R and
+    each L_i to be proportional to its square root factor, then brings the
+    inner cubic core x^3 - alpha1 y^2 + beta1 xy + beta2 x^2 + beta3 x
+    + beta4 y to the monic y^2 - x^3 - b1 x - b0 shape by a rational change
+    of coordinates: a shear in y removes the xy and y terms, a shift in x
+    removes x^2, and a scaling makes the cubic monic.  alpha2 is normalized
+    to 1 (a2 goes into the scale), so alpha1 = -a1/(2 a2) is rational, and so
+    is the scaling mu2 = mu3 = alpha1: no irrational obstruction arises on
+    this pipeline.  If a1 > 0, F is first composed with x -> -x so that
+    alpha1 > 0.  Constant drift between G and the core is absorbed into b0
+    afterwards.  Inputs already of the shape a (y^2 - x^3 - b1 x - b0)^2 + g
+    with deg g <= 2 keep g as G (_taoshape_try).
     """
     tao = _taoshape_try(F)
     if tao is not None:
         return tao
-    core = mp3_square_and_proportionality(mp3_shape_extract(F))
-    alpha1 = core.alpha1
-    beta1, beta2, beta3, beta4 = core.betas
-    work_F = core.shape.F  # possibly x-flipped relative to the input
-    aprime = core.scale
-
+    if not _xpow_div(decompose(F)[5], 3):
+        raise ClassifyError("x^3 does not divide F5 (anisotropic witness applies)")
+    aprime, a1, a0 = F.coeff(6, 0), F.coeff(3, 2), F.coeff(0, 4)
+    if not aprime:
+        raise ClassifyError("a2 = 0: leading coefficient vanished")
+    disc = a1 * a1 - 4 * aprime * a0
+    if disc or aprime < 0 or a0 <= 0:
+        raise ClassifyError(
+            "weighted lead form is not a perfect square with nonzero alpha1; "
+            f"discriminant {disc}, a0 = {a0} (not arithmetically positive route)"
+        )
+    # x -> -x flips the signs of a1 and of the odd-x layers
+    x_flipped = a1 > 0
+    X, Y = BivarPoly.x(), BivarPoly.y()
+    work_F = F.subs(-X, Y) if x_flipped else F
+    alpha1 = -work_F.coeff(3, 2) / (2 * aprime)
+    _require(alpha1 > 0, "MP3 core: alpha1 is not positive after the flip")
+    # solve the betas from the x-heavy slot of each layer; the layers mix the
+    # betas triangularly because squaring the core feeds beta products back
+    # into the lighter slots (e.g. (beta1 xy)^2 lands in the x^2 y^2 slot)
+    beta1 = work_F.coeff(4, 1) / (2 * aprime)
+    beta2 = work_F.coeff(5, 0) / (2 * aprime)
+    beta4 = (work_F.coeff(3, 1) / aprime - 2 * beta1 * beta2) / 2
+    beta3 = (work_F.coeff(4, 0) / aprime - beta2 * beta2) / 2
+    core = X**3 - Y * Y * alpha1 + X * Y * beta1 + X * X * beta2 + X * beta3 + Y * beta4
+    residual = work_F - core * core * aprime
+    stuck = [m for m in _MP3_SLOTS if residual.coeff(*m)]
+    if stuck:
+        raise ClassifyError(
+            f"layers are not proportional to x^3 - {alpha1} y^2 "
+            f"(residual monomials {stuck}); size-comparison witness applies"
+        )
     # shear: y = y1 + (beta1 x + beta4)/(2 alpha1) turns the core into
     # x^3 - alpha1 y1^2 + b2' x^2 + b1' x + b0'
     b2p = beta2 + beta1 * beta1 / (4 * alpha1)
@@ -741,7 +656,6 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
     y_c0 = (beta1 * x_c0 + beta4) / (2 * alpha1)
     subst = {"x_cx": x_cx, "x_c0": x_c0, "y_cy": y_cy, "y_cx": y_cx, "y_c0": y_c0}
 
-    X, Y = BivarPoly.x(), BivarPoly.y()
     xe = X * x_cx + BivarPoly.const(x_c0)
     ye = Y * y_cy + X * y_cx + BivarPoly.const(y_c0)
 
@@ -757,10 +671,9 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
         b0_out = b0_out - eps
         G = compute_G(b0_out)
     heavy = sorted((i, j) for (i, j) in G.terms if 2 * i + 3 * j >= 6)
-    if core.x_flipped:
+    if x_flipped:
         # fold the x -> -x pre-composition into the substitution so that the
         # recorded map lands in the coordinates of the input polynomial
-        subst = dict(subst)
         subst["x_cx"] = -subst["x_cx"]
         subst["x_c0"] = -subst["x_c0"]
     rec = ECRecord(
@@ -770,7 +683,7 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
         G=G,
         substitution=subst,
         heavy_monomials=heavy,
-        x_flipped=core.x_flipped,
+        x_flipped=x_flipped,
     )
     _require(rec.verify(F), "EC normal form: identity fails")
     return rec

@@ -102,7 +102,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    _workers(args)  # accepted, unused by the search, and still checked
     F = _load_poly(args)
     budgets = _budgets(args)
     rep = classify(F)
@@ -128,6 +127,8 @@ def cmd_witness(args) -> int:
 def cmd_density(args) -> int:
     workers = _workers(args)
     if args.baseline:
+        if args.poly or args.poly_file:
+            raise InputError("--baseline reads no polynomial: not with --poly or --poly-file")
         nmax = 10**6 if args.bound is None else args.bound
         count, ratio = density_mod.landau_baseline(nmax)
         if args.format == "csv":
@@ -224,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--budget-box", type=int, default=None)
     pw.add_argument("--budget-rmax", type=int, default=None)
     pw.add_argument("--budget-nmax", type=int, default=None)
-    pw.add_argument("--workers", type=int, default=1,
-                    help="accepted for interface symmetry; witness schedules "
-                    "are deterministic at any worker count")
     pw.set_defaults(func=cmd_witness)
 
     pd = sub.add_parser("density", help="count distinct values in [N, 2N)")

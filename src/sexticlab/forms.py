@@ -51,12 +51,8 @@ class BinaryForm:
         return not any(self.coefficients)
 
     def eval(self, x, y) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        d = self.degree
-        return sum(
-            (c * x ** (d - k) * y**k for k, c in enumerate(self.coefficients) if c),
-            Fraction(0),
-        )
+        # the coefficient list is A(1, y), so A(x, y) is its homogenized sum
+        return Fraction(up.hom_eval(self.coefficients, y, x))
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         return _form(up.pmul(self.coefficients, other.coefficients), self.degree + other.degree)

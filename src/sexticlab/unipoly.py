@@ -86,6 +86,16 @@ def peval(p: list, x):
     return acc
 
 
+def hom_eval(p: list, u, v):
+    """The homogenized sum v^d p(u/v) = sum p[k] u^k v^(d-k), d = len(p) - 1,
+    by Horner without division; exact for integer or Fraction u, v."""
+    acc, vk = 0, 1
+    for c in reversed(p):
+        acc = acc * u + c * vk
+        vk *= v
+    return acc
+
+
 def pderiv(p: list) -> list:
     return trim([c * i for i, c in enumerate(p)][1:])
 
@@ -299,10 +309,7 @@ def rational_roots(p: list) -> list[Fraction]:
 
 def _sign_at(p: list, u: int, v: int) -> int:
     """Sign of p(u/v) for v > 0, from the homogenized sum in integers."""
-    acc, vk = 0, 1
-    for c in reversed(p):
-        acc = acc * u + c * vk
-        vk *= v
+    acc = hom_eval(p, u, v)
     return (acc > 0) - (acc < 0)
 
 

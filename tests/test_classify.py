@@ -19,10 +19,7 @@ from sexticlab.classify import (
     f40_layers,
     gcd_condition,
     matrix_inverse,
-    mp2_layers,
     mp2_square_check,
-    mp3_shape_extract,
-    mp3_square_and_proportionality,
     quadratic_case_analysis,
     reduce_to_quartic,
     unimodular_matrix_for,
@@ -120,10 +117,8 @@ def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
     if route == "MP1-quadratic":
         assert w.lemma == "dirichlet-approximation" and w.kind == "negative-value"
     if expr in GOLDEN_ANALYZE:
-        # the golden report, recorded before the decomposition was shared;
-        # `recommended` changed since and is pinned by the CLI tests
-        gold = dict(GOLDEN_ANALYZE[expr], recommended=obj["recommended"])
-        assert obj == gold
+        # the golden report, recorded before the decomposition was shared
+        assert obj == GOLDEN_ANALYZE[expr]
     else:
         assert "completion" in obj["shape"]
 
@@ -287,12 +282,11 @@ def test_mp2_layers_reassemble():
         "y^2*(2*x^4 - 3*x^2*y + 5*y^2) + x*y*(7*x^4 + 11*x^2*y - 13*y^2)"
         " + x^4*(x^2 + y^2) + x^3*y^2 + x*y + 3"
     )
-    lay = mp2_layers(F)
-    # x^4*y^2 and x^3*y^2 of the last line add to a2 and b1
-    assert lay.a == (3, -3, 5)
-    assert lay.b == (7, 12, -13)
-    for (i, j), c in zip(((4, 2), (2, 3), (0, 4), (5, 1), (3, 2), (1, 3)), lay.a + lay.b):
-        assert F.coeff(i, j) == c
+    # x^4*y^2 of the last line adds to a2, so the a-layer read off F is
+    # (a2, a1, a0) = (3, -3, 5) with discriminant 9 - 60 = -51
+    sq = mp2_square_check(F)
+    assert not sq.ok
+    assert sq.reason == "a-layer not a perfect square (discriminant -51)"
 
 
 def test_mp2_square_fixture_values():
@@ -343,41 +337,28 @@ def test_quartic_reduction_trim_failure():
 # -- MP3 ----------------------------------------------------------------------
 
 
-def test_mp3_shape_trivial():
-    F = parse("(y^2 - x^3)^2")
-    shape = mp3_shape_extract(F)
-    assert (shape.a2, shape.a1, shape.a0) == (1, -2, 1)
-    assert all(u == 0 and v == 0 for u, v in shape.L)
-    assert shape.G.is_zero()
-
-
-def test_mp3_shape_reassembly():
-    F = parse("(y^2 - x^3 - x)^2 + 1")
-    shape = mp3_shape_extract(F)
-    assert shape.a2 == 1 and shape.a1 == -2 and shape.a0 == 1
-    # reassembly is asserted inside mp3_shape_extract
-
-
 def test_mp3_shape_requires_x3_divides_f5():
     F = parse("x^6 + x^2*y^3 + y^4")
-    with pytest.raises(ClassifyError):
-        mp3_shape_extract(F)
+    with pytest.raises(ClassifyError, match=r"^x\^3 does not divide F5 "):
+        ecform_normalize(F)
 
 
 def test_mp3_core_and_flip():
     F = parse("(y^2 - x^3 - x)^2 + 2")
-    core = mp3_square_and_proportionality(mp3_shape_extract(F))
-    assert core.alpha1 == 1 and not core.x_flipped
-    # a1 > 0 forces the x flip
+    rec = ecform_normalize(F)
+    assert not rec.x_flipped and rec.verify(F)
+    # a1 > 0 forces the x flip; the recorded map lands on the input
     Fflip = F.subs(-BivarPoly.x(), BivarPoly.y())
-    core2 = mp3_square_and_proportionality(mp3_shape_extract(Fflip))
-    assert core2.x_flipped
+    rec2 = ecform_normalize(Fflip)
+    assert rec2.x_flipped and rec2.verify(Fflip)
+    assert (rec2.a, rec2.b1, rec2.b0) == (rec.a, rec.b1, rec.b0)
 
 
 def test_mp3_proportionality_failure():
     F = parse("(y^2 - x^3)^2 + x*y^3")
-    with pytest.raises(ClassifyError):
-        mp3_square_and_proportionality(mp3_shape_extract(F))
+    with pytest.raises(ClassifyError, match=r"^layers are not proportional to x\^3 - 1 y\^2 "
+                       r"\(residual monomials \[\(1, 3\)\]\)"):
+        ecform_normalize(F)
 
 
 # -- ECform -------------------------------------------------------------------
@@ -450,13 +431,14 @@ def test_normal_form_checks_survive_optimize():
         "import importlib\n"
         "C = importlib.import_module('sexticlab.classify')\n"
         "from sexticlab.parser import parse\n"
+        "from sexticlab.poly import IdentityError\n"
         "C.SquareCompletion.verify = lambda self, F: False\n"
         "f = '(x^3 + x*y^2 + y^3)'\n"
         "for text in (f + '^2 + (x^2 + y)*' + f + ' + x*y + 7',\n"
         "             'y^2*(x^4 - 2*x^2*y + y^2) + x^5'):\n"
         "    try:\n"
         "        C.classify(parse(text))\n"
-        "    except C.NormalFormError:\n"
+        "    except IdentityError:\n"
         "        continue\n"
         "    raise SystemExit('unchecked completion accepted: ' + text)\n"
     )

@@ -145,7 +145,6 @@ def test_format_a_subcommand_does_not_implement_is_rejected(capsys, argv):
     ["density", "--poly", "x^2 + y^2", "--bound", "100"],
     ["density", "--poly", "x^6 + y^6", "--ladder", "100,200,400"],
     ["density", "--baseline", "--bound", "1000"],
-    ["witness", "--poly", "x^6 - y^6"],
 ])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_nonpositive_workers_rejected(capsys, argv, workers):
@@ -153,6 +152,12 @@ def test_nonpositive_workers_rejected(capsys, argv, workers):
     assert code == EXIT_INPUT
     assert out == ""
     assert err == "error: --workers must be positive\n"
+
+
+def test_witness_has_no_workers_option(capsys):
+    code, out, err = run(capsys, "witness", "--poly", "x^6 - y^6", "--workers", "2")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "unrecognized arguments: --workers 2" in err
 
 
 # -- witness ------------------------------------------------------------------
@@ -298,6 +303,10 @@ def test_density_requires_bound(capsys):
     (["--baseline", "--bound", "-3"], "Nmax must be >= 100"),
     (["--poly", "x^2 + y^2", "--bound", "0"], "N must be >= 2"),
     (["--baseline", "--ladder", "100", "--poly", "x^2 + y^2"], "not allowed with"),
+    (["--baseline", "--bound", "100", "--poly", "x^2 +"], "not with --poly or --poly-file"),
+    (["--baseline", "--bound", "100", "--poly", "x^2 + y^2"], "not with --poly or --poly-file"),
+    (["--baseline", "--bound", "100", "--poly-file", "missing.json"],
+     "not with --poly or --poly-file"),
     (["--poly", "x^2 + y^2", "--ladder", "100", "--bound", "5"], "--ladder and --bound"),
 ])
 def test_density_bad_bound_or_mode_exit_2(capsys, argv, message):
@@ -518,16 +527,12 @@ def test_recommended_steps_run(capsys, expr, route):
 
 @pytest.mark.parametrize("row", GOLDEN, ids=[row["poly"] for row in GOLDEN])
 def test_corpus_outputs_match_golden(capsys, row):
-    """witness and density output byte-identical to the recorded goldens;
-    analyze identical apart from its `recommended` list."""
+    """analyze, witness and density output byte-identical to the recorded
+    goldens."""
     expr = row["poly"]
     for name, argv in (
+        ("analyze", ["analyze", "--poly", expr]),
         ("witness", ["witness", "--poly", expr]),
         ("density", ["density", "--poly", expr, "--bound", "1000"]),
     ):
         assert run(capsys, *argv)[:2] == (row[name]["exit"], row[name]["stdout"]), name
-    code, out, _ = run(capsys, "analyze", "--poly", expr)
-    gold = row["analyze"]
-    obj = json.loads(out)
-    obj["recommended"] = json.loads(gold["stdout"])["recommended"]
-    assert (code, json.dumps(obj, indent=2) + "\n") == (gold["exit"], gold["stdout"])
