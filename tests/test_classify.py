@@ -337,6 +337,23 @@ def test_quartic_reduction_trim_failure():
 # -- MP3 ----------------------------------------------------------------------
 
 
+def test_mp3_shape_trivial():
+    F = parse("(y^2 - x^3)^2")
+    # the y -> y + x shear moves F off the tao shape onto the layer reads
+    for H in (F, F.subs(BivarPoly.x(), BivarPoly.y() + BivarPoly.x())):
+        rec = ecform_normalize(H)
+        assert (rec.a, rec.b1, rec.b0) == (1, 0, 0)
+        assert rec.G.is_zero() and not rec.x_flipped and rec.verify(H)
+
+
+def test_mp3_shape_reassembly():
+    F = parse("(y^2 - x^3 - x)^2 + 1")
+    for H in (F, F.subs(BivarPoly.x(), BivarPoly.y() + BivarPoly.x())):
+        rec = ecform_normalize(H)
+        assert (rec.a, rec.b1, rec.b0) == (1, 1, 0)
+        assert rec.G == BivarPoly.const(1) and rec.verify(H)
+
+
 def test_mp3_shape_requires_x3_divides_f5():
     F = parse("x^6 + x^2*y^3 + y^4")
     with pytest.raises(ClassifyError, match=r"^x\^3 does not divide F5 "):

@@ -303,11 +303,11 @@ def test_density_requires_bound(capsys):
     (["--baseline", "--bound", "-3"], "Nmax must be >= 100"),
     (["--poly", "x^2 + y^2", "--bound", "0"], "N must be >= 2"),
     (["--baseline", "--ladder", "100", "--poly", "x^2 + y^2"], "not allowed with"),
+    (["--poly", "x^2 + y^2", "--ladder", "100", "--bound", "5"], "--ladder and --bound"),
     (["--baseline", "--bound", "100", "--poly", "x^2 +"], "not with --poly or --poly-file"),
     (["--baseline", "--bound", "100", "--poly", "x^2 + y^2"], "not with --poly or --poly-file"),
     (["--baseline", "--bound", "100", "--poly-file", "missing.json"],
      "not with --poly or --poly-file"),
-    (["--poly", "x^2 + y^2", "--ladder", "100", "--bound", "5"], "--ladder and --bound"),
 ])
 def test_density_bad_bound_or_mode_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "density", *argv)
