@@ -70,8 +70,11 @@ def _budgets(args) -> SearchBudgets:
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write --out: {exc}") from exc
     else:
         print(text)
 
@@ -245,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--r", default="1..5", help="range a..b or comma list")
     cd = csub.add_parser("danilov", help="Lucas/Fibonacci small-gap family on y^2 = x^3")
     cd.add_argument("--count", type=int, default=8)
-    ch = csub.add_parser("hall", help="brute scan for small |y^2 - x^3|")
+    ch = csub.add_parser("hall", help="exhaustive scan of x <= xmax for small |y^2 - x^3|")
     ch.add_argument("--xmax", type=int, default=10**5)
     ch.add_argument("--threshold", type=int, default=5)
     cp = csub.add_parser("pell", help="solutions of x^2 - d y^2 = c")

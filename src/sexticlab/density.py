@@ -463,7 +463,11 @@ def two_squares_direct(Nmax: int) -> int:
 
 def stanley_probe(F: BivarPoly, Ns: list, workers: int = 1) -> dict:
     """Table of count([N, 2N)) * sqrt(log N) / N over the ladder, flagged
-    bounded-looking when nonincreasing beyond the first third."""
+    bounded-looking when nonincreasing beyond the first third.  A repeated N
+    is an error: its rows would compare with each other and make the flag
+    vacuous."""
+    if len(set(Ns)) != len(Ns):
+        raise DensityError(f"repeated N in the ladder: {sorted(Ns)}")
     rows = []
     for N in sorted(Ns):
         rep = count_range(F, N, workers=workers)

@@ -1,13 +1,13 @@
 """Elliptic-curve machinery over Q: group law, the parametric 3P family on
 y^2 = x^3 + b1 x + r^2 b1^2, Pell solvers, the Lucas/Fibonacci small-gap
-family for b1 = 0, and a brute-force near-cube scanner for cross-checking.
+family for b1 = 0, and an exhaustive near-cube scanner for cross-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, sqrt
 
 from .poly import BivarPoly, IdentityError
 
@@ -322,8 +322,7 @@ def danilov_family(count: int) -> list[tuple[int, int, int, float]]:
         x, y, gap = danilov_member(m)
         if not gap or gap * gap >= x:
             raise IdentityError(f"danilov_family: member at m={m} has no small nonzero gap")
-        ratio = abs(gap) / _float_sqrt_big(x)
-        out.append((x, y, gap, ratio))
+        out.append((x, y, gap, _gap_ratio(gap, x)))
         m += 60
     return out
 
@@ -336,30 +335,82 @@ def _float_sqrt_big(x: int) -> float:
     return (x >> shift) ** 0.5 * 2.0 ** (shift / 2)
 
 
+def _gap_ratio(gap: int, x: int) -> float:
+    """|gap| / sqrt(x) as a float, x >= 1 (report use only)."""
+    try:
+        return abs(gap) / _float_sqrt_big(x)
+    except OverflowError:
+        # gap or sqrt(x) is beyond the float range.  Scale gap by 2^64 and x
+        # by 2^128: the integer quotient is correctly rounded, and isqrt's
+        # floor moves it by a relative 2^-64 at most.
+        return (abs(gap) << 64) / isqrt(x << 128)
+
+
+# x per block of hall_scan: one bound eta per block, taken at its ends
+_HALL_BLOCK = 8192
+
+
+def _hall_candidates(a: int, b: int, p: int, q: int):
+    """The x in [a, b) that the float test of hall_scan keeps at threshold
+    p/q: every x whose exact test can pass, and a few more.  All of [a, b)
+    when the bound eta reaches 1/2."""
+    if b >= 2**33 or 2 * p >= q * (2 * a - 1):
+        return range(a, b)  # eta >= 1/2, computed without float overflow
+    eta = p / (q * (2 * a - 1)) + b * sqrt(b) * 2.0**-50
+    if eta >= 0.5:
+        return range(a, b)
+    hi = 1.0 - eta
+    return [x for x in range(a, b) if not eta < x * sqrt(x) % 1.0 < hi]
+
+
 def hall_scan(Xmax: int, threshold) -> list[tuple[int, int, int, float]]:
-    """Brute-force near-cube scan: for 2 <= x <= Xmax, y = nearest integer to
-    x^(3/2); emit (x, y, gap, ratio) when 0 < |gap| and gap^2 <= threshold^2 x
-    (exact rational comparison)."""
+    """Exhaustive near-cube scan: for 2 <= x <= Xmax, y = nearest integer to
+    x^(3/2); emit (x, y, gap, ratio), gap = y^2 - x^3, when 0 < |gap| and
+    gap^2 <= threshold^2 x (exact integer comparison).
+
+    x runs in blocks [a, b).  A float test per x (`_hall_candidates`) skips
+    x that provably fail; the exact test runs on the rest and alone decides
+    every row.  Why no passing x is skipped, with s = x^(3/2), T = threshold
+    and u = 2^-53:
+
+    - y = y0 + 1 (y0 = isqrt(x^3)) only when s > y0 + 1/2, so y > s - 1 and
+      y + s > 2s - 1.
+    - A passing x then has |y - s| = |gap| / (y + s) <= T sqrt(x) / (2s - 1)
+      <= T / (2x - 1) <= T / (2a - 1).
+    - x < b < 2^33 is exact as a double, IEEE sqrt is correctly rounded and
+      one multiply follows, so f = x * sqrt(x) is within s (2u + u^2)
+      < b^(3/2) 2^-52 (1 + u) of s.  f % 1.0 is exact.
+    - So f lies within T/(2a - 1) + b^(3/2) 2^-52 (1 + u) of an integer.
+      eta = T/(2a - 1) + b^(3/2) 2^-50 exceeds that by more than 2^-50 even
+      after the roundings in eta and in 1 - eta (each below 2^-53 in
+      absolute value, as both are below 1).  An x with
+      eta < f % 1.0 < 1 - eta is farther than that from every integer, and
+      fails.
+    - When eta >= 1/2 (a large T, or b >= 2^33, where a double no longer
+      resolves the gap) nothing is skipped and the block runs the exact test
+      on every x.
+    """
     if Xmax < 2:
         raise ValueError("Xmax must be >= 2")
     threshold = Fraction(threshold)
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     # gap^2 <= (p/q)^2 x  <=>  gap^2 q^2 <= p^2 x, all in integers
-    p2 = threshold.numerator**2
-    q2 = threshold.denominator**2
+    p, q = threshold.numerator, threshold.denominator
+    p2, q2 = p * p, q * q
     out = []
-    for x in range(2, Xmax + 1):
-        cube = x**3
-        y0 = isqrt(cube)
-        # nearest of y0, y0 + 1 by exact comparison
-        if (y0 + 1) ** 2 - cube < cube - y0 * y0:
-            y = y0 + 1
-        else:
-            y = y0
-        gap = y * y - cube
-        if gap and gap * gap * q2 <= p2 * x:
-            out.append((x, y, gap, abs(gap) / x**0.5))
+    for a in range(2, Xmax + 1, _HALL_BLOCK):
+        for x in _hall_candidates(a, min(a + _HALL_BLOCK, Xmax + 1), p, q):
+            cube = x**3
+            y0 = isqrt(cube)
+            # nearest of y0, y0 + 1 by exact comparison
+            if (y0 + 1) ** 2 - cube < cube - y0 * y0:
+                y = y0 + 1
+            else:
+                y = y0
+            gap = y * y - cube
+            if gap and gap * gap * q2 <= p2 * x:
+                out.append((x, y, gap, abs(gap) / x**0.5))
     return out
 
 
@@ -369,7 +420,7 @@ def format_family_csv(rows, with_r=False) -> str:
     if with_r:
         lines.append("r,x,y,gap,ratio")
         for r, x, y, gap in rows:
-            ratio = abs(gap) / _float_sqrt_big(x) if x > 0 else float("nan")
+            ratio = _gap_ratio(gap, x) if x > 0 else float("nan")
             lines.append(f"{r},{x},{y},{gap},{ratio:.12g}")
     else:
         lines.append("x,y,gap,ratio")

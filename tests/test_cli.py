@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
@@ -73,6 +74,14 @@ def test_analyze_out_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(dest.read_text())["route"] == "MP0"
+
+
+def test_unwritable_out_path_exit_2(tmp_path, capsys):
+    dest = tmp_path / "missing-dir" / "rep.json"
+    code, out, err = run(capsys, "analyze", "--poly", "x^6 + y^6", "--out", str(dest))
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: cannot write --out") and "Traceback" not in err
+    assert not dest.parent.exists()
 
 
 def test_analyze_requires_one_source(capsys):
@@ -308,6 +317,7 @@ def test_density_requires_bound(capsys):
     (["--baseline", "--bound", "100", "--poly", "x^2 + y^2"], "not with --poly or --poly-file"),
     (["--baseline", "--bound", "100", "--poly-file", "missing.json"],
      "not with --poly or --poly-file"),
+    (["--poly", "x^2 + y^2", "--ladder", "100,200,100"], "repeated N in the ladder"),
 ])
 def test_density_bad_bound_or_mode_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "density", *argv)
@@ -360,10 +370,39 @@ def test_curve_danilov(capsys):
     assert len(lines) == 4
 
 
+def test_curve_danilov_past_float_range(capsys):
+    # from count 26 on, the gap is beyond a float; the ratio still tends to
+    # 54 * 5^(-5/2)
+    code, out, err = run(capsys, "curve", "danilov", "--count", "40")
+    assert code == EXIT_OK and err == ""
+    lines = out.strip().splitlines()
+    assert len(lines) == 41
+    assert abs(float(lines[-1].split(",")[3]) / (54 * 5**-2.5) - 1) < 0.01
+
+
+def test_curve_rouse_past_float_range(capsys):
+    # x is beyond the range of a float square root; ratio = r^2 / sqrt(x_r)
+    # and x_r = 64 r^6 + 8 r^2 for b1 = 1
+    r = 10**160
+    code, out, _ = run(capsys, "curve", "rouse", "--b1", "1", "--b0", "0", "--r", str(r))
+    assert code == EXIT_OK
+    ratio = float(out.splitlines()[1].split(",")[4])
+    assert abs(ratio * 8 * r - 1) < 1e-9
+
+
 def test_curve_hall(capsys):
     code, out, _ = run(capsys, "curve", "hall", "--xmax", "100", "--threshold", "2")
     assert code == EXIT_OK
     assert "2,3" in out  # gap 1 at (2, 3)
+
+
+def test_curve_hall_huge_threshold(capsys):
+    # a 400-digit threshold admits every x whose cube is not a square, and
+    # leaves the float prefilter off in every block
+    code, out, _ = run(capsys, "curve", "hall", "--xmax", "20000", "--threshold", "9" * 400)
+    assert code == EXIT_OK
+    xs = [int(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+    assert xs == [x for x in range(2, 20001) if isqrt(x) ** 2 != x]
 
 
 def test_curve_pell(capsys):

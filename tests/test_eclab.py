@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,8 @@ from sexticlab.eclab import (
     CurvePoint,
     EllipticCurve,
     INFINITY,
+    _HALL_BLOCK,
+    _hall_candidates,
     danilov_family,
     danilov_member,
     ec_add,
@@ -130,13 +133,13 @@ def test_hall_scan_finds_known_small_gaps():
         assert gap * gap <= 25 * x
 
 
-def _hall_scan_fraction(Xmax, threshold):
-    # the pre-integer comparison, kept as a differential oracle
+def _hall_scan_fraction(Xmax, threshold, start=2):
+    # the pre-integer, unfiltered loop, kept as a differential oracle
     from math import isqrt
 
     t2 = Fraction(threshold) ** 2
     out = []
-    for x in range(2, Xmax + 1):
+    for x in range(start, Xmax + 1):
         cube = x**3
         y0 = isqrt(cube)
         y = y0 + 1 if (y0 + 1) ** 2 - cube < cube - y0 * y0 else y0
@@ -151,6 +154,48 @@ def test_hall_scan_matches_fraction_reference(threshold):
     rows = hall_scan(20000, threshold)
     assert rows == _hall_scan_fraction(20000, threshold)
     assert bool(rows) == (threshold > 0)
+
+
+def test_hall_scan_matches_fraction_reference_random_thresholds():
+    # Derandomized thresholds T from 0 to 2^15.  A block [a, b) has
+    # eta >= 1/2 and runs the exact test on every x when T >= a - 1/2: the
+    # first block for all T drawn here, and the first 2 and 4 blocks for the
+    # two T above 8192.  The Xmax values end one x before a block start,
+    # exactly on one, and at 10^5.
+    rng = random.Random(19)
+    thresholds = [Fraction(rng.randrange(0, 400), rng.randrange(1, 60)) for _ in range(4)]
+    thresholds += [Fraction(rng.randrange(8192, 2**15), rng.randrange(1, 3)) for _ in range(2)]
+    top = 10**5
+    ends = [1 + 12 * _HALL_BLOCK, 2 + 12 * _HALL_BLOCK, top]
+    for threshold in thresholds:
+        ref = _hall_scan_fraction(top, threshold)
+        for Xmax in ends:
+            assert hall_scan(Xmax, threshold) == [row for row in ref if row[0] <= Xmax]
+
+
+# Blocks [a, a + _HALL_BLOCK) at x near 1e8, 1e9, 3e9, 6e9 and 2^40.  With a
+# tight threshold the block holds a near-cube whose ratio |gap|/sqrt(x) sits
+# just below it (101727232: 54.66661, 101727560: 54.66672, 1002505096:
+# 73.07525); a loose one makes 1-3 % of the block pass.  At 3e9 and 6e9 the
+# float error is near the bound: a float term of b^(3/2) 2^-53 in eta, half
+# the proven error, drops passing x there.  At 2^40 eta is past 1/2 and the
+# block is not filtered.
+@pytest.mark.parametrize("a,threshold,filtered", [
+    (101727232 - 4000, Fraction(54667, 1000), True),
+    (10**8, 2 * 10**6, True),
+    (1002505096 - 5000, Fraction(7308, 100), True),
+    (10**9, 2 * 10**7, True),
+    (3 * 10**9, 10**8, True),
+    (6 * 10**9, 10**8, True),
+    (2**40, 2**34, False),
+])
+def test_hall_candidates_keep_every_passing_x(a, threshold, filtered):
+    b = a + _HALL_BLOCK
+    t = Fraction(threshold)
+    kept = _hall_candidates(a, b, t.numerator, t.denominator)
+    passing = [row[0] for row in _hall_scan_fraction(b - 1, t, start=a)]
+    assert passing and set(passing) <= set(kept)
+    assert (len(kept) < b - a) == filtered
 
 
 def test_pell_known_solutions():
