@@ -36,7 +36,7 @@ from .forms import (
     squarefree_factors,
     squarefree_profile,
 )
-from .quadext import QuadExt, _rat_sqrt
+from .quadext import KERNEL_TRIAL_BOUND, QuadExt, _rat_sqrt, squarefree_kernel
 from . import unipoly as up
 
 SCHEMA_VERSION = "1"
@@ -768,15 +768,15 @@ def classify(F: BivarPoly) -> ClassificationReport:
                 notes.append("f does not divide F5 and F4; "
                              + ("negativity witness applies" if engine else no_engine))
         elif route == "MP1-quadratic":
-            k = _detect_pell_k(f)
-            if k is not None:
-                shape["k"] = k
-                try:
+            try:
+                k = _detect_pell_k(f)
+                if k is None:
+                    notes.append("doubled factor not equivalent to x^2 - k y^2 over Q")
+                else:
+                    shape["k"] = k
                     shape["quadratic_case"] = quadratic_case_analysis(F, k)
-                except ClassifyError as exc:
-                    notes.append(str(exc))
-            else:
-                notes.append("doubled factor not equivalent to x^2 - k y^2 over Q")
+            except ClassifyError as exc:
+                notes.append(str(exc))
         else:
             notes.append("doubled linear factor; "
                          + ("root-direction walk applies" if engine else no_engine))
@@ -851,7 +851,8 @@ def _anisotropic(notes: list, why: str, theta: Fraction, name: str = "anisotropi
 
 
 def _detect_pell_k(f: BinaryForm) -> int | None:
-    """Square-free k > 1 with f equivalent to x^2 - k y^2 over Q, or None."""
+    """Square-free k > 1 with f equivalent to x^2 - k y^2 over Q, or None;
+    ClassifyError when squarefree_kernel leaves k open."""
     p, q, r = f.coefficients
     if not p:
         return None
@@ -861,19 +862,8 @@ def _detect_pell_k(f: BinaryForm) -> int | None:
     # f ~ x^2 - k y^2 requires disc/4p^2 = k s^2 for square-free k
     val = disc / (4 * p * p)
     num, den = val.numerator, val.denominator
-    # k is the square-free kernel of num*den
-    n = num * den
-    k = 1
-    d = 2
-    while d * d <= n:
-        cnt = 0
-        while n % d == 0:
-            n //= d
-            cnt += 1
-        if cnt % 2:
-            k *= d
-        d += 1
-    k *= n
-    if k <= 1:
-        return None
-    return k
+    k = squarefree_kernel(num * den)
+    if k is None:
+        raise ClassifyError(f"square-free kernel k of {num * den} not resolved "
+                            f"by trial division up to {KERNEL_TRIAL_BOUND}")
+    return k if k > 1 else None

@@ -97,10 +97,10 @@ def _interval_eval(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fracti
     return vlo, vhi
 
 
-def _poly_min_lower_bound(coeffs, lo, hi, depth=24) -> Fraction:
-    """A rational lower bound for min of p on [lo, hi] by branch and bound."""
-    work = [(Fraction(lo), Fraction(hi))]
-    for _ in range(depth):
+def _poly_min_lower_bound(coeffs) -> Fraction:
+    """A rational lower bound for min of p on [-1, 1] by branch and bound."""
+    work = [(Fraction(-1), Fraction(1))]
+    for _ in range(24):
         bounds = [(_interval_eval(coeffs, a, b), a, b) for a, b in work]
         best_point = min(
             min(up.peval(coeffs, a), up.peval(coeffs, b), up.peval(coeffs, (a + b) / 2))
@@ -110,16 +110,10 @@ def _poly_min_lower_bound(coeffs, lo, hi, depth=24) -> Fraction:
         if floor_bound >= best_point * Fraction(1, 2) and floor_bound > 0:
             return floor_bound
         # subdivide the intervals whose lower bound is still slack
-        thresh = best_point
-        nxt = []
+        work = []
         for (blo, _bhi), a, b in bounds:
-            if blo < thresh:
-                m = (a + b) / 2
-                nxt.append((a, m))
-                nxt.append((m, b))
-            else:
-                nxt.append((a, b))
-        work = nxt
+            m = (a + b) / 2
+            work += [(a, m), (m, b)] if blo < best_point else [(a, b)]
         if len(work) > 4096:
             break
     return min(_interval_eval(coeffs, a, b)[0] for a, b in work)
@@ -128,24 +122,17 @@ def _poly_min_lower_bound(coeffs, lo, hi, depth=24) -> Fraction:
 def certified_form_floor(form: BinaryForm) -> Fraction:
     """Rational c > 0 with form(x, y) >= c * max(|x|,|y|)^d everywhere, for a
     positive-definite form; the minimum over the unit-square boundary is
-    bounded below on the four edge restrictions."""
+    bounded below on two edge restrictions, form(1, t) and form(t, 1) for
+    t in [-1, 1], because the other two edges mirror them."""
     if definiteness(form) != "positive-definite":
         raise DensityError("form is not positive definite")
-    d = form.degree
-    edges = []
-    for sx in (1, -1):
-        # p(t) = form(sx, t) = sum_k c_k sx^(d-k) t^k
-        edges.append([form.coefficients[k] * Fraction(sx) ** (d - k) for k in range(d + 1)])
-    for sy in (1, -1):
-        # p(t) = form(t, sy) = sum over k of c_k t^(d-k) sy^k
-        p = [Fraction(0)] * (d + 1)
-        for k in range(d + 1):
-            p[d - k] += form.coefficients[k] * Fraction(sy) ** k
-        edges.append(p)
-    c = None
-    for p in edges:
-        b = _poly_min_lower_bound(p, Fraction(-1), Fraction(1))
-        c = b if c is None else min(c, b)
+    # A positive-definite form has even degree, so form(-x, -y) = form(x, y):
+    # form(-1, t) = form(1, -t) and form(t, -1) = form(-t, 1).  Under
+    # t -> -t, exact interval Horner gives mirrored enclosures on mirrored
+    # intervals and the sample points are mirrored too, so the branch and
+    # bound on a mirrored edge returns the same bound as on its partner.
+    p = form.coefficients  # form(1, t); reversed, form(t, 1)
+    c = min(_poly_min_lower_bound(p), _poly_min_lower_bound(p[::-1]))
     if c <= 0:
         raise DensityError("failed to certify a positive floor")
     return c
@@ -240,26 +227,21 @@ def _orbit_columns(F: BivarPoly, M: int) -> list:
     return cols
 
 
-def _chunk_values(K: IntKernel, columns, lo: int, hi: int) -> list[int]:
-    """Sorted distinct integer values of F on the chunk's columns
-    [(x, y0, y1)], restricted to [lo, hi); K is F's integer kernel, so
-    F(x, y) = v / K.D."""
+def _chunk_values(K: IntKernel, columns, lo: int, hi: int) -> set[int]:
+    """The distinct integer values of F on the chunk's columns [(x, y0, y1)],
+    restricted to [lo, hi); K is F's integer kernel, so F(x, y) = v / K.D."""
     D = K.D
     Dlo, Dhi = D * lo, D * hi
     vals = set()
     for x, y0, y1 in columns:
         ys = range(y0, y1 + 1)
         vals.update([v // D for v in K.values(x, ys) if Dlo <= v < Dhi and not v % D])
-    return sorted(vals)
+    return vals
 
 
-def count_range(
-    F: BivarPoly,
-    N: int,
-    workers: int = 1,
-    mem_bits: int | None = None,
-) -> DensityReport:
-    """Count of distinct integer values of F in [N, 2N)."""
+def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
+    """Count of distinct integer values of F in [N, 2N).  The counter is a
+    bitmap of N bits while N <= SEXTIC_SIEVE_MEM (default 2^31), else a set."""
     if N < 2:
         raise DensityError("N must be >= 2")
     if F.is_zero():
@@ -268,7 +250,6 @@ def count_range(
             normalized_sqrtlog=0.0, normalized_cuberoot=0.0,
             notes=["zero polynomial"],
         )
-    mem_bits = mem_bits if mem_bits is not None else _mem_bits()
     notes = []
     d = F.degree()
     certified = False
@@ -289,7 +270,7 @@ def count_range(
 
     # each absorb returns how many of its values were new, so the running
     # total is the count and the store is never recounted
-    use_bitmap = N <= mem_bits
+    use_bitmap = N <= _mem_bits()
     mode = "bitmap" if use_bitmap else "dedup"
     if use_bitmap:
         bits = bytearray((N + 7) // 8)
@@ -347,8 +328,10 @@ def count_range(
 
 
 def _near_curve_values(F: BivarPoly, lo: int, hi: int) -> list[int]:
-    """Best-effort extra values from curve-following families when the box is
-    not certified (degenerate leading forms take bounded values far out)."""
+    """For a box that is not certified, F's curve-family minimum if it is an
+    integer in [lo, hi).  witness._family_walk returns the family's negative
+    values, else its single minimum; negative values lie below lo = N >= 2,
+    so this adds at most that minimum, and nothing when a negative exists."""
     if F.degree() != 6:
         return []
     from .classify import classify
@@ -369,31 +352,25 @@ def _near_curve_values(F: BivarPoly, lo: int, hi: int) -> list[int]:
 
 
 def distinct_values_up_to(F: BivarPoly, N: int) -> int:
-    """Number of distinct integer values of F in (-inf, N], complete for a
-    positive-definite leading form (values are then bounded below)."""
+    """Number of distinct integer values of F in (-inf, N], for a
+    positive-definite leading form: those in [lo, N + 1) on the certified
+    box of radius M >= 1.  With m = max(|x|, |y|) and S the sum of the
+    absolute lower coefficients, F >= c m^d - S m^(d-1) >= -S M^(d-1) for
+    m >= 1, and F(0, 0) >= -S >= -S M^(d-1) for d >= 1, so the integer
+    lo = -ceil(S M^(d-1)) bounds F below on the box.  A constant
+    (d = 0) is positive, so there lo = 0."""
     M, _c = certified_box(F, N)
-    K = F.kernel()
-    D = K.D
-    DN = D * N
-    vals = set()
-    for x, y0, y1 in _orbit_columns(F, M):
-        ys = range(y0, y1 + 1)
-        vals.update([v // D for v in K.values(x, ys) if v <= DN and not v % D])
-    return len(vals)
+    d = F.degree()
+    lo = -math.ceil(_lower_abs_sum(F, d) * M ** (d - 1)) if d else 0
+    return len(_chunk_values(F.kernel(), _orbit_columns(F, M), lo, N + 1))
 
 
 def growth_exponent(F: BivarPoly, Ns: list) -> dict:
-    """Least-squares slope of log(count of distinct values <= N) vs log N."""
+    """Least-squares slope of log(count of distinct values <= N) vs log N;
+    certified_box rejects a leading form that is not positive definite."""
     if len(Ns) < 3:
         raise DensityError("need at least 3 ladder points")
-    d = F.degree()
-    top = BinaryForm.from_poly(F.homogeneous_part(d))
-    if definiteness(top) != "positive-definite":
-        raise DensityError("leading form must be positive definite")
-    rows = []
-    for N in sorted(Ns):
-        cnt = distinct_values_up_to(F, N)
-        rows.append((N, cnt))
+    rows = [(N, distinct_values_up_to(F, N)) for N in sorted(Ns)]
     xs = [math.log(N) for N, _ in rows]
     ys = [math.log(cnt) for _, cnt in rows]
     n = len(xs)

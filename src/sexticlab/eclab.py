@@ -336,14 +336,19 @@ def _float_sqrt_big(x: int) -> float:
 
 
 def _gap_ratio(gap: int, x: int) -> float:
-    """|gap| / sqrt(x) as a float, x >= 1 (report use only)."""
+    """|gap| / sqrt(x) as a float, x >= 1 (report use only); inf when the
+    ratio itself is beyond the float range."""
     try:
         return abs(gap) / _float_sqrt_big(x)
     except OverflowError:
-        # gap or sqrt(x) is beyond the float range.  Scale gap by 2^64 and x
-        # by 2^128: the integer quotient is correctly rounded, and isqrt's
-        # floor moves it by a relative 2^-64 at most.
+        pass
+    # gap or sqrt(x) is beyond the float range.  Scale gap by 2^64 and x by
+    # 2^128: the integer quotient is correctly rounded, and isqrt's floor
+    # moves it by a relative 2^-64 at most.
+    try:
         return (abs(gap) << 64) / isqrt(x << 128)
+    except OverflowError:
+        return float("inf")
 
 
 # x per block of hall_scan: one bound eta per block, taken at its ends

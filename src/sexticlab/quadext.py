@@ -8,17 +8,35 @@ rational comparisons against k*b^2).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
+
+# trial division bound of squarefree_kernel
+KERNEL_TRIAL_BOUND = 10**6
+
+
+@lru_cache(maxsize=64)
+def squarefree_kernel(n: int) -> int | None:
+    """The square-free k with n = k s^2 (n >= 1), or None when trial division
+    up to B = KERNEL_TRIAL_BOUND leaves it open.  The cofactor r left has no
+    prime factor <= B, so its kernel is 1 when r is a square, and r itself
+    when d^2 > r at the stop (r is 1 or a prime) or r < B^3 (r is a prime or
+    a product of two distinct primes above B)."""
+    k, d = 1, 2
+    while d <= KERNEL_TRIAL_BOUND and d * d <= n:
+        while not n % (d * d):
+            n //= d * d
+        if not n % d:
+            n //= d
+            k *= d
+        d += 1 if d == 2 else 2
+    if isqrt(n) ** 2 == n:
+        return k
+    return k * n if d * d > n or n < KERNEL_TRIAL_BOUND**3 else None
 
 
 def is_squarefree(k: int) -> bool:
-    if k < 1:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return k >= 1 and squarefree_kernel(k) == k
 
 
 class QuadExt:
@@ -131,8 +149,6 @@ class QuadExt:
 
 def _rat_sqrt(r: Fraction):
     """Exact rational square root, or None."""
-    from math import isqrt
-
     if r < 0:
         return None
     n, d = r.numerator, r.denominator

@@ -53,6 +53,29 @@ def test_analyze_quadratic_case_matches_golden(capsys, row):
     assert run(capsys, "analyze", "--poly", row["poly"])[:2] == (row["exit"], row["stdout"])
 
 
+@pytest.mark.parametrize("poly, k", [
+    # k = 10000000019 is prime: resolved once, and every Q(sqrt k) element
+    # built after that reuses the answer
+    ("(x^2 - 10000000019*y^2)^2*(x^2 + y^2) + (x^2 - 10000000019*y^2)*x^3", 10000000019),
+    # two primes above 10^6 whose product exceeds 10^18: left open
+    ("(x^2 - 1000000007*1000000009*y^2)^2*(x^2 + y^2)", None),
+])
+def test_analyze_large_k_finishes(poly, k):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sexticlab.cli", "analyze", "--poly", poly],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    obj = json.loads(proc.stdout)
+    assert obj["route"] == "MP1-quadratic"
+    assert obj["shape"].get("k") == k
+    unresolved = [n for n in obj["notes"] if "not resolved" in n]
+    assert unresolved == ([] if k else [
+        "square-free kernel k of 1000000016000000063 not resolved by trial division up to 1000000"
+    ])
+
+
 def test_analyze_text_format(capsys):
     code, out, _ = run(capsys, "analyze", "--poly", "x^6 - y^6", "--format", "text")
     assert code == EXIT_OK
@@ -388,6 +411,14 @@ def test_curve_rouse_past_float_range(capsys):
     assert code == EXIT_OK
     ratio = float(out.splitlines()[1].split(",")[4])
     assert abs(ratio * 8 * r - 1) < 1e-9
+
+
+def test_curve_rouse_ratio_past_float_range(capsys):
+    # gap = 1 - b0 = 10^400 + 1 at x = 72: the ratio itself is beyond a float,
+    # so its column reads inf, while x, y and gap stay exact
+    code, out, err = run(capsys, "curve", "rouse", "--b1", "1", "--b0", str(-10**400), "--r", "1")
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[1] == f"1,72,611,{10**400 + 1},inf"
 
 
 def test_curve_hall(capsys):

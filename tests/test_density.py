@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -71,6 +72,52 @@ def test_certified_floor_cross_term_form():
     assert 0 < c <= Fraction(3, 4)
 
 
+# Unimodular changes of variable with entries in [-2, 2]
+SL2 = [
+    ((a, b), (c, d))
+    for a, b, c, d in itertools.product(range(-2, 3), repeat=4)
+    if a * d - b * c == 1
+]
+
+
+def four_edge_floor(form):
+    """The branch and bound over all four edges of the unit square, form(s, t)
+    and form(t, s) for s = 1, -1 and t in [-1, 1]."""
+    d, cs = form.degree, form.coefficients
+    edges = [[cs[k] * s ** (d - k) for k in range(d + 1)] for s in (1, -1)]
+    edges += [[cs[d - j] * s ** (d - j) for j in range(d + 1)] for s in (1, -1)]
+    return min(density_mod._poly_min_lower_bound(p) for p in edges)
+
+
+def _quarter_turns(m):
+    return all(0 in row for row in m)
+
+
+# each form with those of its SL2 images whose four-edge reference takes
+# under 0.1 s; the identity keeps the form itself
+FLOOR_FORMS = (
+    ("x^6+y^6", _quarter_turns),
+    ("x^6+x^4*y^2+y^6", _quarter_turns),
+    ("(x^2+y^2)^3", _quarter_turns),
+    ("x^2+x*y+2*y^2", lambda m: True),
+    ("x^4+y^4", lambda m: all(abs(e) <= 1 for row in m for e in row)),
+    ("1/2*x^6+1/3*y^6", _quarter_turns),
+)
+
+
+@pytest.mark.parametrize("text, keep", FLOOR_FORMS, ids=[t for t, _keep in FLOOR_FORMS])
+def test_two_edge_floor_equals_four_edge_reference(text, keep):
+    F = parse(text)
+    images = [m for m in SL2 if keep(m)]
+    assert ((1, 0), (0, 1)) in images
+    for (a, b), (c, d) in images:
+        G = F.subs(BivarPoly({(1, 0): a, (0, 1): b}), BivarPoly({(1, 0): c, (0, 1): d}))
+        form = BinaryForm.from_poly(G)
+        ref = four_edge_floor(form)
+        assert ref > 0
+        assert certified_form_floor(form) == ref
+
+
 def test_certified_box_minimality():
     F = parse("x^6 + y^6 + x - 3")
     bound = 2 * 10**4
@@ -113,12 +160,13 @@ def test_count_matches_brute_oracle_sextic():
     assert rep.count == brute_count(F, 10**4, rep.box)
 
 
-def test_count_rational_coefficients_match_fraction_oracle():
+def test_count_rational_coefficients_match_fraction_oracle(monkeypatch):
     # D = 6: the kernel keeps a value only where 6 divides 6*F(x, y)
     F = parse("1/2*x^2 + 1/3*y^2 + 1/6*x*y + 1/2*x")
     for N in (20, 301):
         for mem_bits in (10**6, 1):
-            rep = count_range(F, N, mem_bits=mem_bits)
+            monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(mem_bits))
+            rep = count_range(F, N)
             assert rep.certified
             assert rep.count == brute_count(F, N, rep.box)
 
@@ -136,11 +184,13 @@ def test_count_rejects_tiny_n_and_zero_poly():
     assert rep.count == 0 and "zero polynomial" in rep.notes
 
 
-def test_bitmap_and_dedup_agree():
+def test_bitmap_and_dedup_agree(monkeypatch):
     F = parse("x^2 + 2*y^2 + x")
     N = 400
-    a = count_range(F, N, mem_bits=10**9)
-    b = count_range(F, N, mem_bits=1)  # forces the sorted-dedup fallback
+    monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(10**9))
+    a = count_range(F, N)
+    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "1")  # forces the sorted-dedup fallback
+    b = count_range(F, N)
     assert a.mode == "bitmap" and b.mode == "dedup"
     assert a.count == b.count
 
@@ -170,11 +220,12 @@ def test_worker_determinism(monkeypatch):
         (parse("x^4 + y^4 + x^2*y"), 600000),
     )
     for mem_bits, mode in ((10**6, "bitmap"), (1, "dedup")):
+        monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(mem_bits))
         for F, N in cases:
-            base = count_range(F, N, workers=1, mem_bits=mem_bits).to_json_obj()
+            base = count_range(F, N, workers=1).to_json_obj()
             assert base["mode"] == mode
             for w in (2, 3, 5):
-                assert count_range(F, N, workers=w, mem_bits=mem_bits).to_json_obj() == base
+                assert count_range(F, N, workers=w).to_json_obj() == base
 
 
 class PoolStarted(Exception):
@@ -253,7 +304,8 @@ def test_curve_family_merge_counts_only_new_values(monkeypatch):
         added = len(set(extra) - in_box)
         notes = [f"{added} values added from curve-family points"] if added else []
         for mem_bits in (10**6, 1):
-            rep = count_range(F, N, mem_bits=mem_bits)
+            monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(mem_bits))
+            rep = count_range(F, N)
             assert not rep.certified and rep.box == box
             assert rep.count == len(in_box | set(extra))
             assert [n for n in rep.notes if "curve-family" in n] == notes

@@ -5,12 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sexticlab import unipoly as up
-from sexticlab.quadext import QuadExt, is_squarefree, _rat_sqrt
+from sexticlab.quadext import KERNEL_TRIAL_BOUND, QuadExt, is_squarefree, squarefree_kernel, _rat_sqrt
 
 
 def test_is_squarefree():
     assert is_squarefree(2) and is_squarefree(3) and is_squarefree(30)
     assert not is_squarefree(4) and not is_squarefree(12) and not is_squarefree(18)
+
+
+def test_squarefree_kernel():
+    # n = k s^2 by brute force for small n
+    for n in range(1, 400):
+        k = min(n // s**2 for s in range(1, math.isqrt(n) + 1) if n % s**2 == 0)
+        assert squarefree_kernel(n) == k
+    B = KERNEL_TRIAL_BOUND
+    p, q, r = 1000003, 1000033, 1000037  # primes above B
+    assert squarefree_kernel(12 * p * p) == 3  # a square cofactor
+    assert squarefree_kernel(18 * p * q) == 2 * p * q  # cofactor below B^3
+    assert p * q * r > B**3
+    assert squarefree_kernel(p * q * r) is None  # left open
+    assert squarefree_kernel(p**4 * q**2) == 1
 
 
 def test_field_ops():
