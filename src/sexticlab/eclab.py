@@ -188,29 +188,39 @@ def _sqrt_cf_fundamental(d: int) -> tuple[tuple[int, int], int]:
         q_prev, q = q, a * q + q_prev
 
 
-def _half_unit(d: int) -> tuple[int, int]:
-    """Minimal (a, b) with a > 0, b > 0, a^2 - d b^2 = 4."""
-    (u1, v1), sgn = _sqrt_cf_fundamental(d)
-    if sgn == -1:
-        u1, v1 = u1 * u1 + d * v1 * v1, 2 * u1 * v1
-    # (2 u1, 2 v1) always works, so the scan below terminates
-    for b in range(1, 2 * v1 + 1):
+def _half_unit(d: int, x1: int, y1: int) -> tuple[int, int]:
+    """Minimal (a, b) with a > 0, b > 0, a^2 - d b^2 = 4, given the
+    fundamental norm-1 unit eps = x1 + y1 sqrt(d).
+
+    The half units (a + b sqrt d)/2 of norm 1 with a, b > 0 are the powers of
+    the minimal one, eta, and eps is one of them: eps = eta^k.  If k = 1 the
+    answer is (2 x1, 2 y1).  If k >= 2 then b sqrt d < eta <= sqrt(eps) (as
+    a > b sqrt d), and eps < 2 y1 sqrt d + 1 (as x1 < y1 sqrt d + 1), so
+    b^2 < 2 y1 / sqrt d + 1 / d < 2 y1 // isqrt(d) + 2: the scan covers it."""
+    for b in range(1, isqrt(2 * y1 // isqrt(d) + 2) + 2):
         a2 = d * b * b + 4
         a = isqrt(a2)
         if a * a == a2:
             return a, b
-    return 2 * u1, 2 * v1
+    return 2 * x1, 2 * y1
 
 
 def pell_solve(d: int, c: int, count: int) -> PellSolution:
     """Solutions of u^2 - d v^2 = c for c in {1, -1, 4, -4}.
 
-    Fundamental solution from the continued fraction of sqrt(d) (c = +-1) or
-    a bounded scan (c = +-4).  For c = +-4 the family is generated by the
-    half-unit recurrence (u, v) -> ((a u + d b v)/2, (a v + b u)/2) with
-    a^2 - d b^2 = 4, which stays integral because u, v and a, b share parity
-    when d is odd.  For c = +-1 that parity argument fails (e.g. d = 5,
-    c = -1 starts at (2, 1)), so the step is the full norm-1 unit instead."""
+    Everything comes from the fundamental norm-1 unit eps = x1 + y1 sqrt d,
+    found once from the continued fraction of sqrt d.  One step,
+    (u, v) -> ((a u + d b v)/2, (a v + b u)/2), multiplies (u + v sqrt d)/2
+    by the unit (a + b sqrt d)/2: eps itself, (a, b) = (2 x1, 2 y1), for
+    c = +-1, and the minimal half unit eta for c = +-4, where the step stays
+    integral because u - d v and a - d b are even.  The bases are eps (c = 1),
+    the norm -1 convergent, present exactly when the period is odd (c = -1),
+    eta (c = 4), and for c = -4 the minimal norm -1 half unit
+    zeta = (r + s sqrt d)/2.  The half units are +- the powers of the least
+    one above 1, so zeta, when it exists, squares to eta:
+    a = (r^2 + d s^2)/2 with r^2 - d s^2 = -4, i.e. r^2 = a - 2 and
+    d s^2 = a + 2.  Conversely such r, s solve c = -4, so when a - 2 and
+    (a + 2)/d are not both squares, c = -4 has no solution."""
     if d <= 0 or isqrt(d) ** 2 == d:
         raise ValueError("d must be a positive nonsquare")
     if c not in (1, -1, 4, -4):
@@ -218,45 +228,31 @@ def pell_solve(d: int, c: int, count: int) -> PellSolution:
     if count < 1:
         raise ValueError("count must be >= 1")
     (u1, v1), sgn = _sqrt_cf_fundamental(d)
-    base = None
+    x1, y1 = (u1, v1) if sgn == 1 else (u1 * u1 + d * v1 * v1, 2 * u1 * v1)
+    if c in (1, -1):
+        a, b = 2 * x1, 2 * y1
+    else:
+        a, b = _half_unit(d, x1, y1)
+        if a * a - d * b * b != 4:
+            raise IdentityError(f"pell_solve: half unit ({a}, {b}) misses a^2 - {d} b^2 = 4")
     if c == 1:
-        if sgn == 1:
-            base = (u1, v1)
-        else:
-            base = (u1 * u1 + d * v1 * v1, 2 * u1 * v1)
-    elif c == -1:
-        if sgn == -1:
-            base = (u1, v1)
-        else:
-            raise ValueError(f"u^2 - {d} v^2 = -1 has no integer solutions")
+        base = x1, y1
+    elif c == 4:
+        base = a, b
+    elif c == -1 and sgn == -1:
+        base = u1, v1
     else:
-        # bounded scan for the fundamental +-4 solution
-        for v in range(1, 2 * v1 + 3):
-            u2 = d * v * v + c
-            if u2 <= 0:
-                continue
-            u = isqrt(u2)
-            if u * u == u2:
-                base = (u, v)
-                break
-        if base is None:
+        r, s = isqrt(a - 2), isqrt((a + 2) // d)
+        if c == -1 or r * r != a - 2 or d * s * s != a + 2:
             raise ValueError(f"u^2 - {d} v^2 = {c} has no integer solutions")
-    if c in (4, -4):
-        a, b = _half_unit(d)
-        step = lambda u, v: ((a * u + d * b * v) // 2, (a * v + b * u) // 2)
-    else:
-        if sgn == 1:
-            x1, y1 = u1, v1
-        else:
-            x1, y1 = u1 * u1 + d * v1 * v1, 2 * u1 * v1
-        step = lambda u, v: (x1 * u + d * y1 * v, x1 * v + y1 * u)
+        base = r, s
     sols = []
     u, v = base
     for _ in range(count):
         if u * u - d * v * v != c:
             raise IdentityError(f"pell_solve: solution {len(sols)} misses u^2 - {d} v^2 = {c}")
         sols.append((u, v))
-        u, v = step(u, v)
+        u, v = (a * u + d * b * v) // 2, (a * v + b * u) // 2
     return PellSolution(d=d, c=c, solutions=sols)
 
 

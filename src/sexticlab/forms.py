@@ -241,14 +241,9 @@ def definiteness(A: BinaryForm) -> str:
             if i % 2 == 1:
                 return "indefinite"
             has_real_root = True
-    # sample a nonzero value: A(1,0) or A(0,1) or A(1,n) for small n
-    for x, y in [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2)]:
-        v = A.eval(x, y)
-        if v:
-            sign = v > 0
-            break
-    else:  # pragma: no cover - a nonzero degree<=6 form can't vanish at all 7
-        raise ArithmeticError("could not sample a nonzero value")
+    # A nonzero form vanishes at no more than `degree` projective points, so
+    # some A(1, n), n = 0..degree, is nonzero; off its roots A keeps one sign.
+    sign = next(v for v in (A.eval(1, n) for n in range(A.degree + 1)) if v) > 0
     if has_real_root:
         return "positive-semi" if sign else "negative-semi"
     return "positive-definite" if sign else "negative-definite"

@@ -256,12 +256,8 @@ def isolate_real_roots(p: list) -> list[IsolatingInterval]:
         split(lo, mid, nlo, nmid)
         split(mid, hi, nmid, nhi)
 
-    lo, hi = -bound, bound
-    while not peval(sf, lo):
-        lo -= 1
-    while not peval(sf, hi):
-        hi += 1
-    split(lo, hi, sign_variations(chain, lo), sign_variations(chain, hi))
+    # Cauchy's bound is strict (every root has |r| < bound): +-bound are not roots
+    split(-bound, bound, sign_variations(chain, -bound), sign_variations(chain, bound))
     out.sort(key=lambda iv: iv.lo)
     return out
 

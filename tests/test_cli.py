@@ -324,6 +324,14 @@ def test_density_baseline(capsys):
     assert lines[1].startswith("10000,")
 
 
+def test_density_form_vanishing_at_small_slopes(capsys):
+    # the degree-14 leading form vanishes at (1, 0), (0, 1), (1, +-1), (1, +-2), (2, 1)
+    poly = "(x*y*(x-y)*(x+y)*(x-2*y)*(2*x-y)*(2*x+y))^2"
+    code, out, _ = run(capsys, "density", "--poly", poly, "--bound", "100")
+    assert code == EXIT_OK
+    assert json.loads(out)["notes"] == ["box not certified: form is not positive definite"]
+
+
 def test_density_requires_bound(capsys):
     code, _, err = run(capsys, "density", "--poly", "x^2 + y^2")
     assert code == EXIT_INPUT
@@ -440,6 +448,12 @@ def test_curve_pell(capsys):
     code, out, _ = run(capsys, "curve", "pell", "--d", "2", "--c", "1", "--count", "3")
     assert code == EXIT_OK
     assert out.splitlines()[1:] == ["3,2", "17,12", "99,70"]
+
+
+def test_curve_pell_four_past_norm_minus_one_unit(capsys):
+    code, out, _ = run(capsys, "curve", "pell", "--d", "10", "--c", "4", "--count", "2")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == ["38,12", "1442,456"]
 
 
 def test_curve_pell_unsolvable(capsys):

@@ -2,7 +2,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -208,6 +210,42 @@ def test_pell_known_solutions():
         assert x * x - 5 * y * y == -1
 
 
+@pytest.mark.parametrize("d, first", [(10, [(38, 12), (1442, 456)]), (41, [(4098, 640)])])
+def test_pell_four_half_unit_regressions(d, first):
+    # the minimal half unit can lie past twice the norm -1 unit's v
+    assert pell_solve(d, 4, len(first)).solutions == first
+
+
+def test_pell_four_large_unit_is_fast():
+    # d = 151 has y1 = 140634693; the half-unit scan stops near sqrt(2 y1 / sqrt d)
+    start = time.perf_counter()
+    (a, b), = pell_solve(151, 4, 1).solutions
+    assert time.perf_counter() - start < 1.0
+    assert a * a - 151 * b * b == 4
+
+
+def _least_v(d, c, vmax):
+    return next((v for v in range(1, vmax + 1)
+                 if d * v * v + c > 0 and isqrt(d * v * v + c) ** 2 == d * v * v + c), None)
+
+
+@pytest.mark.parametrize("c", [1, -1, 4, -4])
+def test_pell_small_d_against_brute_force(c):
+    for d in range(2, 100):
+        if isqrt(d) ** 2 == d:
+            continue
+        try:
+            sols = pell_solve(d, c, 4).solutions
+        except ValueError:
+            assert c != 4
+            assert _least_v(d, c, 10**3) is None
+            continue
+        assert all(u * u - d * v * v == c for u, v in sols)
+        assert all(u2 > u1 and v2 > v1 for (u1, v1), (u2, v2) in zip(sols, sols[1:]))
+        if sols[0][1] <= 10**5:
+            assert _least_v(d, c, sols[0][1]) == sols[0][1]
+
+
 def test_pell_minus_one_unsolvable():
     with pytest.raises(ValueError):
         pell_solve(3, -1, 1)  # x^2 - 3y^2 = -1 has no solution
@@ -255,7 +293,7 @@ def rouse_gap():
 
 def pell():
     real = E._half_unit
-    E._half_unit = lambda d: (real(d)[0] + 2, real(d)[1])
+    E._half_unit = lambda d, x1, y1: (real(d, x1, y1)[0] + 2, real(d, x1, y1)[1])
     E.pell_solve(5, -4, 3)
 
 def danilov_member():
