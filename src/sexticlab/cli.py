@@ -186,6 +186,9 @@ def cmd_curve(args) -> int:
             rows = eclab.hall_scan(args.xmax, Fraction(args.threshold))
         else:  # pell; argparse admits no other family
             sol = eclab.pell_solve(args.d, args.c, args.count)
+    except eclab.PellBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.family == "pell":

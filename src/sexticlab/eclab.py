@@ -169,23 +169,37 @@ class PellSolution:
     solutions: list  # [(u, v)] ordered by u
 
 
+# continued-fraction steps of sqrt(d) before pell_solve gives up
+PELL_CF_STEPS = 10**5
+
+
+class PellBudgetError(RuntimeError):
+    """The period of the continued fraction of sqrt(d) is longer than
+    PELL_CF_STEPS."""
+
+
 def _sqrt_cf_fundamental(d: int) -> tuple[tuple[int, int], int]:
     """((u, v) with u^2 - d v^2 = +-1 from the continued fraction of sqrt(d),
     sign).  The returned solution is the first convergent hit, so it has
-    sign -1 exactly when the period is odd."""
+    sign -1 exactly when the period is odd.  The k-th convergent has
+    p_k^2 - d q_k^2 = (-1)^(k+1) Q_(k+1), so the walk stops where the
+    denominator Q reaches 1 and checks the norm once, on the result."""
     a0 = isqrt(d)
-    m, den, a = 0, 1, a0
+    m, den, a, sign = 0, 1, a0, -1
     p_prev, p = 1, a0
     q_prev, q = 0, 1
-    while True:
-        val = p * p - d * q * q
-        if val in (1, -1):
-            return (p, q), val
+    for _ in range(PELL_CF_STEPS):
         m = den * a - m
         den = (d - m * m) // den
+        if den == 1:
+            if p * p - d * q * q != sign:
+                raise IdentityError("pell: the convergent at Q = 1 is not a unit")
+            return (p, q), sign
         a = (a0 + m) // den
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
+        sign = -sign
+    raise PellBudgetError(f"sqrt({d}) has no unit within {PELL_CF_STEPS} continued-fraction steps")
 
 
 def _half_unit(d: int, x1: int, y1: int) -> tuple[int, int]:

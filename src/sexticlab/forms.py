@@ -171,15 +171,17 @@ def _factorization(A: BinaryForm) -> list:
     whose first nonzero coefficient is positive, and roots_i the isolating
     intervals of the real roots of B_i(t, 1).
 
-    Yun's algorithm runs on the x-dehomogenization; when y^m || A, y joins
-    the multiplicity-m factor.  Multiplicities computed over Q are valid over
+    Yun's algorithm runs in integers, on the primitive form of the
+    x-dehomogenization, and hands each factor to the root isolation as a
+    primitive int list with a positive lead; when y^m || A, y joins the
+    multiplicity-m factor.  Multiplicities computed over Q are valid over
     the algebraic closure in characteristic 0.  Computed on first use and
     kept on A."""
     if A._yun is None:
         p, m = A.dehom_x()
         yun = {i: b for i, b in enumerate(up.yun_decomposition(p), start=1) if up.pdeg(b) >= 1}
         if m:
-            yun.setdefault(m, [Fraction(1)])
+            yun.setdefault(m, [1])
         record = []
         for i, b in sorted(yun.items()):
             # homogenizing to one degree more multiplies by y

@@ -1,21 +1,26 @@
 """Univariate polynomial helpers over the rationals.
 
-Polynomials are coefficient lists [c0, c1, ...] of Fractions, lowest degree
-first, with no trailing zeros (the zero polynomial is the empty list).  Used
-for binary forms, whose coefficient lists are such polynomials: products,
-division, gcds, Yun square-free decomposition, Sturm real-root isolation,
-continued-fraction convergents of an isolated root, and the integer k-th
-root.  `peval` is the one Horner evaluation; it works in the ring of its
-argument, so it also evaluates at an element of Q(sqrt k).  `pgcd` and
-`sturm_chain` read one remainder sequence, `_remainders`.  The convergents
-come from Lagrange's method on integer polynomials and are certified by
-checking that consecutive ones bracket the root.
+Polynomials are coefficient lists [c0, c1, ...], lowest degree first, with
+no trailing zeros (the zero polynomial is the empty list).  Used for binary
+forms, whose coefficient lists are such polynomials.  The exact kernel works
+on primitive integer lists (coprime int coefficients, from `primitive`):
+gcds, Yun square-free decomposition, Sturm real-root isolation and the
+continued-fraction convergents of an isolated root.  Where the rational
+algorithms make a polynomial monic, these make it primitive with a positive
+lead, a positive multiple of the monic one, and every division is an exact
+integer quotient (`_exquo`) or a pseudo-remainder (`_prem`).  `pgcd` and
+`sturm_chain` read one remainder sequence, `_remainders`.  `hom_eval` signs
+an integer list at a rational point without a Fraction.  `peval` is the one
+Horner evaluation in the ring of its argument, so it also evaluates at an
+element of Q(sqrt k); `pdivmod`, `monic` and `pmul` work on Fraction lists.
+The convergents come from Lagrange's method on integer polynomials and are
+certified by checking that consecutive ones bracket the root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, lcm
 
 from .poly import IdentityError
 
@@ -30,22 +35,14 @@ def pdeg(p: list) -> int:
     return len(p) - 1
 
 
-def padd(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
 def pneg(p: list) -> list:
     return [-c for c in p]
 
 
 def psub(p: list, q: list) -> list:
-    return padd(p, pneg(q))
+    n = max(len(p), len(q))
+    p, q = p + [0] * (n - len(p)), q + [0] * (n - len(q))
+    return trim([a - b for a, b in zip(p, q)])
 
 
 def pmul(p: list, q: list) -> list:
@@ -66,7 +63,7 @@ def pdivmod(p: list, q: list) -> tuple[list, list]:
     r = list(p)
     quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
     dq = pdeg(q)
-    lead = q[-1]
+    lead = Fraction(q[-1])
     while pdeg(trim(r)) >= dq and r:
         dr = pdeg(r)
         c = r[-1] / lead
@@ -88,7 +85,8 @@ def peval(p: list, x):
 
 def hom_eval(p: list, u, v):
     """The homogenized sum v^d p(u/v) = sum p[k] u^k v^(d-k), d = len(p) - 1,
-    by Horner without division; exact for integer or Fraction u, v."""
+    by Horner without division; exact for integer or Fraction u, v.  For
+    v > 0 it has the sign of p(u/v)."""
     acc, vk = 0, 1
     for c in reversed(p):
         acc = acc * u + c * vk
@@ -101,43 +99,82 @@ def pderiv(p: list) -> list:
 
 
 def primitive(p: list) -> list:
-    """Scale by a positive rational so coefficients are coprime integers.
-
-    The positive scalar preserves signs, which matters for Sturm chains.
-    """
+    """The int list that is p times a positive rational, with coprime
+    coefficients.  The positive scalar preserves signs, which matters for
+    Sturm chains."""
     if not p:
         return []
-    num = 0
-    den = 1
-    for c in p:
-        num = igcd(num, c.numerator)
-        den = den * c.denominator // igcd(den, c.denominator)
-    s = Fraction(den, num)
-    return [c * s for c in p]
+    den = lcm(*(c.denominator for c in p))
+    q = [c.numerator * (den // c.denominator) for c in p]
+    g = igcd(*q)
+    return [c // g for c in q]
+
+
+def _positive(p: list) -> list:
+    """p or -p, whichever has a positive lead."""
+    return pneg(p) if p and p[-1] < 0 else p
 
 
 def monic(p: list) -> list:
     if not p:
         return []
-    lead = p[-1]
+    lead = Fraction(p[-1])
     return [c / lead for c in p]
 
 
+def _prem(a: list, b: list) -> list:
+    """A positive integer multiple of the remainder of a by b, for int lists:
+    each step that cannot cancel the lead exactly first scales by |lc(b)|,
+    never by a negative number, so signs are kept."""
+    r = list(a)
+    db, lead = pdeg(b), b[-1]
+    while pdeg(r) >= db:
+        c, m = divmod(r[-1], lead)
+        if m:
+            c = r[-1] if lead > 0 else -r[-1]
+            r = [abs(lead) * x for x in r]
+        k = pdeg(r) - db
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        trim(r)
+    return r
+
+
+def _exquo(a: list, b: list) -> list:
+    """The exact quotient a / b of int lists.  It is integral when b is
+    primitive and divides a (Gauss's lemma); any other b raises."""
+    r = list(a)
+    db, lead = pdeg(b), b[-1]
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    while pdeg(r) >= db:
+        c, m = divmod(r[-1], lead)
+        if m:
+            raise IdentityError("exact quotient: the divisor's lead does not divide")
+        k = pdeg(r) - db
+        quo[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        trim(r)
+    if r:
+        raise IdentityError("exact quotient: nonzero remainder")
+    return quo
+
+
 def _remainders(a: list, b: list) -> list:
-    """[r_0, r_1, r_2, ...] with r_0 = a, r_1 = b and r_(i+1) the primitive
-    form of -(r_(i-1) mod r_i), ending at its last nonzero member, a gcd of
-    a and b (b = [] gives [a])."""
+    """[r_0, r_1, r_2, ...] for primitive int lists a and b: r_0 = a, r_1 = b
+    and r_(i+1) the primitive form of -(r_(i-1) mod r_i), ending at its last
+    nonzero member, a gcd of a and b (b = [] gives [a])."""
     seq = [a, b]
     while seq[-1]:
-        _, r = pdivmod(seq[-2], seq[-1])
-        seq.append(primitive(pneg(r)))
+        seq.append(primitive(pneg(_prem(seq[-2], seq[-1]))))
     seq.pop()
     return seq
 
 
 def pgcd(p: list, q: list) -> list:
-    """Monic gcd: the last member of the remainder sequence, made monic."""
-    return monic(_remainders(trim(list(p)), trim(list(q)))[-1])
+    """Primitive integer gcd with a positive lead: the last member of the
+    remainder sequence of the primitive forms of p and q."""
+    return _positive(_remainders(primitive(trim(list(p))), primitive(trim(list(q))))[-1])
 
 
 def squarefree_part(p: list) -> list:
@@ -154,27 +191,28 @@ def squarefree_part(p: list) -> list:
 def yun_decomposition(p: list) -> list:
     """Yun's algorithm: returns [B1, B2, ...] with p = lc * prod Bi^i.
 
-    Each Bi is monic square-free; pairwise coprime.  Works in char 0.
+    p is any rational list; the algorithm runs on its primitive integer
+    form.  Each Bi is a primitive square-free int list with a positive lead;
+    they are pairwise coprime.  Works in char 0.
     """
-    p = trim(list(p))
-    if not p or pdeg(p) == 0:
+    f = primitive(trim(list(p)))
+    if pdeg(f) < 1:
         return []
-    dp = pderiv(p)
-    g = pgcd(p, dp)
+    df = pderiv(f)
+    g = pgcd(f, df)
     if pdeg(g) == 0:
-        return [monic(p)]
-    w, _ = pdivmod(p, g)
-    z, _ = pdivmod(dp, g)
+        return [_positive(f)]
+    # w and z are divided by the same gcds, so h = z - w' keeps Yun's scale
+    w, z = _exquo(f, g), _exquo(df, g)
     out = []
     while True:
         h = psub(z, pderiv(w))
         if not h:
-            out.append(monic(w))
+            out.append(_positive(w))
             break
         b = pgcd(w, h)
-        out.append(monic(b))
-        w, _ = pdivmod(w, b)
-        z, _ = pdivmod(h, b)
+        out.append(b)
+        w, z = _exquo(w, b), _exquo(h, b)
     return out
 
 
@@ -182,21 +220,19 @@ def yun_decomposition(p: list) -> list:
 
 
 def sturm_chain(p: list) -> list:
-    """Standard Sturm chain p, p', ...: the remainder sequence of p and p'.
+    """Standard Sturm chain p, p', ...: the remainder sequence of p and p',
+    as primitive int lists.
 
-    Rescaling uses positive scalars only (primitive does this), so the sign
-    variation count is unchanged.  The last member is gcd(p, p').
+    Rescaling uses positive scalars only (primitive and _prem do this), so
+    the sign variation count is unchanged.  The last member is gcd(p, p').
     """
     p = primitive(trim(list(p)))
     return [c for c in _remainders(p, primitive(pderiv(p))) if c]
 
 
 def sign_variations(chain: list, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = peval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    num, den = x.numerator, x.denominator
+    signs = [v > 0 for v in (hom_eval(p, num, den) for p in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -205,15 +241,14 @@ def cauchy_bound(p: list) -> Fraction:
     p = trim(list(p))
     if pdeg(p) < 1:
         return Fraction(1)
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
 class IsolatingInterval:
     """Open rational interval containing exactly one real root of poly.
 
-    poly is a square-free univariate coefficient list; the endpoints are never
-    roots.
+    poly is a square-free primitive int list with a positive lead; the
+    endpoints are never roots.
     """
 
     def __init__(self, poly: list, lo: Fraction, hi: Fraction):
@@ -229,15 +264,16 @@ def isolate_real_roots(p: list) -> list[IsolatingInterval]:
     """Isolating intervals for the distinct real roots of p (any multiplicity).
 
     Each returned interval contains exactly one real root, neither endpoint
-    is a root, and its poly is the monic square-free part of p.  The Sturm
-    chain of p ends at gcd(p, p'), which divides p into that part; at points
-    that are not roots of p, the chain counts distinct roots.
+    is a root, and its poly is the square-free part of p, primitive with a
+    positive lead.  The Sturm chain of p ends at gcd(p, p'), which divides p
+    into that part; at points that are not roots of p, the chain counts
+    distinct roots.
     """
     p = trim(list(p))
     if pdeg(p) < 1:
         return []
     chain = sturm_chain(p)
-    sf = monic(p) if pdeg(chain[-1]) < 1 else monic(pdivmod(p, chain[-1])[0])
+    sf = _positive(chain[0] if pdeg(chain[-1]) < 1 else _exquo(chain[0], chain[-1]))
     bound = cauchy_bound(sf)
     out = []
 
@@ -250,7 +286,7 @@ def isolate_real_roots(p: list) -> list[IsolatingInterval]:
             out.append(IsolatingInterval(sf, lo, hi))
             return
         mid = (lo + hi) / 2
-        while not peval(sf, mid):
+        while not hom_eval(sf, mid.numerator, mid.denominator):
             mid = (lo + mid) / 2
         nmid = sign_variations(chain, mid)
         split(lo, mid, nlo, nmid)
@@ -364,13 +400,13 @@ def convergents_of_root(iv: IsolatingInterval, n: int) -> list[tuple[int, int]]:
 
     A rational root b/c ends the walk where a is itself a root of p, at the
     convergent with denominator c.  Since c divides the leading coefficient
-    L of the primitive form of iv.poly, walking on until q > |L| rejects
+    L of iv.poly, a primitive int list, walking on until q > |L| rejects
     every rational root for every n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
 
-    f = [int(c) for c in primitive(iv.poly)]
+    f = iv.poly
     s_lo = _sign_at(f, iv.lo.numerator, iv.lo.denominator)
     p, lo, hi = f, iv.lo, iv.hi
     pairs = []

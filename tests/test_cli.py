@@ -456,6 +456,26 @@ def test_curve_pell_four_past_norm_minus_one_unit(capsys):
     assert out.splitlines()[1:] == ["38,12", "1442,456"]
 
 
+def test_curve_pell_exits_4_past_the_step_cap(capsys, monkeypatch):
+    # sqrt(94) has period 16, so its unit needs 16 continued-fraction steps
+    from sexticlab import eclab
+
+    argv = ("curve", "pell", "--d", "94", "--c", "1", "--count", "1")
+    monkeypatch.setattr(eclab, "PELL_CF_STEPS", 16)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out.splitlines()[1:] == ["2143295,221064"]
+    monkeypatch.setattr(eclab, "PELL_CF_STEPS", 15)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("error: ") and "15 continued-fraction steps" in err
+
+
+def test_curve_pell_long_period_exits_4(capsys):
+    # a period longer than the cap used to hang the walk
+    code, out, err = run(capsys, "curve", "pell", "--d", "1000000000007", "--c", "1")
+    assert code == EXIT_BUDGET and out == "" and err.startswith("error: ")
+
+
 def test_curve_pell_unsolvable(capsys):
     code, _, err = run(capsys, "curve", "pell", "--d", "3", "--c", "-1")
     assert code == EXIT_INPUT

@@ -314,8 +314,13 @@ def squarefree_part():
     U.pgcd = lambda p, q: [Fraction(1), Fraction(1)]
     U.squarefree_part([Fraction(1), Fraction(0), Fraction(1)])
 
+def yun_exact_quotient():
+    # t + 1 does not divide t^2 + 1: Yun's exact integer quotient must refuse
+    U.pgcd = lambda p, q: [1, 1]
+    U.yun_decomposition([Fraction(1), Fraction(0), Fraction(1)])
+
 for case in (ec_add_off_curve, rouse_closed_form, rouse_gap, pell, danilov_member,
-             danilov_family, squarefree_profile, squarefree_part):
+             danilov_family, squarefree_profile, squarefree_part, yun_exact_quotient):
     for m in (E, U, Fo):
         importlib.reload(m)
     try:

@@ -112,7 +112,83 @@ def test_isolation_runs_on_the_square_free_part(monkeypatch):
         want = up.isolate_real_roots(squarefree_part(q))
         assert len(ivs) == 4
         assert [(iv.lo, iv.hi, iv.poly) for iv in ivs] == [(iv.lo, iv.hi, iv.poly) for iv in want]
-        assert all(iv.poly == squarefree_part(q) for iv in ivs)
+        # a positive multiple of the monic square-free part
+        assert all(iv.poly[-1] > 0 and up.monic(iv.poly) == squarefree_part(q) for iv in ivs)
+
+
+def test_isolation_keeps_the_primitive_integer_list():
+    # 2t^2 - 1 is primitive with a positive lead already; its positive root
+    # 1/sqrt(2) = [0; 1, 2, 2, 2, ...]
+    ivs = up.isolate_real_roots([-1, 0, 2])
+    assert [iv.poly for iv in ivs] == [[-1, 0, 2], [-1, 0, 2]]
+    assert all(type(c) is int for iv in ivs for c in iv.poly)
+    pos = [iv for iv in ivs if iv.lo >= 0][0]
+    pairs = up.convergents_of_root(pos, 7)
+    assert pairs == [(0, 1), (1, 1), (2, 3), (5, 7), (12, 17), (29, 41), (70, 99)]
+    assert pairs == bisection_convergents(pos.poly, pos.lo, pos.hi, 7)
+
+
+def test_monic_returns_fractions_on_integer_input():
+    m = up.monic([2, 4])
+    assert m == [Fraction(1, 2), Fraction(1)] and all(type(c) is Fraction for c in m)
+
+
+# products c * prod f_j^e_j of small integer factors of degree 1 or 2, total
+# degree at most 8, so that most draws have repeated factors
+_factor = st.tuples(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=2),
+    st.integers(1, 4).filter(bool),
+    st.integers(1, 3),
+)
+
+
+def _product(c, factors):
+    p = [Fraction(c)]
+    for low, lead, e in factors:
+        for _ in range(e):
+            p = up.pmul(p, [Fraction(a) for a in low + [lead]])
+    return p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-5, 5).filter(bool), st.lists(_factor, min_size=1, max_size=4))
+def test_yun_matches_sympy_sqf_list(c, factors):
+    assume(sum(len(low) * e for low, _, e in factors) <= 8)
+    p = _product(c, factors)
+    parts = up.yun_decomposition(p)
+    assert all(type(x) is int for b in parts for x in b)
+    assert all(b[-1] > 0 and up.primitive(b) == b for b in parts)
+    # lc * prod B_i^i = p
+    prod = _product(1, [(b[:-1], b[-1], i) for i, b in enumerate(parts, start=1)])
+    lc = p[-1] / prod[-1]
+    assert [lc * x for x in prod] == p
+    # the same factors as sympy's, up to a positive scalar
+    t = sympy.Symbol("t")
+    _, theirs = sympy.sqf_list(sympy.Poly(to_sympy(p), t))
+    ours = {i: b for i, b in enumerate(parts, start=1) if len(b) > 1}
+    assert sorted(ours) == sorted(i for _, i in theirs)
+    for f, i in theirs:
+        coeffs = [int(x) for x in reversed(f.all_coeffs())]
+        assert coeffs[-1] > 0 and up.monic(ours[i]) == up.monic(coeffs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(-5, 5).filter(bool),
+    st.lists(_factor, min_size=1, max_size=4),
+    st.fractions(-6, 6, max_denominator=8),
+    st.fractions(-6, 6, max_denominator=8),
+)
+def test_sturm_counts_match_sympy_on_repeated_roots(c, factors, a, b):
+    assume(sum(len(low) * e for low, _, e in factors) <= 8 and a < b)
+    p = _product(c, factors)
+    assume(up.peval(p, a) and up.peval(p, b))
+    chain = up.sturm_chain(p)
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(to_sympy(p), t)
+    count = up.sign_variations(chain, a) - up.sign_variations(chain, b)
+    assert count == poly.count_roots(sympy.Rational(a), sympy.Rational(b))
+    assert len(up.isolate_real_roots(p)) == poly.count_roots()
 
 
 def test_rational_roots():
