@@ -4,18 +4,19 @@ as median and [q1, q3] per workload, appended to a BENCH_*.json file.
 
 Usage:
     python3 scripts/bench_point.py --out BENCH_<n>.json --label "my change"
-    python3 scripts/bench_point.py --out BENCH_<n>.json --parent ../parent \\
-        --workloads certify --pairs 10 --seconds 8
+    python3 scripts/bench_point.py --out BENCH_<n>.json --parent ../parent
 
-Without --parent every run is on this checkout ("head").  With --parent DIR (another
-checkout root of the same repository) the runs come in pairs, one on each
-tree, in alternating order: pair i runs the parent first when i is even and
-this checkout first when i is odd, and uses seed --seed + i on both.  Each
-run is `python3 bench/run.py --workload W --seed S --seconds T --trace 0`
-in its tree's root, with that tree's own bench/.  Before every run the
-tree's src/sexticlab/__pycache__ is deleted and rebuilt with compileall, so
-both trees load fresh bytecode and no run pays for compiling (which adds
-about 1 MB to peak_rss_mb).
+Every workload gets PAIRS runs per tree.  Without --parent every run is on
+this checkout ("head").  With --parent DIR (another checkout root of the
+same repository) the runs come in pairs, one on each tree, in alternating
+order: pair i runs the parent first when i is even and this checkout first
+when i is odd, and uses seed FIRST_SEED + i on both.  Each run is
+`python3 bench/run.py --workload W --seed S --seconds T --trace 0` in its
+tree's root, with that tree's own bench/, where T is run_seconds of this
+checkout's BENCHMARK.json.  Before every run the tree's
+src/sexticlab/__pycache__ is deleted and rebuilt with compileall, so both
+trees load fresh bytecode and no run pays for compiling (which adds about
+1 MB to peak_rss_mb).
 
 The point records, per tree, workload and metric, the median, [q1, q3] and
 the raw values, and for pairs how many the change won (all four metrics
@@ -42,6 +43,10 @@ import hostspeed  # noqa: E402
 import jobs as joblist  # noqa: E402
 
 METRICS = ("setup_s", "pass_s", "job_p50_ms", "peak_rss_mb")
+PAIRS = 10
+FIRST_SEED = 1
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    SECONDS = json.load(_fh)["run_seconds"]
 
 
 def fresh_bytecode(tree: str) -> None:
@@ -82,27 +87,20 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="BENCH_*.json file to append the point to")
     ap.add_argument("--label", default="", help="free text stored with the point")
     ap.add_argument("--parent", help="checkout root to compare against, in alternating pairs")
-    ap.add_argument("--workloads", nargs="+", choices=joblist.WORKLOADS,
-                    default=list(joblist.WORKLOADS))
-    ap.add_argument("--pairs", type=int, default=5, help="pairs (or runs without --parent)")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=8.0, help="bench/run.py --seconds")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT} if args.parent else {
         "head": ROOT}
-    runs = {side: {w: [] for w in args.workloads} for side in trees}
+    runs = {side: {w: [] for w in joblist.WORKLOADS} for side in trees}
     speed = []
-    for workload in args.workloads:
-        for i in range(args.pairs):
+    for workload in joblist.WORKLOADS:
+        for i in range(PAIRS):
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for side in order:
                 speed.append(hostspeed.sample() / hostspeed.NOMINAL_S)
                 t0 = time.monotonic()
-                runs[side][workload].append(bench_run(trees[side], workload, args.seed + i,
-                                                      args.seconds))
+                runs[side][workload].append(bench_run(trees[side], workload, FIRST_SEED + i,
+                                                      SECONDS))
                 print(f"{workload} pair {i} {side}: {runs[side][workload][-1]} "
                       f"({time.monotonic() - t0:.0f} s)", file=sys.stderr)
 
@@ -110,12 +108,12 @@ def main(argv=None) -> int:
         "label": args.label,
         "python": sys.version.split()[0],
         "host_speed": round(statistics.median(speed), 3),
-        "seeds": [args.seed, args.seed + args.pairs - 1],
-        "seconds": args.seconds,
+        "seeds": [FIRST_SEED, FIRST_SEED + PAIRS - 1],
+        "seconds": SECONDS,
         "trees": {side: git_head(tree) for side, tree in trees.items()},
         "workloads": {},
     }
-    for workload in args.workloads:
+    for workload in joblist.WORKLOADS:
         entry = point["workloads"][workload] = {}
         for m in METRICS:
             entry[m] = {side: summary([r[m] for r in runs[side][workload]]) for side in trees}

@@ -248,11 +248,12 @@ class IsolatingInterval:
     """Open rational interval containing exactly one real root of poly.
 
     poly is a square-free primitive int list with a positive lead; the
-    endpoints are never roots.
+    endpoints are never roots.  Any rational list is scaled to that form
+    here, so convergents_of_root can bound rational roots by its lead.
     """
 
     def __init__(self, poly: list, lo: Fraction, hi: Fraction):
-        self.poly = poly
+        self.poly = _positive(primitive(poly))
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
 

@@ -253,6 +253,18 @@ def test_convergents_floor_at_a_root_outside_the_interval():
     assert up.convergents_of_root(iv, 4) == [(1, 1), (3, 2), (7, 5), (17, 12)]
 
 
+def test_interval_poly_is_made_primitive():
+    # (7t - 3)/100 on (2/5, 1/2): the lead 7/100 must not stop the walk at
+    # q = 1 before the rational root 3/7 is reached
+    iv = up.IsolatingInterval([Fraction(-3, 100), Fraction(7, 100)],
+                              Fraction(2, 5), Fraction(1, 2))
+    assert iv.poly == [-3, 7] and all(type(c) is int for c in iv.poly)
+    with pytest.raises(up.RationalRootError) as exc:
+        up.convergents_of_root(iv, 1)
+    assert exc.value.root == Fraction(3, 7)
+    assert up.IsolatingInterval([6, 0, -4], 1, 2).poly == [-3, 0, 2]
+
+
 def test_cubic_root_convergents_certified():
     # real root of t^3 - t - 1 (the plastic number, ~1.3247)
     p = [Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)]
