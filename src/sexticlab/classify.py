@@ -259,7 +259,7 @@ class QuadraticCaseReport:
 
 def _at_sqrt(form: BinaryForm, k: int) -> tuple[QuadExt, QuadExt]:
     """(A(sqrt k, 1), dA/dx(sqrt k, 1)) in Q(sqrt k), for the form A."""
-    p, _ = form.dehom_x()
+    p = up.trim(form.coefficients[::-1])  # A(t, 1)
     rt = QuadExt(k, 0, 1)
     return up.peval(p, rt), up.peval(up.pderiv(p), rt)
 

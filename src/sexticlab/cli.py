@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = pd.add_mutually_exclusive_group()
     mode.add_argument("--ladder", help="comma-separated N values for a normalized table")
     mode.add_argument("--baseline", action="store_true",
-                      help="sums-of-two-squares sieve table instead of enumeration")
+                      help="sums-of-two-squares table instead of enumeration")
     pd.add_argument("--workers", type=int, default=1)
     pd.set_defaults(func=cmd_density)
 

@@ -386,37 +386,17 @@ def growth_exponent(F: BivarPoly, Ns: list) -> dict:
 
 
 def landau_baseline(Nmax: int) -> tuple[int, float]:
-    """Sieve count of n in [1, Nmax] that are sums of two squares, and the
-    ratio to Nmax / sqrt(ln Nmax).
-
-    n is a sum of two squares iff every prime p = 3 (mod 4) divides n to an
-    even power.  odd[n] marks the n with an odd power of some such p: for
-    each odd k it gets the multiples t * p^k with p not dividing t.
-    """
+    """Count of n in [1, Nmax] that are sums of two squares, and the ratio to
+    Nmax / sqrt(ln Nmax).  Marks x^2 + y^2 <= Nmax for 0 <= x <= y in one
+    bytearray, then drops the mark at 0."""
     if Nmax < 100:
         raise DensityError("Nmax must be >= 100")
-    size = Nmax + 1
-    ones = memoryview(b"\x01" * (Nmax // 2 + 1))
-    composite = bytearray(size)
-    for p in range(2, math.isqrt(Nmax) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = ones[: (Nmax - p * p) // p + 1]
-    odd = bytearray(size)
-    for p in range(3, size, 4):
-        if composite[p]:
-            continue
-        q = p
-        while q <= Nmax:
-            m = Nmax // q  # multiples of q in [1, Nmax]
-            if m < p:
-                odd[q::q] = ones[:m]
-            else:
-                # OR in a 1 at every t not divisible by p, as ints over bytes
-                skip_p = (b"\x01" * (p - 1) + b"\x00") * (m // p + 1)
-                marked = int.from_bytes(odd[q::q], "little") | int.from_bytes(skip_p[:m], "little")
-                odd[q::q] = marked.to_bytes(m, "little")
-            q *= p * p
-    count = Nmax - odd.count(1)
+    squares = [x * x for x in range(math.isqrt(Nmax) + 1)]
+    seen = bytearray(Nmax + 1)
+    for x, xx in enumerate(squares):
+        for yy in squares[x : math.isqrt(Nmax - xx) + 1]:
+            seen[xx + yy] = 1
+    count = seen.count(1) - 1
     ratio = count / (Nmax / math.sqrt(math.log(Nmax)))
     return count, ratio
 

@@ -67,38 +67,6 @@ class BinaryForm:
     def __repr__(self):
         return f"BinaryForm({self.degree}, {self.to_poly().format()})"
 
-    # -- dehomogenization --------------------------------------------------
-
-    def dehom_x(self) -> tuple[list, int]:
-        """(p, m) for the form A: p lists the coefficients of p(t) = A(t, 1),
-        lowest power first (p[i] = coefficients[d - i], trailing zeros
-        trimmed), and m is the exponent of the highest power of y dividing
-        A, the least k with coefficients[k] != 0.  The zero form gives
-        ([], 0)."""
-        d = self.degree
-        if self.is_zero():
-            return [], 0
-        m = min(k for k, c in enumerate(self.coefficients) if c)
-        # A(t,1) = sum_k c_k t^(d-k); lowest t-power is d - kmax
-        p = [Fraction(0)] * (d + 1)
-        for k, c in enumerate(self.coefficients):
-            p[d - k] = c
-        return up.trim(p), m
-
-    @staticmethod
-    def from_univariate(p: list, degree: int) -> "BinaryForm":
-        """Homogenize the t-polynomial p to the given form degree.
-
-        Form coefficient of x^(degree-k) y^k is p[degree-k] when present,
-        i.e. t^i y-homogenized with y^(degree-i).
-        """
-        coeffs = [Fraction(0)] * (degree + 1)
-        for i, c in enumerate(p):
-            if i > degree:
-                raise ValueError("univariate degree exceeds form degree")
-            coeffs[degree - i] = c
-        return BinaryForm(degree, coeffs)
-
 
 def decompose(F: BivarPoly) -> tuple[BinaryForm, ...]:
     """The homogeneous parts (F_0, ..., F_6) of F; errors if deg F exceeds 6.
@@ -172,20 +140,21 @@ def _factorization(A: BinaryForm) -> list:
     intervals of the real roots of B_i(t, 1).
 
     Yun's algorithm runs in integers, on the primitive form of the
-    x-dehomogenization, and hands each factor to the root isolation as a
-    primitive int list with a positive lead; when y^m || A, y joins the
-    multiplicity-m factor.  Multiplicities computed over Q are valid over
-    the algebraic closure in characteristic 0.  Computed on first use and
-    kept on A."""
+    x-dehomogenization.  Each factor is a primitive int list with a positive
+    lead: the root isolation takes it as it is, and reversed it is the
+    coefficient list of B_i.  When y^m || A, y joins the multiplicity-m
+    factor.  Multiplicities computed over Q are valid over the algebraic
+    closure in characteristic 0.  Computed on first use and kept on A."""
     if A._yun is None:
-        p, m = A.dehom_x()
+        p = up.trim(A.coefficients[::-1])  # A(t, 1), lowest power first
+        m = A.degree - up.pdeg(p)  # y^m || A
         yun = {i: b for i, b in enumerate(up.yun_decomposition(p), start=1) if up.pdeg(b) >= 1}
         if m:
             yun.setdefault(m, [1])
         record = []
         for i, b in sorted(yun.items()):
-            # homogenizing to one degree more multiplies by y
-            B = _canonical(BinaryForm.from_univariate(b, up.pdeg(b) + (i == m)))
+            # the reversed list is B_i(1, y); a leading 0 multiplies by y
+            B = BinaryForm(up.pdeg(b) + (i == m), [0] * (i == m) + b[::-1])
             record.append((i, B, up.isolate_real_roots(b) if up.pdeg(b) >= 1 else []))
         if sum(i * b.degree for i, b, _ in record) != A.degree:
             raise IdentityError("squarefree factors: multiplicities do not add up to the degree")

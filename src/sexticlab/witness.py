@@ -129,7 +129,11 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
 
     extra = {}
     if best_log is not None:
-        extra["growth_ratio_min"] = f"{math.exp(best_log):.6g}"
+        try:
+            ratio = math.exp(best_log)
+        except OverflowError:  # beyond the float range; report only
+            ratio = math.inf
+        extra["growth_ratio_min"] = f"{ratio:.6g}"
     if negatives:
         return Witness(
             "negative-value",
@@ -291,7 +295,11 @@ def growth_diagnostic(F: BivarPoly, delta: Fraction, box: int = 200) -> Witness:
             if not x and not y:
                 continue
             # int / int is correctly rounded, so v / D == float(F(x, y))
-            ratio = scale * (v / D) / (max(abs(x), abs(y)) ** expo)
+            try:
+                value = v / D
+            except OverflowError:  # beyond the float range
+                value = math.inf if v > 0 else -math.inf
+            ratio = scale * value / (max(abs(x), abs(y)) ** expo)
             if best is None or ratio < best[0]:
                 best = (ratio, x, y, v)
     ratio, x, y, v = best

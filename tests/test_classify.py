@@ -94,8 +94,8 @@ def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
     # (Dirichlet, for the MP1-quadratic input) all read one square-free
     # factorization: one Yun decomposition, and one root isolation per factor
     F6 = decompose(parse(expr))[6]
-    p6, _ = F6.dehom_x()
-    factors = [up.monic(b.dehom_x()[0]) for _, b in squarefree_factors(F6)]
+    p6 = up.trim(F6.coefficients[::-1])  # F6(t, 1)
+    factors = [up.monic(up.trim(b.coefficients[::-1])) for _, b in squarefree_factors(F6)]
     args, isolated = [], []
 
     def counting(real, calls):

@@ -246,6 +246,29 @@ def test_witness_large_convergent_budget(capsys):
     assert float(obj["extra"]["growth_ratio_min"]) > 0
 
 
+def test_witness_growth_ratio_past_float_range(capsys):
+    # 10^400 x^5 puts the growth ratio of every convergent beyond a float:
+    # it reads inf, and the negative values still make the witness
+    expr = "(x^2 - 2*y^2)^2*(x^2 + y^2) + 10^400*x^5"
+    code, out, err = run(capsys, "witness", "--poly", expr)
+    obj = json.loads(out)
+    assert code == EXIT_OK and err == ""
+    assert obj["kind"] == "negative-value"
+    assert obj["extra"]["growth_ratio_min"] == "inf"
+    F = parse(expr)
+    assert all(F.eval(x, y) == int(v) < 0 for x, y, v in obj["points"])
+
+
+@pytest.mark.parametrize("expr", ["x^174 + y^2", "10^310*x^2 + y^2"])
+def test_witness_growth_diagnostic_past_float_range(capsys, expr):
+    # F(x, y) is beyond a float on part of the box; its ratio reads inf
+    code, out, err = run(capsys, "witness", "--poly", expr)
+    obj = json.loads(out)
+    assert code == EXIT_OK and err == ""
+    assert obj["kind"] == "dearth-diagnostic"
+    assert obj["extra"]["min_ratio"] == "1"
+
+
 @pytest.mark.parametrize("engine,expr,matrix", [
     ("ray_witness", "x^6 - y^6", [[1, 0], [0, 1]]),
     ("anisotropic_witness", "(x+y)^6 + (x+y)^2*y^3", [[0, -1], [1, 1]]),

@@ -459,10 +459,34 @@ def test_landau_sieve_matches_direct():
     assert 0.5 < ratio < 1.2
 
 
-@pytest.mark.parametrize("N", [100, 101, 243, 441, 997, 2187, 6561, 9409, 12345, 30001])
+# prime powers of 3 and 7, squares and primes as the last n in range
+UNEVEN_BOUNDS = [100, 101, 243, 441, 997, 2187, 6561, 9409, 12345, 30001]
+
+
+@pytest.mark.parametrize("N", UNEVEN_BOUNDS)
 def test_landau_sieve_matches_direct_at_uneven_bounds(N):
-    # prime powers of 3 and 7, squares and primes as the last n in range
     assert landau_baseline(N)[0] == two_squares_direct(N)
+
+
+def _two_squares_by_theorem(n: int) -> bool:
+    """n >= 1 is a sum of two squares iff every prime p = 3 (mod 4) divides
+    it to an even power; the primes are found by trial division."""
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if p % 4 == 3 and e % 2:
+            return False
+        p += 1
+    return n % 4 != 3  # what is left is 1 or a prime to the first power
+
+
+@pytest.mark.parametrize("N", UNEVEN_BOUNDS)
+def test_landau_baseline_matches_two_squares_theorem(N):
+    # an oracle that enumerates no pairs x^2 + y^2
+    assert landau_baseline(N)[0] == sum(map(_two_squares_by_theorem, range(1, N + 1)))
 
 
 def test_landau_ratio_near_constant():

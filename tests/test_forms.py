@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,43 @@ def test_squarefree_factors():
     assert fac[4].to_poly() == parse("y")
 
 
+X_FORM, Y_FORM = BinaryForm(1, [1, 0]), BinaryForm(1, [0, 1])
+
+
+@st.composite
+def factored_forms(draw):
+    """c x^a y^b times small integer forms of degree 1-2, each to the power
+    1 or 2, so that x | A, y | A and repeated factors all occur."""
+    A = BinaryForm(0, [draw(st.sampled_from([-6, -1, 1, 4]))])
+    factors = [X_FORM] * draw(st.integers(0, 3)) + [Y_FORM] * draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(lambda cs: any(cs[:-1])))
+        factors += [BinaryForm(len(cs) - 1, cs)] * draw(st.integers(1, 2))
+    for f in factors:
+        A = A * f
+    return A
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(factored_forms())
+@example(form("x^3*y^2 + x^2*y^3"))  # x^2 y^2 (x + y)
+@example(form("-2*y"))
+@example(form("6*x^2*y - 4*x*y^2"))  # content 2, first coefficient positive
+@example(form("-3*x*y^2 + 9*y^3"))  # content 3, first coefficient negative
+def test_squarefree_factors_are_primitive_with_positive_lead(A):
+    P = BinaryForm(0, [1])
+    for i, B in squarefree_factors(A):
+        cs = B.coefficients
+        assert all(c.denominator == 1 for c in cs)
+        assert math.gcd(*(c.numerator for c in cs)) == 1
+        assert next(c for c in cs if c) > 0
+        for _ in range(i):
+            P = P * B
+    lc = form_div(P, A)  # A = lc * prod B_i^i
+    assert lc is not None and lc.degree == 0 and not lc.is_zero()
+    assert lc * P == A
+
+
 def test_real_roots_flags():
     ivs, at_inf = real_roots(form("x^2 - 2*y^2"))
     assert len(ivs) == 2 and not at_inf
@@ -222,7 +260,7 @@ def test_definiteness_matches_sampling(cs):
 def test_real_root_count_matches_sympy():
     t = sympy.Symbol("t")
     A = form("x^3 - 2*x*y^2 + y^3")
-    p, m = A.dehom_x()
+    p = up.trim(A.coefficients[::-1])  # A(t, 1)
     expected = sympy.polys.polytools.count_roots(
         sympy.Poly(sum(sympy.Rational(c) * t**i for i, c in enumerate(p)), t)
     )

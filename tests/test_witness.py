@@ -256,7 +256,7 @@ def test_dirichlet_rational_directions_come_from_the_walk(monkeypatch):
     # t = -2 and t = 2, found here by trial division; each walks as
     # +-(2^k b, 2^k c) for t = b/c, with values from Fraction evaluation
     F = parse("(x^2 - 4*y^2)^2*(x^2 + y^2) + x^5")
-    roots = up.rational_roots(decompose(F)[6].dehom_x()[0])
+    roots = up.rational_roots(up.trim(decompose(F)[6].coefficients[::-1]))
     assert roots == [-2, 2]
     monkeypatch.setattr(up, "rational_roots", _no_trial_division)
     n = 12
@@ -380,6 +380,20 @@ def test_growth_diagnostic_matches_fraction_scan():
     )
     assert w.points == [(ref[1], ref[2], F.eval(ref[1], ref[2]))]
     assert w.extra["min_ratio"] == f"{ref[0]:.6g}"
+
+
+@pytest.mark.parametrize("expr,ratio", [
+    ("x^174 + y^2", "1"),  # 60^174 > 2^1024: |x| >= 60 gives inf
+    ("y^2 - 10^310*x^2", "-inf"),  # every x != 0 gives -inf
+])
+def test_growth_diagnostic_past_float_range(expr, ratio):
+    # values beyond a float get ratio +-inf; the others keep theirs
+    F = parse(expr)
+    w = growth_diagnostic(F, Fraction(1), box=60)
+    assert w.kind == "dearth-diagnostic"
+    assert w.extra["min_ratio"] == ratio
+    x, y, v = w.points[0]
+    assert v == F.eval(x, y)
 
 
 # -- elliptic families --------------------------------------------------------
