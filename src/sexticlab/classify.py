@@ -59,7 +59,7 @@ class SquareCompletion:
     """scale * core^2 + remainder = the input polynomial, exactly."""
 
     core: BivarPoly
-    scale: Fraction
+    scale: Fraction | int
     remainder: BivarPoly
     substitution: dict | None = None
 
@@ -284,7 +284,8 @@ def quadratic_case_analysis(F: BivarPoly, k: int) -> QuadraticCaseReport:
         # bring p x^2 + q x y + r y^2 to p (X^2 - k Y^2) by a rational map
         if not p:
             raise ClassifyError("doubled factor has a rational root; not x^2 - k y^2")
-        rprime = r - q * q / (4 * p)
+        # p, q and r may be ints, so each division goes through a Fraction
+        rprime = r - Fraction(q * q, 4 * p)
         # x = X + shift*Y, y = s*Y leaves s^2 r' on Y^2, which must be -p k
         tval = -p * k / rprime
         s = _rat_sqrt(tval)
@@ -292,14 +293,14 @@ def quadratic_case_analysis(F: BivarPoly, k: int) -> QuadraticCaseReport:
             raise ClassifyError(
                 f"doubled factor is not equivalent to x^2 - {k} y^2 over Q"
             )
-        shift = -q / (2 * p) * s
+        shift = Fraction(-q, 2 * p) * s
         xe = BivarPoly({(1, 0): Fraction(1), (0, 1): shift})
         ye = BivarPoly({(0, 1): s})
         work = F.subs(xe, ye)
         substitution = {"x": f"x + ({shift})*y", "y": f"({s})*y"}
         parts = decompose(work)
         F6 = parts[6]
-    fk = BinaryForm(2, [Fraction(1), Fraction(0), Fraction(-k)])
+    fk = BinaryForm(2, [1, 0, -k])
     g = form_div(fk * fk, F6)
     if g is None:
         raise ClassifyError("normalized leading form is not divisible by (x^2-ky^2)^2")
@@ -524,13 +525,6 @@ class ECRecord:
         xe = X * s["x_cx"] + BivarPoly.const(s["x_c0"])
         ye = Y * s["y_cy"] + X * s["y_cx"] + BivarPoly.const(s["y_c0"])
         return xe, ye
-
-    def map_point(self, X, Y) -> tuple[Fraction, Fraction]:
-        s = self.substitution
-        return (
-            s["x_cx"] * X + s["x_c0"],
-            s["y_cy"] * Y + s["y_cx"] * X + s["y_c0"],
-        )
 
     def verify(self, F: BivarPoly) -> bool:
         xe, ye = self.subst_exprs()
@@ -860,7 +854,7 @@ def _detect_pell_k(f: BinaryForm) -> int | None:
     if disc <= 0:
         return None
     # f ~ x^2 - k y^2 requires disc/4p^2 = k s^2 for square-free k
-    val = disc / (4 * p * p)
+    val = Fraction(disc, 4 * p * p)
     num, den = val.numerator, val.denominator
     k = squarefree_kernel(num * den)
     if k is None:

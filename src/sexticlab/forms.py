@@ -1,7 +1,10 @@
 """Binary forms: homogeneous bivariate polynomials of declared degree.
 
 Coefficient convention: coefficients[k] multiplies x^(d-k) y^k, so the
-coefficient list, read lowest power first, is the polynomial A(1, y).  Form
+coefficient list, read lowest power first, is the polynomial A(1, y).  A
+coefficient is stored as BivarPoly stores one: an int when it is integral,
+else a Fraction, never a float.  A caller that divides two coefficients
+makes the division exact (Fraction(a, b)), since int / int is a float.  Form
 arithmetic is arithmetic on these lists in `unipoly`: the product of two
 forms is the product of their lists, the exact quotient is one division of
 them, and the gcd is the gcd of the lists times the common power of x.
@@ -17,18 +20,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import BivarPoly, IdentityError
+from .poly import BivarPoly, IdentityError, _int_or_rat
 from . import unipoly as up
 from .unipoly import IsolatingInterval
 
 
 class BinaryForm:
-    """Homogeneous form of fixed degree with exact rational coefficients."""
+    """Homogeneous form of fixed degree; each coefficient an int where it is
+    integral, else a Fraction (a float raises TypeError)."""
 
     __slots__ = ("degree", "coefficients", "_yun")
 
     def __init__(self, degree: int, coefficients):
-        coefficients = [Fraction(c) for c in coefficients]
+        coefficients = [c if type(c) is int else _int_or_rat(c) for c in coefficients]
         if len(coefficients) != degree + 1:
             raise ValueError("need degree+1 coefficients")
         self.degree = degree
@@ -40,7 +44,7 @@ class BinaryForm:
         if not p.is_homogeneous():
             raise ValueError("not homogeneous")
         d = max(p.degree(), 0)
-        coeffs = [p.coeff(d - k, k) for k in range(d + 1)]
+        coeffs = [p._terms.get((d - k, k), 0) for k in range(d + 1)]
         return BinaryForm(d, coeffs)
 
     def to_poly(self) -> BivarPoly:
@@ -77,15 +81,16 @@ def decompose(F: BivarPoly) -> tuple[BinaryForm, ...]:
     if F._parts is None:
         if F.degree() > 6:
             raise ValueError(f"degree {F.degree()} exceeds bound 6")
+        terms = F._terms
         F._parts = tuple(
-            BinaryForm(d, [F.coeff(d - k, k) for k in range(d + 1)]) for d in range(7)
+            BinaryForm(d, [terms.get((d - k, k), 0) for k in range(d + 1)]) for d in range(7)
         )
     return F._parts
 
 
 def _form(p: list, degree: int) -> BinaryForm:
     """The degree-`degree` form whose list A(1, y) is p (len(p) <= degree + 1)."""
-    return BinaryForm(degree, p + [Fraction(0)] * (degree + 1 - len(p)))
+    return BinaryForm(degree, p + [0] * (degree + 1 - len(p)))
 
 
 def form_gcd(A: BinaryForm, B: BinaryForm) -> BinaryForm:

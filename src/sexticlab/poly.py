@@ -4,9 +4,13 @@ A BivarPoly is a canonical sparse map from exponent pairs (i, j) to nonzero
 exact rational coefficients, representing  sum c_{ij} x^i y^j.  A coefficient
 is stored as an int when it is integral and as a Fraction otherwise, so
 arithmetic and evaluation on integer polynomials at integer points run in
-plain integers.  The public accessors (coeff, terms, eval) still give
-Fractions, so no int reaches a caller's exact division.  All arithmetic is
-exact; no floating point anywhere in this module.
+plain integers.  A float is never a coefficient: the constructor raises
+TypeError on one.  The public accessors coeff, terms and eval give
+Fractions, so a caller may divide what they return.  The binary forms of
+forms.decompose read _terms directly and store their coefficients the same
+way as here (int or Fraction), so their callers make each division of two
+coefficients exact themselves.  All arithmetic is exact; no floating point
+anywhere in this module.
 
 The public constructor validates and canonicalizes its input; the results of
 +, - and * have int-pair keys already, so they are built without that pass:
@@ -27,9 +31,10 @@ A BivarPoly never changes, so both the kernel and the homogeneous parts
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Tuple
+from typing import Tuple
 
 Term = Tuple[int, int]
 
@@ -46,8 +51,8 @@ def _rat(v) -> Fraction:
 
 def _int_or_rat(v):
     """v as an int when it is integral, else as a Fraction: the form in
-    which BivarPoly stores a coefficient."""
-    if isinstance(v, int):
+    which BivarPoly stores a coefficient.  A float raises TypeError."""
+    if type(v) is int:
         return v
     v = _rat(v)
     return v.numerator if v.denominator == 1 else v
@@ -107,8 +112,14 @@ class IntKernel:
         return out
 
     def __call__(self, x: int, y: int) -> int:
-        """D * F(x, y)."""
-        return self.values(x, (y,))[0]
+        """D * F(x, y), by Horner in x on each row and in y across them."""
+        acc = 0
+        for row in self.rows:
+            v = 0
+            for c in row:
+                v = v * x + c
+            acc = acc * y + v
+        return acc
 
 
 def _kernel_rows(terms: Mapping[Term, Fraction], D: int) -> tuple:
@@ -139,12 +150,15 @@ class BivarPoly:
         for (i, j), c in items:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent ({i},{j})")
-            c = _rat(c)
+            c = _int_or_rat(c)
             if c:
                 key = (int(i), int(j))
-                d[key] = _int_or_rat(d.get(key, 0) + c)
-                if not d[key]:
-                    del d[key]
+                if key in d:
+                    c = _int_or_rat(d[key] + c)
+                    if not c:
+                        del d[key]
+                        continue
+                d[key] = c
         self._terms = d
         self._hash = None
         self._kernel = None
@@ -156,7 +170,7 @@ class BivarPoly:
         int or Fraction values, as arithmetic on BivarPolys yields.  Zero
         coefficients are dropped and the rest stored as _int_or_rat gives."""
         p = object.__new__(cls)
-        p._terms = {t: _int_or_rat(c) for t, c in terms.items() if c}
+        p._terms = {t: c if type(c) is int else _int_or_rat(c) for t, c in terms.items() if c}
         p._hash = None
         p._kernel = None
         p._parts = None
@@ -170,11 +184,11 @@ class BivarPoly:
 
     @staticmethod
     def const(c) -> "BivarPoly":
-        return BivarPoly({(0, 0): _rat(c)})
+        return BivarPoly({(0, 0): c})
 
     @staticmethod
     def monomial(i: int, j: int, c=1) -> "BivarPoly":
-        return BivarPoly({(i, j): _rat(c)})
+        return BivarPoly({(i, j): c})
 
     @staticmethod
     def x() -> "BivarPoly":
@@ -258,12 +272,13 @@ class BivarPoly:
             raise ValueError("negative power")
         out = BivarPoly.const(1)
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -294,8 +309,8 @@ class BivarPoly:
         The powers of x and y are taken once per call, in integers where the
         argument is integral.  With integral coefficients as well, the sum is
         taken in integers and made a Fraction once, at the end."""
-        xp = _powers(_int_or_rat(x), self.degree_in(0))
-        yp = _powers(_int_or_rat(y), self.degree_in(1))
+        xp = _powers(x if type(x) is int else _int_or_rat(x), self.degree_in(0))
+        yp = _powers(y if type(y) is int else _int_or_rat(y), self.degree_in(1))
         total = 0
         for (i, j), c in self._terms.items():
             total += c * (xp[i] * yp[j])

@@ -12,9 +12,11 @@ integer quotient (`_exquo`) or a pseudo-remainder (`_prem`).  `pgcd` and
 `sturm_chain` read one remainder sequence, `_remainders`.  `hom_eval` signs
 an integer list at a rational point without a Fraction.  `peval` is the one
 Horner evaluation in the ring of its argument, so it also evaluates at an
-element of Q(sqrt k); `pdivmod`, `monic` and `pmul` work on Fraction lists.
-The convergents come from Lagrange's method on integer polynomials and are
-certified by checking that consecutive ones bracket the root.
+element of Q(sqrt k); `pdivmod` and `monic` work on Fraction lists, and
+`pmul` in the ring of its entries.  The convergents come from Lagrange's
+method on integer polynomials and are certified by checking that
+consecutive ones bracket the root; the walk keeps its interval ends as
+integer pairs and compares them with the convergents by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def psub(p: list, q: list) -> list:
 def pmul(p: list, q: list) -> list:
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -355,16 +357,17 @@ def _taylor_shift(p: list, a: int) -> list:
     return q
 
 
-def _root_floor(p: list, lo: Fraction, hi: Fraction) -> int:
-    """Floor of the one root of p in (lo, hi).  p changes sign exactly once
-    on the integers inside (lo, hi), so an exponential search and then a
-    binary search find the last integer at or below the root."""
-    s = _sign_at(p, lo.numerator, lo.denominator)
+def _root_floor(p: list, ln: int, ld: int, hn: int, hd: int) -> int:
+    """Floor of the one root of p in (lo, hi) = (ln/ld, hn/hd), ld, hd > 0.
+    p changes sign exactly once on the integers inside (lo, hi), so an
+    exponential search and then a binary search find the last integer at or
+    below the root."""
+    s = _sign_at(p, ln, ld)
 
     def below(m):
-        return m < hi and _sign_at(p, m, 1) != -s
+        return m * hd < hn and _sign_at(p, m, 1) != -s
 
-    a, step = lo.numerator // lo.denominator, 1
+    a, step = ln // ld, 1
     while below(a + step):
         a += step
         step *= 2
@@ -408,30 +411,38 @@ def convergents_of_root(iv: IsolatingInterval, n: int) -> list[tuple[int, int]]:
         raise ValueError("need n >= 1")
 
     f = iv.poly
-    s_lo = _sign_at(f, iv.lo.numerator, iv.lo.denominator)
-    p, lo, hi = f, iv.lo, iv.hi
+    # the interval ends of the root, and of the walk, as integer pairs
+    # (numerator, positive denominator) in lowest terms
+    Ln, Ld, Hn, Hd = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+    s_lo = _sign_at(f, Ln, Ld)
+    p, ln, ld, hn, hd = f, Ln, Ld, Hn, Hd
     pairs = []
     # convergent recurrence state: p_k = a_k p_{k-1} + p_{k-2}
     p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
     q_prev, q_cur = 1, 0  # q_{-2}, q_{-1}
     while len(pairs) <= n or q_cur <= abs(f[-1]):
-        a = _root_floor(p, lo, hi)
+        a = _root_floor(p, ln, ld, hn, hd)
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if a > lo and not _sign_at(p, a, 1):
+        if a * ld > ln and not _sign_at(p, a, 1):
             raise RationalRootError(Fraction(p_cur, q_cur))
-        c = Fraction(p_cur, q_cur)
-        below = c <= iv.lo or (c < iv.hi and _sign_at(f, p_cur, q_cur) == s_lo)
-        if below != (len(pairs) % 2 == 0) or (pairs and a < 1):
+        # a quotient after the first below 1 fails before the sides are
+        # read, so there q_cur > 0 and the convergent p_cur/q_cur compares
+        # with an end n/d as p_cur*d with n*q_cur
+        if (pairs and a < 1) or (
+            p_cur * Ld <= Ln * q_cur
+            or (p_cur * Hd < Hn * q_cur and _sign_at(f, p_cur, q_cur) == s_lo)
+        ) != (len(pairs) % 2 == 0):
             raise ArithmeticError(f"convergent ({p_cur},{q_cur}) does not bracket the root")
         pairs.append((p_cur, q_cur))
         p_next = trim(_taylor_shift(p, a)[::-1])
         # x -> 1/(x - a) maps (max(lo, a), min(hi, a + 1)) onto the new
         # interval; where it would reach infinity, Cauchy's bound on the
-        # roots of p_next closes it
-        lo, hi = (
-            Fraction(1) if hi >= a + 1 else 1 / (hi - a),
-            Fraction(2 + max(map(abs, p_next)) // abs(p_next[-1])) if lo <= a else 1 / (lo - a),
+        # roots of p_next closes it.  1/(n/d - a) = d/(n - a d) keeps lowest
+        # terms, as gcd(d, n - a d) = gcd(d, n) = 1.
+        (ln, ld), (hn, hd) = (
+            (1, 1) if hn >= (a + 1) * hd else (hd, hn - a * hd),
+            (2 + max(map(abs, p_next)) // abs(p_next[-1]), 1) if ln <= a * ld else (ld, ln - a * ld),
         )
         p = p_next
     return pairs[:n]

@@ -155,14 +155,14 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
 
 def _eval_pm(K, u, v, negatives):
     """F at (u, v) and (-u, -v) from the kernel K of F; collects negatives
-    and returns the value of larger size."""
-    va = Fraction(K(u, v), K.D)
-    vb = Fraction(K(-u, -v), K.D)
-    if va < 0:
-        negatives.append((u, v, va))
-    if vb < 0:
-        negatives.append((-u, -v, vb))
-    return va if abs(va) >= abs(vb) else vb
+    and returns the value of larger size.  Sign and size are read off the
+    integers D*F, as D > 0; only the values kept become Fractions."""
+    a, b = K(u, v), K(-u, -v)
+    if a < 0:
+        negatives.append((u, v, Fraction(a, K.D)))
+    if b < 0:
+        negatives.append((-u, -v, Fraction(b, K.D)))
+    return Fraction(a if abs(a) >= abs(b) else b, K.D)
 
 
 # -- anisotropic schedule -----------------------------------------------------
@@ -346,26 +346,50 @@ def danilov_witness(F: BivarPoly, rec: ECRecord, count: int = 12) -> Witness:
     )
 
 
+def _integral_images(substitution: dict, family) -> list:
+    """[(x, y)]: the integral images of the family points (X, Y) and
+    (X, -Y), in that order, under the recorded substitution
+    x = x_cx X + x_c0, y = y_cy Y + y_cx X + y_c0; the others are skipped.
+
+    Computed in integers: the coefficients over their common denominator D
+    and each point over the lcm e of its own denominators, so an image is
+    integral exactly when D e divides its numerator."""
+    s = substitution
+    coeffs = (s["x_cx"], s["x_c0"], s["y_cy"], s["y_cx"], s["y_c0"])
+    D = math.lcm(*(c.denominator for c in coeffs))
+    x_cx, x_c0, y_cy, y_cx, y_c0 = (c.numerator * (D // c.denominator) for c in coeffs)
+    out = []
+    for X, Y in family:
+        e = math.lcm(X.denominator, Y.denominator)
+        Xn, Yn = X.numerator * (e // X.denominator), Y.numerator * (e // Y.denominator)
+        De = D * e
+        x, r = divmod(x_cx * Xn + x_c0 * e, De)
+        if r:
+            continue
+        y_rest = y_cx * Xn + y_c0 * e
+        for Ys in (Yn, -Yn):
+            y, r = divmod(y_cy * Ys + y_rest, De)
+            if not r:
+                out.append((x, y))
+    return out
+
+
 def _family_walk(F: BivarPoly, rec: ECRecord, family, lemma: str, note: str, extra: dict,
                  min_note) -> Witness:
     """Shared body of the curve-family engines: maps each family point
     (X, +-Y) through the recorded substitution and evaluates F at the
     integral images.  Returns every negative value, else the minimum worded
-    by min_note(point, number of points evaluated), else inconclusive."""
+    by min_note(point, number of points evaluated), else inconclusive.
+    Values are compared as the integers D*F (D > 0) and only the ones
+    reported become Fractions."""
     K = F.kernel()
-    evaluated = []
-    for X, Y in family:
-        for Ys in (Y, -Y):
-            x, y = rec.map_point(Fraction(X), Fraction(Ys))
-            if x.denominator != 1 or y.denominator != 1:
-                continue
-            x, y = x.numerator, y.numerator
-            evaluated.append((x, y, Fraction(K(x, y), K.D)))
-    negatives = [p for p in evaluated if p[2] < 0]
+    evaluated = [(x, y, K(x, y)) for x, y in _integral_images(rec.substitution, family)]
+    negatives = [(x, y, Fraction(v, K.D)) for x, y, v in evaluated if v < 0]
     if negatives:
         return Witness("negative-value", lemma, negatives, note=note, extra=extra)
     if evaluated:
-        mn = min(evaluated, key=lambda t: t[2])
+        x, y, v = min(evaluated, key=lambda t: t[2])
+        mn = (x, y, Fraction(v, K.D))
         return Witness("small-core-sequence", lemma, [mn], note=min_note(mn, len(evaluated)))
     return Witness(
         kind="inconclusive",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from sexticlab.classify import (
     quadratic_case_analysis,
     reduce_to_quartic,
     unimodular_matrix_for,
+    _detect_pell_k,
     _xpow_div,
 )
 from sexticlab import unipoly as up
@@ -36,9 +38,10 @@ from sexticlab.forms import (
 )
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
+from sexticlab.quadext import QuadExt
 from sexticlab.witness import witness_for
 
-from corpus import CORPUS
+from corpus import CORPUS, ENGINELESS
 
 
 # -- routing ------------------------------------------------------------------
@@ -272,6 +275,68 @@ def test_quadratic_case_rejects_wrong_k():
     F = parse("(x^2 - 2*y^2)^2*(x^2 + y^2) + (x^2 - 2*y^2)*x^3")
     with pytest.raises(ClassifyError):
         quadratic_case_analysis(F, 3)
+
+
+# -- exact divisions on int-stored forms --------------------------------------
+#
+# Form coefficients are ints where integral, so int / int would be a float;
+# each case below has a doubled factor that is not already x^2 - k y^2 and
+# would fail on a float (no .numerator, or a "1.0" in the substitution).
+
+
+@pytest.mark.parametrize("coeffs,k", [
+    ([1, 0, -2], 2), ([2, 0, -1], 2), ([1, 2, -1], 2), ([2, 2, -3], 7), ([3, 0, -2], 6),
+    ([Fraction(2, 3), 0, Fraction(-1, 3)], 2), ([1, 2, 1], None), ([1, 0, 2], None),
+])
+def test_detect_pell_k_is_exact(coeffs, k):
+    got = _detect_pell_k(BinaryForm(2, coeffs))
+    assert got == k and type(got) is type(k)
+
+
+@pytest.mark.parametrize("f,k,substitution", [
+    ("x^2 + 2*x*y - y^2", 2, {"x": "x + (-1)*y", "y": "(1)*y"}),
+    ("2*x^2 + 2*x*y - 3*y^2", 7, {"x": "x + (-1)*y", "y": "(2)*y"}),
+    ("2*x^2 - y^2", 2, {"x": "x + (0)*y", "y": "(2)*y"}),
+])
+def test_quadratic_case_substitution_is_exact(f, k, substitution):
+    F = parse(f"({f})^2*(x^2 + y^2) + ({f})*x^3 + x*y + 1")
+    factors = dict(squarefree_factors(decompose(F)[6]))
+    assert all(type(c) is int for c in factors[2].coefficients)
+    assert _detect_pell_k(factors[2]) == k
+    rep = quadratic_case_analysis(F, k)
+    assert rep.substitution == substitution
+    _assert_no_float(rep)
+
+
+def _assert_no_float(obj, path="report"):
+    """No float anywhere in a report or the exact objects it holds."""
+    assert not isinstance(obj, float), path
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _assert_no_float(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, dict):
+        for key, v in obj.items():
+            _assert_no_float(v, f"{path}[{key!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            _assert_no_float(v, f"{path}[{i}]")
+    elif isinstance(obj, BivarPoly):
+        _assert_no_float(obj._terms, f"{path}._terms")
+    elif isinstance(obj, BinaryForm):
+        _assert_no_float(obj.coefficients, f"{path}.coefficients")
+    elif isinstance(obj, QuadExt):
+        _assert_no_float([obj.a, obj.b], path)
+
+
+@pytest.mark.parametrize("expr", [e for e, _ in CORPUS + ENGINELESS] + [
+    "(x^2 + 2*x*y - y^2)^2*(x^2 + y^2) + x^5",
+    "(2*x^2 + 2*x*y - 3*y^2)^2*(x^2 + y^2) + (2*x^2 + 2*x*y - 3*y^2)*x^3 + 1",
+    "(2*x^3 + x*y^2 + 3*y^3)^2 + (2*x^3 + x*y^2 + 3*y^3)*(x^2 + y^2) + x^4",
+    "(3*y^2 - x^3 + x*y + x^2)^2 - y + 5",
+    "(2*x - 3*y)^4*(x^2 + y^2) + (2*x - 3*y)^2*x^3",
+])
+def test_classify_reports_hold_no_float(expr):
+    _assert_no_float(classify(parse(expr)))
 
 
 # -- MP2 ----------------------------------------------------------------------

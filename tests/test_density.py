@@ -189,7 +189,7 @@ def test_bitmap_and_dedup_agree(monkeypatch):
     N = 400
     monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(10**9))
     a = count_range(F, N)
-    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "1")  # forces the sorted-dedup fallback
+    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "1")  # forces the set-based dedup fallback
     b = count_range(F, N)
     assert a.mode == "bitmap" and b.mode == "dedup"
     assert a.count == b.count

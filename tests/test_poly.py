@@ -341,7 +341,7 @@ def test_int_storage_matches_fraction_reference(A, B, X, Y, n, a, b):
 
 
 def test_public_accessors_give_fractions_on_integral_input():
-    from sexticlab.forms import decompose
+    from sexticlab.forms import BinaryForm, decompose
 
     F = parse("(2*x - y)^6 + 3")
     assert F._terms and all(type(c) is int for c in F._terms.values())
@@ -350,8 +350,45 @@ def test_public_accessors_give_fractions_on_integral_input():
     assert all(type(c) is Fraction for c in F.terms.values())
     assert type(F.eval(1, 1)) is Fraction and F.eval(1, 1) == 4
     assert type(F.eval(Fraction(1, 2), 1)) is Fraction and F.eval(Fraction(1, 2), 1) == 3
-    forms = decompose(F)
-    assert all(type(c) is Fraction for A in forms for c in A.coefficients)
-    assert forms[6].coefficients[0] == 64 and forms[0].coefficients == [3]
     # int / int would be a float; the accessors keep such divisions exact
     assert F.coeff(6, 0) / 128 == Fraction(1, 2)
+    # forms store their coefficients as BivarPoly does: int where integral,
+    # else Fraction, never float
+    G = F + BivarPoly.monomial(5, 0, Fraction(1, 3))
+    for P in (F, G):
+        for A in decompose(P):
+            assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+                       for c in A.coefficients)
+    assert decompose(F)[6].coefficients[0] == 64 and decompose(F)[0].coefficients == [3]
+    assert decompose(G)[5].coefficients == [Fraction(1, 3), 0, 0, 0, 0, 0]
+    assert BinaryForm(1, [Fraction(4, 2), "1/3"]).coefficients == [2, Fraction(1, 3)]
+    for bad in ([0.5, 1], [1, 2.0]):
+        with pytest.raises(TypeError):
+            BinaryForm(1, bad)
+    with pytest.raises(TypeError):
+        BivarPoly({(1, 0): 0.5})
+
+
+# -- fast paths against their Fraction oracles --------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sextic_polys, coords, coords)
+def test_kernel_call_matches_column_values(F, a, b):
+    # the one-point Horner against the column path and exact evaluation
+    K = F.kernel()
+    assert K(a, b) == K.values(a, (b,))[0] == K.D * F.eval(a, b)
+    assert K(-a, -b) == K.values(-a, (-b,))[0] == K.D * F.eval(-a, -b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(small_ref_dicts, ref_dicts),
+       st.integers(-5, 5), st.integers(-5, 5), small_rats)
+def test_pow_matches_repeated_multiplication(A, a, b, c):
+    x, y = BivarPoly.x(), BivarPoly.y()
+    for F in (BivarPoly(A), x * a + y * b, x * c + y * a + b):
+        power = BivarPoly.const(1)
+        for n in range(9):
+            P = F**n
+            assert P == power and P.terms == power.terms and hash(P) == hash(power)
+            power = power * F

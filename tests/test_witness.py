@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sexticlab import unipoly as up
 from sexticlab.classify import classify, ecform_normalize
@@ -16,6 +17,7 @@ from sexticlab.witness import (
     SearchBudgets,
     Witness,
     _eval_pm,
+    _integral_images,
     _map_back,
     anisotropic_witness,
     dirichlet_witness,
@@ -423,6 +425,66 @@ def test_danilov_requires_zero_b1():
     rec = ecform_normalize(F)
     with pytest.raises(ValueError):
         danilov_witness(F, rec, 5)
+
+
+def _fraction_images(sub, family):
+    """The Fraction substitution x_cx X + x_c0, y_cy Y + y_cx X + y_c0 at
+    (X, Y) and (X, -Y), kept where both images are integral: the oracle of
+    the integer family map."""
+    out = []
+    for X, Y in family:
+        for Ys in (Y, -Y):
+            X, Ys = Fraction(X), Fraction(Ys)
+            x = sub["x_cx"] * X + sub["x_c0"]
+            y = sub["y_cy"] * Ys + sub["y_cx"] * X + sub["y_c0"]
+            if x.denominator == 1 and y.denominator == 1:
+                out.append((int(x), int(y)))
+    return out
+
+
+# small denominators, so that many images are integral and many are not
+subst_coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=4)
+family_coords = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({k: subst_coeffs for k in ("x_cx", "x_c0", "y_cy", "y_cx", "y_c0")}),
+       st.lists(st.tuples(family_coords, family_coords), max_size=8))
+def test_integral_images_match_fraction_substitution(sub, family):
+    assert _integral_images(sub, family) == _fraction_images(sub, family)
+
+
+def test_integral_images_skip_non_integral_points():
+    sub = {"x_cx": Fraction(1, 2), "x_c0": Fraction(0), "y_cy": Fraction(1),
+           "y_cx": Fraction(0), "y_c0": Fraction(1, 3)}
+    family = [(1, 5), (2, 5), (2, Fraction(2, 3)), (Fraction(4, 3), 1), (4, Fraction(-1, 3))]
+    # x = X/2 is integral for X = 2 and 4 only, and y = +-Y + 1/3 is integral
+    # for +Y = 2/3 (y = 1) and +Y = -1/3 (y = 0), never for -Y
+    assert _integral_images(sub, family) == [(1, 1), (2, 0)]
+    assert _fraction_images(sub, family) == [(1, 1), (2, 0)]
+
+
+def test_integral_images_match_on_recorded_substitutions():
+    # the recorded substitutions of EC normal forms, on the families that
+    # rouse_witness and danilov_witness walk; rational b1 gives rational points
+    from sexticlab.eclab import danilov_family, rouse_point
+
+    kept = dropped = 0
+    for expr in ("(y^2 - x^3 - x)^2 - y + 100", "(y^2 - x^3)^2 - y + 10",
+                 "(2*y^2 - x^3 - x)^2 - y + 3", "(y^2 - 2*x^3 - x)^2 + x*y",
+                 "(3*y^2 - x^3 + x*y + x^2)^2 - y + 5"):
+        rec = ecform_normalize(parse(expr))
+        b = rec.b1
+        family = ([rouse_point(b, r) for r in range(1, 8)] if b
+                  else [(X, Y) for X, Y, _g, _r in danilov_family(6)])
+        images = _integral_images(rec.substitution, family)
+        assert images == _fraction_images(rec.substitution, family), expr
+        kept += len(images)
+        dropped += 2 * len(family) - len(images)
+    assert kept and dropped
 
 
 def _half_shift(rec):
