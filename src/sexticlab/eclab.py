@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import isqrt
 
 from .poly import BivarPoly, IdentityError
 
@@ -361,21 +361,87 @@ def _gap_ratio(gap: int, x: int) -> float:
         return float("inf")
 
 
-# x per block of hall_scan: one bound eta per block, taken at its ends
-_HALL_BLOCK = 8192
+# The longest block of hall_scan, a power of two: one packed evaluation
+# tests up to this many x
+_HALL_BLOCK = 1024
+# per block length H: the packed powers (P0, P1, P2, P3), built on first use
+_HALL_PACKS: dict = {}
+# byte -> its lowest bit
+_LOW_BIT = bytes(i & 1 for i in range(256))
+
+
+def _hall_layout(H: int) -> tuple[int, int]:
+    """(w, F) for a block of H = 2^k x: w >= 3k + 17 fraction bits, so that
+    the rounding error 2 H^3 is at most 2^(w-16), and fields of
+    F >= w + 3k + 2 bits, so that no field carries into the next.  Both are
+    multiples of 8, so every field starts on a byte."""
+    k = H.bit_length() - 1
+    w = (3 * k + 24) // 8 * 8
+    return w, (w + 3 * k + 9) // 8 * 8
+
+
+def _hall_packs(H: int) -> tuple[int, int, int, int]:
+    """P_i = sum of h^i 2^(F h) over 0 <= h < H, for i = 0..3."""
+    packs = _HALL_PACKS.get(H)
+    if packs is None:
+        n = _hall_layout(H)[1] // 8
+        packs = _HALL_PACKS[H] = tuple(
+            int.from_bytes(b"".join((h**i).to_bytes(n, "little") for h in range(H)), "little")
+            for i in range(4))
+    return packs
+
+
+def _hall_block_len(a: int, room: int) -> int:
+    """The length of the block at a: the largest power of two
+    H <= min(_HALL_BLOCK, room) that divides a and has 96 H^4 <= a^2 isqrt(a),
+    which bounds the Taylor remainder by 2^-12.  Blocks shorter than 16 are
+    not filtered."""
+    H = min(_HALL_BLOCK, a & -a, 1 << (room.bit_length() - 1))
+    bound = a * a * isqrt(a)
+    while H >= 16 and 96 * H**4 > bound:
+        H >>= 1
+    return H
+
+
+def _hall_block(a: int, H: int, p: int, q: int):
+    """The x = a + h in [a, a + H) whose S_h lies within E of a multiple of
+    2^w (see hall_scan), found for all h at once; all of them when
+    2E >= 2^w."""
+    w, F = _hall_layout(H)
+    u = 1 << w
+    E = (-(-(p << w) // (q * (2 * a - 1)))  # eta
+         - (-(3 * H**4 << w) // (128 * a * a * isqrt(a)))  # Taylor remainder
+         + 2 * H**3)  # coefficient rounding
+    if 2 * E >= u:
+        return range(a, a + H)
+    K = w + a.bit_length() + 1
+    r = isqrt(a << 2 * K)
+    m = u - 1
+    P0, P1, P2, P3 = _hall_packs(H)
+    X = ((((3 * r) >> (K + 1 - w)) & m) * P1
+         + (((3 << (K + w)) // (8 * r)) & m) * P2
+         + ((-(1 << (K + w)) // (16 * a * r)) & m) * P3)
+    c = (((a * r) >> (K - w)) + E) & m
+    # field h of S is t = S_h + E mod 2^w plus a multiple of 2^w; adding
+    # 2^w - 2E - 1 to it carries into bit w exactly when t > 2E
+    S = X + c * P0
+    carries = (X + (c + u - 2 * E - 1) * P0) ^ S
+    flags = carries.to_bytes(H * F // 8, "little")[w // 8::F // 8].translate(_LOW_BIT)
+    out = []
+    h = flags.find(0)
+    while h >= 0:
+        out.append(a + h)
+        h = flags.find(0, h + 1)
+    return out
 
 
 def _hall_candidates(a: int, b: int, p: int, q: int):
-    """The x in [a, b) that the float test of hall_scan keeps at threshold
-    p/q: every x whose exact test can pass, and a few more.  All of [a, b)
-    when the bound eta reaches 1/2."""
-    if b >= 2**33 or 2 * p >= q * (2 * a - 1):
-        return range(a, b)  # eta >= 1/2, computed without float overflow
-    eta = p / (q * (2 * a - 1)) + b * sqrt(b) * 2.0**-50
-    if eta >= 0.5:
-        return range(a, b)
-    hi = 1.0 - eta
-    return [x for x in range(a, b) if not eta < x * sqrt(x) % 1.0 < hi]
+    """The x in [a, b), in order, that the packed test of hall_scan keeps at
+    threshold p/q: every x whose exact test can pass, and a few more."""
+    while a < b:
+        H = _hall_block_len(a, b - a)
+        yield from range(a, a + H) if H < 16 else _hall_block(a, H, p, q)
+        a += H
 
 
 def hall_scan(Xmax: int, threshold) -> list[tuple[int, int, int, float]]:
@@ -383,27 +449,43 @@ def hall_scan(Xmax: int, threshold) -> list[tuple[int, int, int, float]]:
     x^(3/2); emit (x, y, gap, ratio), gap = y^2 - x^3, when 0 < |gap| and
     gap^2 <= threshold^2 x (exact integer comparison).
 
-    x runs in blocks [a, b).  A float test per x (`_hall_candidates`) skips
-    x that provably fail; the exact test runs on the rest and alone decides
-    every row.  Why no passing x is skipped, with s = x^(3/2), T = threshold
-    and u = 2^-53:
+    x runs in blocks [a, a + H), H a power of two that divides a
+    (`_hall_block_len`).  One packed integer evaluation per block
+    (`_hall_block`) skips x that provably fail; the exact test runs on the
+    rest and alone decides every row.  No float is involved.  Why no passing
+    x is skipped, with s = x^(3/2), T = threshold = p/q, x = a + h and
+    0 <= h < H:
 
     - y = y0 + 1 (y0 = isqrt(x^3)) only when s > y0 + 1/2, so y > s - 1 and
       y + s > 2s - 1.
     - A passing x then has |y - s| = |gap| / (y + s) <= T sqrt(x) / (2s - 1)
       <= T / (2x - 1) <= T / (2a - 1).
-    - x < b < 2^33 is exact as a double, IEEE sqrt is correctly rounded and
-      one multiply follows, so f = x * sqrt(x) is within s (2u + u^2)
-      < b^(3/2) 2^-52 (1 + u) of s.  f % 1.0 is exact.
-    - So f lies within T/(2a - 1) + b^(3/2) 2^-52 (1 + u) of an integer.
-      eta = T/(2a - 1) + b^(3/2) 2^-50 exceeds that by more than 2^-50 even
-      after the roundings in eta and in 1 - eta (each below 2^-53 in
-      absolute value, as both are below 1).  An x with
-      eta < f % 1.0 < 1 - eta is farther than that from every integer, and
-      fails.
-    - When eta >= 1/2 (a large T, or b >= 2^33, where a double no longer
-      resolves the gap) nothing is skipped and the block runs the exact test
-      on every x.
+    - Taylor at a: s = c0 + c1 h + c2 h^2 + c3 h^3 + R with c0 = a^(3/2),
+      c1 = (3/2) a^(1/2), c2 = (3/8) a^(-1/2), c3 = -(1/16) a^(-3/2) and
+      R = (3/128) xi^(-5/2) h^4 for some xi in [a, x], so
+      0 <= R <= (3/128) H^4 a^(-5/2) <= 3 H^4 / (128 a^2 isqrt(a)).
+    - In units of 2^-w: with rho = 2^K sqrt(a), K = w + bitlen(a) + 1 and
+      r = isqrt(a 4^K) (r <= rho < r + 1), the integer coefficients
+      A0 = floor(a r 2^(w-K)), A1 = floor(3 r 2^(w-K-1)),
+      A2 = floor(3 2^(K+w) / (8 r)) and A3 = floor(-2^(K+w) / (16 a r)) are
+      each within 2 of C_i = 2^w c_i: a 2^(w-K) < 1/2 bounds the error of r
+      in A0 and A1, and r rho > a 4^K / 2 bounds it in A2 and A3 by far
+      less than 1.  So S_h = sum A_i h^i is within
+      2 (1 + h + h^2 + h^3) < 2 H^3 of 2^w (s - R).
+    - Hence a passing x has |S_h - 2^w y| <= E with the integer
+      E = eta + ceil(2^w 3 H^4 / (128 a^2 isqrt(a))) + 2 H^3, where
+      eta = ceil(p 2^w / (q (2a - 1))).  When 2E < 2^w this gives
+      (S_h + E) mod 2^w <= 2E, and an x with (S_h + E) mod 2^w > 2E fails.
+    - The test runs on all h at once.  With P_i = sum h^i 2^(F h) and every
+      A_i (A0 + E for i = 0) reduced mod 2^w, the integer
+      S = sum A_i P_i holds in field h (bits F h to F h + F - 1) the value
+      S_h + E plus a multiple of 2^w, below 2^(w + 3k) for H = 2^k; F leaves
+      room for adding 2^w - 2E - 1, whose carry into bit w marks x that
+      fail.
+    - When 2E >= 2^w (a large T) nothing is skipped and the block runs the
+      exact test on every x; so do blocks shorter than 16 (x < 544, and the
+      first few x after an unaligned start).  Blocks reach _HALL_BLOCK from
+      x = 407552 on.
     """
     if Xmax < 2:
         raise ValueError("Xmax must be >= 2")
@@ -414,18 +496,17 @@ def hall_scan(Xmax: int, threshold) -> list[tuple[int, int, int, float]]:
     p, q = threshold.numerator, threshold.denominator
     p2, q2 = p * p, q * q
     out = []
-    for a in range(2, Xmax + 1, _HALL_BLOCK):
-        for x in _hall_candidates(a, min(a + _HALL_BLOCK, Xmax + 1), p, q):
-            cube = x**3
-            y0 = isqrt(cube)
-            # nearest of y0, y0 + 1 by exact comparison
-            if (y0 + 1) ** 2 - cube < cube - y0 * y0:
-                y = y0 + 1
-            else:
-                y = y0
-            gap = y * y - cube
-            if gap and gap * gap * q2 <= p2 * x:
-                out.append((x, y, gap, abs(gap) / x**0.5))
+    for x in _hall_candidates(2, Xmax + 1, p, q):
+        cube = x**3
+        y0 = isqrt(cube)
+        # nearest of y0, y0 + 1 by exact comparison
+        if (y0 + 1) ** 2 - cube < cube - y0 * y0:
+            y = y0 + 1
+        else:
+            y = y0
+        gap = y * y - cube
+        if gap and gap * gap * q2 <= p2 * x:
+            out.append((x, y, gap, _gap_ratio(gap, x)))
     return out
 
 

@@ -25,8 +25,9 @@ degrees of F), which fixes a polynomial of those degrees; exact evaluation
 (BivarPoly.eval, which shares no code with the kernel) stays the gate for
 every certificate.
 
-A BivarPoly never changes, so both the kernel and the homogeneous parts
-(the _parts slot, which forms.decompose fills) are kept on the object.
+A BivarPoly never changes, so the kernel, the degrees in x and y and the
+homogeneous parts (the _parts slot, which forms.decompose fills) are kept on
+the object.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _kernel_rows(terms: Mapping[Term, Fraction], D: int) -> tuple:
 class BivarPoly:
     """Immutable sparse bivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("_terms", "_hash", "_kernel", "_parts")
+    __slots__ = ("_terms", "_hash", "_kernel", "_parts", "_degs")
 
     def __init__(self, terms: Mapping[Term, Fraction] | Iterable[tuple[Term, Fraction]] = ()):
         d = {}
@@ -163,6 +164,7 @@ class BivarPoly:
         self._hash = None
         self._kernel = None
         self._parts = None
+        self._degs = None
 
     @classmethod
     def _canonical(cls, terms: dict) -> "BivarPoly":
@@ -174,6 +176,7 @@ class BivarPoly:
         p._hash = None
         p._kernel = None
         p._parts = None
+        p._degs = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -219,9 +222,14 @@ class BivarPoly:
 
     def degree_in(self, var: int) -> int:
         """Degree in variable 0 (x) or 1 (y); -1 for zero."""
-        if not self._terms:
-            return -1
-        return max(t[var] for t in self._terms)
+        return self._degrees()[var]
+
+    def _degrees(self) -> tuple[int, int]:
+        """(degree in x, degree in y), taken once."""
+        if self._degs is None:
+            self._degs = (max((i for i, _ in self._terms), default=-1),
+                          max((j for _, j in self._terms), default=-1))
+        return self._degs
 
     def homogeneous_part(self, d: int) -> "BivarPoly":
         return BivarPoly({t: c for t, c in self._terms.items() if t[0] + t[1] == d})
@@ -309,8 +317,9 @@ class BivarPoly:
         The powers of x and y are taken once per call, in integers where the
         argument is integral.  With integral coefficients as well, the sum is
         taken in integers and made a Fraction once, at the end."""
-        xp = _powers(x if type(x) is int else _int_or_rat(x), self.degree_in(0))
-        yp = _powers(y if type(y) is int else _int_or_rat(y), self.degree_in(1))
+        dx, dy = self._degrees()
+        xp = _powers(x if type(x) is int else _int_or_rat(x), dx)
+        yp = _powers(y if type(y) is int else _int_or_rat(y), dy)
         total = 0
         for (i, j), c in self._terms.items():
             total += c * (xp[i] * yp[j])
@@ -333,7 +342,7 @@ class BivarPoly:
         if self._kernel is None:
             D = lcm(*(c.denominator for c in self._terms.values()))
             K = IntKernel(D, _kernel_rows(self._terms, D))
-            d, dx, dy = self.degree(), self.degree_in(0), self.degree_in(1)
+            d, (dx, dy) = self.degree(), self._degrees()
             top = len(K.rows) - 1  # the y-degree of rows[0]
             if len(K.rows) > dy + 1 or any(
                 len(row) > dx + 1 or (row and len(row) - 1 + top - k > d)

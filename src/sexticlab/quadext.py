@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from .poly import _rat
+
 # trial division bound of squarefree_kernel
 KERNEL_TRIAL_BOUND = 10**6
 
@@ -40,7 +42,8 @@ def is_squarefree(k: int) -> bool:
 
 
 class QuadExt:
-    """a + b*sqrt(k) with exact Fraction components."""
+    """a + b*sqrt(k) with exact Fraction components; a float component
+    raises TypeError."""
 
     __slots__ = ("k", "a", "b")
 
@@ -48,8 +51,8 @@ class QuadExt:
         if k <= 1 or not is_squarefree(k):
             raise ValueError(f"k must be a square-free integer > 1, got {k}")
         self.k = k
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = _rat(a)
+        self.b = _rat(b)
 
     def _check(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):

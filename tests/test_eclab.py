@@ -14,6 +14,7 @@ from sexticlab.eclab import (
     EllipticCurve,
     INFINITY,
     _HALL_BLOCK,
+    _hall_block_len,
     _hall_candidates,
     danilov_family,
     danilov_member,
@@ -159,29 +160,34 @@ def test_hall_scan_matches_fraction_reference(threshold):
 
 
 def test_hall_scan_matches_fraction_reference_random_thresholds():
-    # Derandomized thresholds T from 0 to 2^15.  A block [a, b) has
-    # eta >= 1/2 and runs the exact test on every x when T >= a - 1/2: the
-    # first block for all T drawn here, and the first 2 and 4 blocks for the
-    # two T above 8192.  The Xmax values end one x before a block start,
-    # exactly on one, and at 10^5.
+    # Derandomized thresholds T from 0 to 2^15.  A block [a, a + H) has
+    # 2E >= 2^w and runs the exact test on every x when T >= a - 1/2, about:
+    # the blocks below x = 544 for all T (too short to filter), and those up
+    # to x ~ T for the two T above 8192.  Multiples of _HALL_BLOCK are block
+    # starts, so the Xmax values end one x before a block start, exactly on
+    # one, and at 10^5.
     rng = random.Random(19)
     thresholds = [Fraction(rng.randrange(0, 400), rng.randrange(1, 60)) for _ in range(4)]
     thresholds += [Fraction(rng.randrange(8192, 2**15), rng.randrange(1, 3)) for _ in range(2)]
     top = 10**5
-    ends = [1 + 12 * _HALL_BLOCK, 2 + 12 * _HALL_BLOCK, top]
+    ends = [12 * _HALL_BLOCK - 1, 12 * _HALL_BLOCK, top]
+    a = 2
+    while a < ends[1]:
+        a += _hall_block_len(a, top + 1 - a)
+    assert a == ends[1]
     for threshold in thresholds:
         ref = _hall_scan_fraction(top, threshold)
         for Xmax in ends:
             assert hall_scan(Xmax, threshold) == [row for row in ref if row[0] <= Xmax]
 
 
-# Blocks [a, a + _HALL_BLOCK) at x near 1e8, 1e9, 3e9, 6e9 and 2^40.  With a
-# tight threshold the block holds a near-cube whose ratio |gap|/sqrt(x) sits
-# just below it (101727232: 54.66661, 101727560: 54.66672, 1002505096:
-# 73.07525); a loose one makes 1-3 % of the block pass.  At 3e9 and 6e9 the
-# float error is near the bound: a float term of b^(3/2) 2^-53 in eta, half
-# the proven error, drops passing x there.  At 2^40 eta is past 1/2 and the
-# block is not filtered.
+# Windows [a, a + 8 _HALL_BLOCK) at x near 1e8, 1e9, 3e9, 6e9, 2^34, 1e12 and
+# 2^40, each several packed blocks, the first few short when a is not
+# aligned.  With a tight threshold the window holds a near-cube whose ratio
+# |gap|/sqrt(x) sits just below it (101727232: 54.66661, 101727560: 54.66672,
+# 1002505096: 73.07525, 17179870208: 1024.000038, 1000000004000:
+# 8000.00002); a loose one makes 1-3 % of the window pass.  Every window is
+# filtered, as the packed test has no upper limit on x.
 @pytest.mark.parametrize("a,threshold,filtered", [
     (101727232 - 4000, Fraction(54667, 1000), True),
     (10**8, 2 * 10**6, True),
@@ -189,15 +195,40 @@ def test_hall_scan_matches_fraction_reference_random_thresholds():
     (10**9, 2 * 10**7, True),
     (3 * 10**9, 10**8, True),
     (6 * 10**9, 10**8, True),
-    (2**40, 2**34, False),
+    (2**34, Fraction(102400004, 10**5), True),
+    (2**34, 3 * 10**8, True),
+    (10**12, Fraction(800000003, 10**5), True),
+    (10**12, 2 * 10**10, True),
+    (2**40, 2**34, True),
 ])
 def test_hall_candidates_keep_every_passing_x(a, threshold, filtered):
-    b = a + _HALL_BLOCK
+    b = a + 8 * _HALL_BLOCK
     t = Fraction(threshold)
-    kept = _hall_candidates(a, b, t.numerator, t.denominator)
+    kept = list(_hall_candidates(a, b, t.numerator, t.denominator))
     passing = [row[0] for row in _hall_scan_fraction(b - 1, t, start=a)]
     assert passing and set(passing) <= set(kept)
+    assert kept == sorted(set(kept)) and a <= kept[0] and kept[-1] < b
     assert (len(kept) < b - a) == filtered
+
+
+def test_hall_candidates_keep_every_passing_x_random_blocks():
+    # Derandomized starts a in [2, 2^48], log-uniform so that short blocks
+    # with a large Taylor remainder are drawn too, aligned or not, with
+    # thresholds 0, a small one, one near a/50 (a few % of x pass) and
+    # 9 * 10^400 (2E >= 2^w: the whole window is kept).
+    rng = random.Random(25)
+    for _ in range(40):
+        a = rng.randrange(2, 2 ** rng.randrange(2, 49) + 1)
+        b = a + _HALL_BLOCK
+        for t in (0, Fraction(rng.randrange(1, 10**4), rng.randrange(1, 100)),
+                  Fraction(a, rng.randrange(20, 80)), 9 * 10**400):
+            t = Fraction(t)
+            kept = list(_hall_candidates(a, b, t.numerator, t.denominator))
+            passing = [row[0] for row in _hall_scan_fraction(b - 1, t, start=a)]
+            assert set(passing) <= set(kept)
+            assert kept == sorted(set(kept)) and set(kept) <= set(range(a, b))
+            if t >= b:
+                assert kept == list(range(a, b))
 
 
 def test_pell_known_solutions():

@@ -392,3 +392,12 @@ def test_pow_matches_repeated_multiplication(A, a, b, c):
             P = F**n
             assert P == power and P.terms == power.terms and hash(P) == hash(power)
             power = power * F
+
+
+def test_degrees_are_kept_and_match_the_terms():
+    x, y = BivarPoly.x(), BivarPoly.y()
+    for F in [BivarPoly(), BivarPoly.const(3), x**3 * y + y**2, (x + y) ** 4 - x**4, x * y - x * y]:
+        want = tuple(max((t[v] for t in F.terms), default=-1) for v in (0, 1))
+        assert (F.degree_in(0), F.degree_in(1)) == want
+        assert F.eval(2, 3) == sum(c * 2**i * 3**j for (i, j), c in F.terms.items())
+        assert F._degs == want

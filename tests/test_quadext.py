@@ -44,6 +44,16 @@ def test_invalid_k():
         QuadExt(1, 1)
 
 
+def test_float_components_rejected():
+    # Fraction(0.1) would silently become 3602879701896397/36028797018963968
+    for a, b in [(0.1, 0), (1, 0.5), (Fraction(1, 2), 2.0)]:
+        with pytest.raises(TypeError):
+            QuadExt(2, a, b)
+    with pytest.raises(TypeError):
+        QuadExt(2, 1, 1) * 0.5
+    assert QuadExt(2, "1/2", 3).a == Fraction(1, 2)
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(ValueError):
         QuadExt(2, 1) + QuadExt(3, 1)
