@@ -6,7 +6,11 @@ certified complete: an exact rational lower bound c with
 F_top(x,y) >= c * max(|x|,|y|)^d is computed by branch-and-bound interval
 arithmetic on the boundary of the unit square, and the box radius M is the
 smallest integer with c*M^d - S*M^(d-1) > 2N (S = sum of the absolute lower
-coefficients).  Otherwise the box is best-effort and the report says so.
+coefficients).  Both run in integers: the interval ends are dyadic, so each
+round holds them as integers over one power of two, and the radius test is
+multiplied through by the denominators of c and S.  The floor is kept on
+F's leading BinaryForm, so a ladder over one F finds it once.  Otherwise the
+box is best-effort and the report says so.
 Enumeration evaluates F through its integer kernel (BivarPoly.kernel), so
 every count is exact without a Fraction per point.  It covers one point of
 each orbit of F's symmetry group in the box, not the whole box: the group is
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import BivarPoly, IntKernel
-from .forms import BinaryForm, definiteness
+from .forms import BinaryForm, decompose, definiteness
 from . import unipoly as up
 
 DEFAULT_MEM_BITS = 2**31
@@ -88,54 +92,74 @@ class DensityReport:
 # -- certified lower bound on a positive-definite form ------------------------
 
 
-def _interval_eval(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation: encloses p(t) for t in [lo, hi]."""
-    vlo = vhi = Fraction(0)
-    for c in reversed(coeffs):
-        prods = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(prods) + c, max(prods) + c
-    return vlo, vhi
+def _interval_eval(P: list, a: int, b: int, s: int) -> tuple[int, int]:
+    """Interval Horner evaluation of the int list P on [a/s, b/s], s > 0:
+    (lo, hi) with lo <= s^d P(t) <= hi there, d = len(P) - 1.  After k
+    coefficients the enclosure of the Fraction Horner value v_k is held as
+    s^(k-1) v_k, so each step is v -> v t + c with t s in [a, b] and c s^k."""
+    lo = hi = 0
+    sk = 1
+    for c in reversed(P):
+        prods = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(prods) + c * sk, max(prods) + c * sk
+        sk *= s
+    return lo, hi
 
 
 def _poly_min_lower_bound(coeffs) -> Fraction:
-    """A rational lower bound for min of p on [-1, 1] by branch and bound."""
-    work = [(Fraction(-1), Fraction(1))]
+    """A rational lower bound for min of p on [-1, 1] by branch and bound.
+
+    Each round bisects every interval whose interval-Horner lower bound lies
+    below the best of p at the ends and midpoints, and stops once the least
+    lower bound is positive and at least half that best value.  Every
+    endpoint after r rounds is a/s with s = 2^r, so the rounds run in
+    integers: P = L p is an int list (L the lcm of the denominators), a
+    lower bound is an integer over L s^d and a sample p(u / 2s) the integer
+    hom_eval(P, u, 2s) over L (2s)^d, d = len(p) - 1.  The bound is the
+    same Fraction as the same search on Fraction endpoints gives."""
+    L = math.lcm(*(c.denominator for c in coeffs))
+    P = [c.numerator * (L // c.denominator) for c in coeffs]
+    d = len(P) - 1
+    work, s = [(-1, 1)], 1
     for _ in range(24):
-        bounds = [(_interval_eval(coeffs, a, b), a, b) for a, b in work]
-        best_point = min(
-            min(up.peval(coeffs, a), up.peval(coeffs, b), up.peval(coeffs, (a + b) / 2))
-            for _bd, a, b in bounds
-        )
-        floor_bound = min(bd[0] for bd, _a, _b in bounds)
-        if floor_bound >= best_point * Fraction(1, 2) and floor_bound > 0:
-            return floor_bound
-        # subdivide the intervals whose lower bound is still slack
-        work = []
-        for (blo, _bhi), a, b in bounds:
-            m = (a + b) / 2
-            work += [(a, m), (m, b)] if blo < best_point else [(a, b)]
+        lows = [_interval_eval(P, a, b, s)[0] for a, b in work]
+        samples = {u for a, b in work for u in (2 * a, 2 * b, a + b)}  # over 2s
+        best = min(up.hom_eval(P, u, 2 * s) for u in samples)
+        floor = min(lows)
+        # floor / (L s^d) >= best / (2 L (2s)^d)
+        if floor > 0 and floor << (d + 1) >= best:
+            return Fraction(floor, L * s**d)
+        # subdivide the intervals whose lower bound is still slack; the rest
+        # keep their ends, rescaled to 2s
+        nxt = []
+        for lo, (a, b) in zip(lows, work):
+            nxt += [(2 * a, a + b), (a + b, 2 * b)] if lo << d < best else [(2 * a, 2 * b)]
+        work, s = nxt, 2 * s
         if len(work) > 4096:
             break
-    return min(_interval_eval(coeffs, a, b)[0] for a, b in work)
+    return Fraction(min(_interval_eval(P, a, b, s)[0] for a, b in work), L * s**d)
 
 
 def certified_form_floor(form: BinaryForm) -> Fraction:
     """Rational c > 0 with form(x, y) >= c * max(|x|,|y|)^d everywhere, for a
     positive-definite form; the minimum over the unit-square boundary is
     bounded below on two edge restrictions, form(1, t) and form(t, 1) for
-    t in [-1, 1], because the other two edges mirror them."""
-    if definiteness(form) != "positive-definite":
-        raise DensityError("form is not positive definite")
-    # A positive-definite form has even degree, so form(-x, -y) = form(x, y):
-    # form(-1, t) = form(1, -t) and form(t, -1) = form(-t, 1).  Under
-    # t -> -t, exact interval Horner gives mirrored enclosures on mirrored
-    # intervals and the sample points are mirrored too, so the branch and
-    # bound on a mirrored edge returns the same bound as on its partner.
-    p = form.coefficients  # form(1, t); reversed, form(t, 1)
-    c = min(_poly_min_lower_bound(p), _poly_min_lower_bound(p[::-1]))
-    if c <= 0:
+    t in [-1, 1], because the other two edges mirror them.  The bound,
+    certified or not, is kept on the form, so it is searched once per form
+    object."""
+    if form._floor is None:
+        if definiteness(form) != "positive-definite":
+            raise DensityError("form is not positive definite")
+        # A positive-definite form has even degree, so form(-x, -y) = form(x, y):
+        # form(-1, t) = form(1, -t) and form(t, -1) = form(-t, 1).  Under
+        # t -> -t, exact interval Horner gives mirrored enclosures on mirrored
+        # intervals and the sample points are mirrored too, so the branch and
+        # bound on a mirrored edge returns the same bound as on its partner.
+        p = form.coefficients  # form(1, t); reversed, form(t, 1)
+        form._floor = min(_poly_min_lower_bound(p), _poly_min_lower_bound(p[::-1]))
+    if form._floor <= 0:
         raise DensityError("failed to certify a positive floor")
-    return c
+    return form._floor
 
 
 # -- enumeration --------------------------------------------------------------
@@ -151,16 +175,26 @@ def certified_box(F: BivarPoly, bound: int) -> tuple[int, Fraction]:
     """(M, c): enumerating |x|,|y| <= M provably covers every representation
     of a value <= bound; requires a positive-definite leading form."""
     d = F.degree()
-    top = BinaryForm.from_poly(F.homogeneous_part(d))
+    # up to degree 6 the leading form is the one decompose keeps on F, and
+    # with it its floor, so a ladder over one F searches the floor once
+    top = decompose(F)[max(d, 0)] if d <= 6 else BinaryForm.from_poly(F.homogeneous_part(d))
     c = certified_form_floor(top)
-    S = _lower_abs_sum(F, d)
     M = 1
     # a constant (d = 0) never grows past the bound: radius 1 holds its value
-    while d and c * Fraction(M) ** d - S * Fraction(M) ** (d - 1) <= bound:
-        M += max(1, M // 16)
-    # M grew geometrically; walk back to the smallest sufficient radius
-    while M > 1 and c * Fraction(M - 1) ** d - S * Fraction(M - 1) ** (d - 1) > bound:
-        M -= 1
+    if d:
+        S = _lower_abs_sum(F, d)
+        # c M^d - S M^(d-1) <= bound, times c.den * S.den
+        a, b = c.numerator * S.denominator, S.numerator * c.denominator
+        t = bound * c.denominator * S.denominator
+
+        def short(m: int) -> bool:
+            return m ** (d - 1) * (a * m - b) <= t
+
+        while short(M):
+            M += max(1, M // 16)
+        # M grew geometrically; walk back to the smallest sufficient radius
+        while M > 1 and not short(M - 1):
+            M -= 1
     return M, c
 
 

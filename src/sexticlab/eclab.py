@@ -337,26 +337,24 @@ def danilov_family(count: int) -> list[tuple[int, int, int, float]]:
     return out
 
 
-def _float_sqrt_big(x: int) -> float:
-    """sqrt of a possibly huge integer as a float (report use only)."""
-    if x.bit_length() <= 1000:
-        return x**0.5
-    shift = (x.bit_length() - 900) // 2 * 2
-    return (x >> shift) ** 0.5 * 2.0 ** (shift / 2)
-
-
 def _gap_ratio(gap: int, x: int) -> float:
     """|gap| / sqrt(x) as a float, x >= 1 (report use only); inf when the
-    ratio itself is beyond the float range."""
+    ratio itself is beyond the float range.  Up to 1000 bits, x**0.5 is the
+    float square root; a larger x is shifted down by an even number of bits
+    first, so that it converts to a float."""
+    g = abs(gap)
     try:
-        return abs(gap) / _float_sqrt_big(x)
+        if x.bit_length() <= 1000:
+            return g / x**0.5
+        shift = (x.bit_length() - 900) // 2 * 2
+        return g / ((x >> shift) ** 0.5 * 2.0 ** (shift / 2))
     except OverflowError:
         pass
     # gap or sqrt(x) is beyond the float range.  Scale gap by 2^64 and x by
     # 2^128: the integer quotient is correctly rounded, and isqrt's floor
     # moves it by a relative 2^-64 at most.
     try:
-        return (abs(gap) << 64) / isqrt(x << 128)
+        return (g << 64) / isqrt(x << 128)
     except OverflowError:
         return float("inf")
 

@@ -29,7 +29,7 @@ class BinaryForm:
     """Homogeneous form of fixed degree; each coefficient an int where it is
     integral, else a Fraction (a float raises TypeError)."""
 
-    __slots__ = ("degree", "coefficients", "_yun")
+    __slots__ = ("degree", "coefficients", "_yun", "_floor")
 
     def __init__(self, degree: int, coefficients):
         coefficients = [c if type(c) is int else _int_or_rat(c) for c in coefficients]
@@ -38,6 +38,7 @@ class BinaryForm:
         self.degree = degree
         self.coefficients = coefficients
         self._yun = None
+        self._floor = None  # density.certified_form_floor's bound, on first use
 
     @staticmethod
     def from_poly(p: BivarPoly) -> "BinaryForm":

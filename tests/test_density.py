@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from sexticlab.density import (
     two_squares_direct,
     _lower_abs_sum,
 )
+from sexticlab import unipoly as up
 from sexticlab.forms import BinaryForm
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
@@ -80,13 +82,60 @@ SL2 = [
 ]
 
 
-def four_edge_floor(form):
-    """The branch and bound over all four edges of the unit square, form(s, t)
-    and form(t, s) for s = 1, -1 and t in [-1, 1]."""
+# -- Fraction reference for the integer branch and bound ----------------------
+# The branch and bound as it ran on Fraction endpoints, kept as the
+# differential oracle of density._interval_eval and _poly_min_lower_bound.
+
+
+def _interval_eval(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Interval Horner evaluation: encloses p(t) for t in [lo, hi]."""
+    vlo = vhi = Fraction(0)
+    for c in reversed(coeffs):
+        prods = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(prods) + c, max(prods) + c
+    return vlo, vhi
+
+
+def _poly_min_lower_bound(coeffs) -> Fraction:
+    """A rational lower bound for min of p on [-1, 1] by branch and bound."""
+    work = [(Fraction(-1), Fraction(1))]
+    for _ in range(24):
+        bounds = [(_interval_eval(coeffs, a, b), a, b) for a, b in work]
+        best_point = min(
+            min(up.peval(coeffs, a), up.peval(coeffs, b), up.peval(coeffs, (a + b) / 2))
+            for _bd, a, b in bounds
+        )
+        floor_bound = min(bd[0] for bd, _a, _b in bounds)
+        if floor_bound >= best_point * Fraction(1, 2) and floor_bound > 0:
+            return floor_bound
+        # subdivide the intervals whose lower bound is still slack
+        work = []
+        for (blo, _bhi), a, b in bounds:
+            m = (a + b) / 2
+            work += [(a, m), (m, b)] if blo < best_point else [(a, b)]
+        if len(work) > 4096:
+            break
+    return min(_interval_eval(coeffs, a, b)[0] for a, b in work)
+
+
+def four_edge_bounds(form):
+    """The Fraction branch and bound on each of the four edges of the unit
+    square: form(s, t), then form(t, s), for s = 1, -1 and t in [-1, 1]."""
     d, cs = form.degree, form.coefficients
     edges = [[cs[k] * s ** (d - k) for k in range(d + 1)] for s in (1, -1)]
     edges += [[cs[d - j] * s ** (d - j) for j in range(d + 1)] for s in (1, -1)]
-    return min(density_mod._poly_min_lower_bound(p) for p in edges)
+    return [_poly_min_lower_bound(p) for p in edges]
+
+
+def assert_edges_match_oracle(form):
+    """On both edges of the form, form(1, t) and form(t, 1), the integer
+    bound is the Fraction reference's, exactly.  Returns the two bounds."""
+    out = []
+    for p in (form.coefficients, form.coefficients[::-1]):
+        ref = _poly_min_lower_bound(p)
+        assert density_mod._poly_min_lower_bound(p) == ref
+        out.append(ref)
+    return out
 
 
 def _quarter_turns(m):
@@ -113,9 +162,104 @@ def test_two_edge_floor_equals_four_edge_reference(text, keep):
     for (a, b), (c, d) in images:
         G = F.subs(BivarPoly({(1, 0): a, (0, 1): b}), BivarPoly({(1, 0): c, (0, 1): d}))
         form = BinaryForm.from_poly(G)
-        ref = four_edge_floor(form)
-        assert ref > 0
-        assert certified_form_floor(form) == ref
+        refs = four_edge_bounds(form)
+        assert min(refs) > 0
+        # the integer search on the two edges it runs, form(1, t) and
+        # form(t, 1), gives the Fraction bound exactly
+        cs = form.coefficients
+        assert density_mod._poly_min_lower_bound(cs) == refs[0]
+        assert density_mod._poly_min_lower_bound(cs[::-1]) == refs[2]
+        assert certified_form_floor(form) == min(refs)
+
+
+def _random_form(rng):
+    """A product of one to three definite rational quadratics, negated one
+    time in ten: a rational form of degree 2, 4 or 6."""
+    def rat(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+
+    p = [1]
+    for _ in range(rng.randint(1, 3)):
+        a, b, c = rat(1, 6), rat(-6, 6), rat(1, 6)
+        p = up.pmul(p, [a, b if b * b < 4 * a * c else 0, c])
+    if rng.random() < 0.1:
+        p = [-c for c in p]
+    return BinaryForm(len(p) - 1, p)
+
+
+def test_integer_floor_equals_fraction_oracle_on_random_forms():
+    # a negated form ends both edges at a bound <= 0 after 24 rounds; an
+    # edge whose minimum is inside (-1, 1) and negative would end at 4096
+    # intervals, which takes the Fraction reference seconds per edge
+    rng = random.Random(2026)
+    bounds = []
+    for _ in range(200):
+        bounds += assert_edges_match_oracle(_random_form(rng))
+    assert sum(b <= 0 for b in bounds) >= 20 and sum(b > 0 for b in bounds) >= 300
+
+
+def test_integer_floor_equals_fraction_oracle_on_give_up_path():
+    # an image of x^6 + x^4 y^2 + y^6 whose search passes 4096 intervals and
+    # returns its least interval bound, <= 0, uncertified
+    form = BinaryForm.from_poly(parse("(-x-y)^6 + (-x-y)^4*(2*x+y)^2 + (2*x+y)^6"))
+    assert min(assert_edges_match_oracle(form)) <= 0
+    with pytest.raises(DensityError, match="failed to certify"):
+        certified_form_floor(form)
+
+
+def _fraction_radius(F, bound):
+    """certified_box's radius search, in Fraction."""
+    d = F.degree()
+    c = certified_form_floor(BinaryForm.from_poly(F.homogeneous_part(d)))
+    S = _lower_abs_sum(F, d)
+    M = 1
+    while d and c * Fraction(M) ** d - S * Fraction(M) ** (d - 1) <= bound:
+        M += max(1, M // 16)
+    while M > 1 and c * Fraction(M - 1) ** d - S * Fraction(M - 1) ** (d - 1) > bound:
+        M -= 1
+    return M, c
+
+
+def test_certified_box_radius_equals_fraction_reference():
+    rng = random.Random(26)
+    tops = ["x^2 + y^2", "x^2 + x*y + 2*y^2", "x^4 + y^4", "1/2*x^6 + 1/3*y^6",
+            "x^6 + x^4*y^2 + y^6", "x^8 + 3*y^8"]
+    cases = [(parse("5"), 10), (parse("7/2"), 1), (parse("x^2 + y^2"), 0)]
+    for _ in range(60):
+        F = parse(rng.choice(tops))
+        d = F.degree()
+        for _k in range(rng.randint(0, 3)):
+            i = rng.randrange(d)
+            j = rng.randrange(d - i)
+            F = F + BivarPoly({(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 5))})
+        # the walk back from the geometric overshoot is linear in M, so keep
+        # M in the hundreds
+        cases.append((F, rng.choice((1, 10, 10**3, 10**4 if d == 2 else 10**9))))
+    assert any(_lower_abs_sum(F, F.degree()).denominator > 1 for F, _b in cases)
+    for F, bound in cases:
+        assert certified_box(F, bound) == _fraction_radius(F, bound)
+    assert certified_box(parse("5"), 10**9) == (1, 5)
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    search = density_mod._poly_min_lower_bound
+
+    def counted(coeffs):
+        calls.append(list(coeffs))
+        return search(coeffs)
+
+    monkeypatch.setattr(density_mod, "_poly_min_lower_bound", counted)
+    return calls
+
+
+def test_ladder_searches_floor_once_per_edge(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    stanley_probe(parse("x^6 + x^4*y^2 + y^6 + x*y"), [1000, 10**4, 10**5])
+    assert len(calls) == 2
+    growth_exponent(parse("x^4 + 2*y^4 + x"), [100, 1000, 10**4])
+    assert len(calls) == 4
+    assert calls[2] == [1, 0, 0, 0, 2] and calls[3] == [2, 0, 0, 0, 1]
 
 
 def test_certified_box_minimality():

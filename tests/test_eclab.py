@@ -14,6 +14,7 @@ from sexticlab.eclab import (
     EllipticCurve,
     INFINITY,
     _HALL_BLOCK,
+    _gap_ratio,
     _hall_block_len,
     _hall_candidates,
     danilov_family,
@@ -124,6 +125,38 @@ def test_danilov_family_contract():
         assert gap * gap < x  # exact comparison
         if i >= 4:
             assert abs(ratio - 0.965980) < 0.01
+
+
+def _gap_ratio_two_step(gap, x):
+    """The ratio as |gap| over a separately taken float sqrt(x), kept as the
+    reference of _gap_ratio's one-step form."""
+    def float_sqrt_big(x):
+        if x.bit_length() <= 1000:
+            return x**0.5
+        shift = (x.bit_length() - 900) // 2 * 2
+        return (x >> shift) ** 0.5 * 2.0 ** (shift / 2)
+
+    try:
+        return abs(gap) / float_sqrt_big(x)
+    except OverflowError:
+        pass
+    try:
+        return (abs(gap) << 64) / isqrt(x << 128)
+    except OverflowError:
+        return float("inf")
+
+
+def test_gap_ratio_equals_two_step_reference():
+    # x and gap on both sides of 1000 bits (the float square root) and of
+    # 1024 bits (the float range), with the sign of gap both ways
+    rng = random.Random(8)
+    bits = (1, 2, 40, 999, 1000, 1001, 1023, 1024, 1025, 2100, 4000)
+    for xb in bits:
+        for gb in bits:
+            for _ in range(3):
+                x = rng.getrandbits(xb) | 1 << (xb - 1)
+                gap = rng.choice((1, -1)) * (rng.getrandbits(gb) | 1 << (gb - 1))
+                assert repr(_gap_ratio(gap, x)) == repr(_gap_ratio_two_step(gap, x))
 
 
 def test_hall_scan_finds_known_small_gaps():
