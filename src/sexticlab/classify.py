@@ -10,9 +10,11 @@ and, where the route admits one, computes the associated normal form: the
 MP1 square completions, the MP2 square check and quartic reduction, the MP3
 weighted cubic lead form, and the (y^2 - x^3 - b1 x - b0)^2 shape with its
 rational change of coordinates.  The MP2 and MP3 normal forms read their
-weighted layers straight off the coefficients of F, one pass each.  Every
-normal form checks its own exact identity and raises poly.IdentityError
-(not a ClassifyError, so never a note) when the check fails.
+weighted layers straight off the coefficients of F, one pass each; the MP3
+shape then composes F with its change of coordinates once and reads a, b1
+and b0 off the result.  Every normal form checks its own exact identity and
+raises poly.IdentityError (not a ClassifyError, so never a note) when the
+check fails.
 
 Route tokens are part of the stable report schema.  "paper-gap" marks the
 two ramification profiles (max multiplicity exactly 3 on the linear part, or
@@ -506,6 +508,20 @@ _MP3_SLOTS = (
 )
 
 
+def _weierstrass(b1, b0) -> BivarPoly:
+    """W = y^2 - x^3 - b1 x - b0, the core of the elliptic normal form."""
+    X, Y = BivarPoly.x(), BivarPoly.y()
+    return Y * Y - X**3 - X * b1 - BivarPoly.const(b0)
+
+
+def _affine(s: dict) -> tuple[BivarPoly, BivarPoly]:
+    """The recorded substitution as the polynomials (x, y) in X, Y."""
+    X, Y = BivarPoly.x(), BivarPoly.y()
+    xe = X * s["x_cx"] + BivarPoly.const(s["x_c0"])
+    ye = Y * s["y_cy"] + X * s["y_cx"] + BivarPoly.const(s["y_c0"])
+    return xe, ye
+
+
 @dataclass
 class ECRecord:
     """F composed with the recorded substitution equals
@@ -520,17 +536,11 @@ class ECRecord:
     x_flipped: bool = False
 
     def subst_exprs(self) -> tuple[BivarPoly, BivarPoly]:
-        s = self.substitution
-        X, Y = BivarPoly.x(), BivarPoly.y()
-        xe = X * s["x_cx"] + BivarPoly.const(s["x_c0"])
-        ye = Y * s["y_cy"] + X * s["y_cx"] + BivarPoly.const(s["y_c0"])
-        return xe, ye
+        return _affine(self.substitution)
 
     def verify(self, F: BivarPoly) -> bool:
-        xe, ye = self.subst_exprs()
-        X, Y = BivarPoly.x(), BivarPoly.y()
-        W = Y * Y - X**3 - X * self.b1 - BivarPoly.const(self.b0)
-        return F.subs(xe, ye) == W * W * self.a + self.G
+        W = _weierstrass(self.b1, self.b0)
+        return F.subs(*self.subst_exprs()) == W * W * self.a + self.G
 
     def to_json_obj(self) -> dict:
         return {
@@ -552,8 +562,7 @@ def _taoshape_try(F: BivarPoly) -> ECRecord | None:
         return None
     b1 = F.coeff(4, 0) / (2 * a)
     b0 = F.coeff(3, 0) / (2 * a)
-    X, Y = BivarPoly.x(), BivarPoly.y()
-    W = Y * Y - X**3 - X * b1 - BivarPoly.const(b0)
+    W = _weierstrass(b1, b0)
     g = F - W * W * a
     if g.degree() <= 2:
         rec = ECRecord(
@@ -579,17 +588,19 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
     F = a2 x^6 + a1 x^3 y^2 + a0 y^4 + xy L1(x^3,y^2) + x^2 L2(x^3,y^2)
       + y L3(x^3,y^2) + x L4(x^3,y^2) + G:
     requires a2 x^6 + a1 x^3 y^2 + a0 y^4 to be a perfect square over R and
-    each L_i to be proportional to its square root factor, then brings the
-    inner cubic core x^3 - alpha1 y^2 + beta1 xy + beta2 x^2 + beta3 x
-    + beta4 y to the monic y^2 - x^3 - b1 x - b0 shape by a rational change
-    of coordinates: a shear in y removes the xy and y terms, a shift in x
-    removes x^2, and a scaling makes the cubic monic.  alpha2 is normalized
-    to 1 (a2 goes into the scale), so alpha1 = -a1/(2 a2) is rational, and so
-    is the scaling mu2 = mu3 = alpha1: no irrational obstruction arises on
-    this pipeline.  If a1 > 0, F is first composed with x -> -x so that
-    alpha1 > 0.  Constant drift between G and the core is absorbed into b0
-    afterwards.  Inputs already of the shape a (y^2 - x^3 - b1 x - b0)^2 + g
-    with deg g <= 2 keep g as G (_taoshape_try).
+    each L_i to be proportional to its square root factor, that is
+    F(s x, y) = a2 core^2 + (terms of weight 2i + 3j < 8, x of weight 2 and
+    y of weight 3) with the inner cubic core x^3 - alpha1 y^2 + beta1 xy
+    + beta2 x^2 + beta3 x + beta4 y.  s = -1 (the x -> -x flip) exactly when
+    a1 > 0, so alpha1 = -s a1/(2 a2) is positive and rational.  One rational
+    affine map, written with the flip folded in, takes F to a multiple of
+    the core in monic shape plus lighter terms: a shear in y removes xy and
+    y from the core, a shift in x removes x^2, and a scaling by alpha1 makes
+    the cubic monic.  F is composed with it once, and a, b1 and b0 are read
+    off the y^4, x^4 and y^2 coefficients: the map raises no weight, so G
+    has no x^4 or y^4 term, and b0 is chosen so that G has no y^2 term.
+    Inputs already of the shape a (y^2 - x^3 - b1 x - b0)^2 + g with
+    deg g <= 2 keep g as G, y^2 term and all (_taoshape_try).
     """
     tao = _taoshape_try(F)
     if tao is not None:
@@ -605,80 +616,44 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
             "weighted lead form is not a perfect square with nonzero alpha1; "
             f"discriminant {disc}, a0 = {a0} (not arithmetically positive route)"
         )
-    # x -> -x flips the signs of a1 and of the odd-x layers
     x_flipped = a1 > 0
-    X, Y = BivarPoly.x(), BivarPoly.y()
-    work_F = F.subs(-X, Y) if x_flipped else F
-    alpha1 = -work_F.coeff(3, 2) / (2 * aprime)
+    s = -1 if x_flipped else 1
+
+    def layer(i: int, j: int) -> Fraction:
+        """The x^i y^j coefficient of F(s x, y)."""
+        return F.coeff(i, j) * s**i
+
+    alpha1 = -layer(3, 2) / (2 * aprime)
     _require(alpha1 > 0, "MP3 core: alpha1 is not positive after the flip")
     # solve the betas from the x-heavy slot of each layer; the layers mix the
     # betas triangularly because squaring the core feeds beta products back
     # into the lighter slots (e.g. (beta1 xy)^2 lands in the x^2 y^2 slot)
-    beta1 = work_F.coeff(4, 1) / (2 * aprime)
-    beta2 = work_F.coeff(5, 0) / (2 * aprime)
-    beta4 = (work_F.coeff(3, 1) / aprime - 2 * beta1 * beta2) / 2
-    beta3 = (work_F.coeff(4, 0) / aprime - beta2 * beta2) / 2
+    beta1 = layer(4, 1) / (2 * aprime)
+    beta2 = layer(5, 0) / (2 * aprime)
+    beta4 = (layer(3, 1) / aprime - 2 * beta1 * beta2) / 2
+    beta3 = (layer(4, 0) / aprime - beta2 * beta2) / 2
+    X, Y = BivarPoly.x(), BivarPoly.y()
     core = X**3 - Y * Y * alpha1 + X * Y * beta1 + X * X * beta2 + X * beta3 + Y * beta4
-    residual = work_F - core * core * aprime
-    stuck = [m for m in _MP3_SLOTS if residual.coeff(*m)]
+    square = core * core * aprime
+    stuck = [m for m in _MP3_SLOTS if layer(*m) != square.coeff(*m)]
     if stuck:
         raise ClassifyError(
             f"layers are not proportional to x^3 - {alpha1} y^2 "
             f"(residual monomials {stuck}); size-comparison witness applies"
         )
-    # shear: y = y1 + (beta1 x + beta4)/(2 alpha1) turns the core into
-    # x^3 - alpha1 y1^2 + b2' x^2 + b1' x + b0'
-    b2p = beta2 + beta1 * beta1 / (4 * alpha1)
-    b1p = beta3 + beta1 * beta4 / (2 * alpha1)
-    b0p = beta4 * beta4 / (4 * alpha1)
-    # shift: x = x1 - b2'/3 kills the x^2 term
-    sh = -b2p / 3
-    c1 = b1p + 3 * sh * sh + 2 * b2p * sh
-    c0 = b0p + sh**3 + b2p * sh * sh + b1p * sh
-    # scale: x1 = mu2 X, y1 = mu3 Y with mu2 = mu3 = alpha1
-    mu2 = mu3 = alpha1
-    a_scale = alpha1**3
-    b1_out = c1 * mu2 / a_scale
-    b0_out = c0 / a_scale
-    a_out = aprime * a_scale * a_scale
-
-    # total substitution (X, Y) -> (x, y)
-    x_cx = mu2
-    x_c0 = sh
-    y_cy = mu3
-    y_cx = beta1 * x_cx / (2 * alpha1)
-    y_c0 = (beta1 * x_c0 + beta4) / (2 * alpha1)
-    subst = {"x_cx": x_cx, "x_c0": x_c0, "y_cy": y_cy, "y_cx": y_cx, "y_c0": y_c0}
-
-    xe = X * x_cx + BivarPoly.const(x_c0)
-    ye = Y * y_cy + X * y_cx + BivarPoly.const(y_c0)
-
-    def compute_G(b0v):
-        W = Y * Y - X**3 - X * b1_out - BivarPoly.const(b0v)
-        return work_F.subs(xe, ye) - W * W * a_out
-
-    G = compute_G(b0_out)
-    # absorb the y^2 drift of G into b0 (adding a constant to the core)
-    lam = G.coeff(0, 2)
-    if lam:
-        eps = lam / (2 * a_out)
-        b0_out = b0_out - eps
-        G = compute_G(b0_out)
+    # the shear y = alpha1 Y + (beta1 x + beta4)/(2 alpha1), the shift
+    # x = alpha1 X + sh and the flip, as one map
+    sh = -(beta2 + beta1 * beta1 / (4 * alpha1)) / 3
+    subst = {"x_cx": s * alpha1, "x_c0": s * sh, "y_cy": alpha1, "y_cx": beta1 / 2,
+             "y_c0": (beta1 * sh + beta4) / (2 * alpha1)}
+    Fs = F.subs(*_affine(subst))
+    a = Fs.coeff(0, 4)
+    b1, b0 = Fs.coeff(4, 0) / (2 * a), -Fs.coeff(0, 2) / (2 * a)
+    W = _weierstrass(b1, b0)
+    G = Fs - W * W * a
     heavy = sorted((i, j) for (i, j) in G.terms if 2 * i + 3 * j >= 6)
-    if x_flipped:
-        # fold the x -> -x pre-composition into the substitution so that the
-        # recorded map lands in the coordinates of the input polynomial
-        subst["x_cx"] = -subst["x_cx"]
-        subst["x_c0"] = -subst["x_c0"]
-    rec = ECRecord(
-        a=a_out,
-        b1=b1_out,
-        b0=b0_out,
-        G=G,
-        substitution=subst,
-        heavy_monomials=heavy,
-        x_flipped=x_flipped,
-    )
+    rec = ECRecord(a=a, b1=b1, b0=b0, G=G, substitution=subst,
+                   heavy_monomials=heavy, x_flipped=x_flipped)
     _require(rec.verify(F), "EC normal form: identity fails")
     return rec
 

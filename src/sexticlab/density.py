@@ -175,10 +175,9 @@ def certified_box(F: BivarPoly, bound: int) -> tuple[int, Fraction]:
     """(M, c): enumerating |x|,|y| <= M provably covers every representation
     of a value <= bound; requires a positive-definite leading form."""
     d = F.degree()
-    # up to degree 6 the leading form is the one decompose keeps on F, and
-    # with it its floor, so a ladder over one F searches the floor once
-    top = decompose(F)[max(d, 0)] if d <= 6 else BinaryForm.from_poly(F.homogeneous_part(d))
-    c = certified_form_floor(top)
+    # the leading form is the one decompose keeps on F, and with it its
+    # floor, so a ladder over one F searches the floor once
+    c = certified_form_floor(decompose(F)[max(d, 0)])
     M = 1
     # a constant (d = 0) never grows past the bound: radius 1 holds its value
     if d:

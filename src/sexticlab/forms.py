@@ -74,17 +74,16 @@ class BinaryForm:
 
 
 def decompose(F: BivarPoly) -> tuple[BinaryForm, ...]:
-    """The homogeneous parts (F_0, ..., F_6) of F; errors if deg F exceeds 6.
+    """The homogeneous parts (F_0, ..., F_n) of F, n = max(6, deg F).
 
     Computed on first use and kept on F, so every caller handed the same
     polynomial shares one set of forms, and each form its one Yun
     decomposition.  The tuple and its forms are shared: do not change them."""
     if F._parts is None:
-        if F.degree() > 6:
-            raise ValueError(f"degree {F.degree()} exceeds bound 6")
         terms = F._terms
         F._parts = tuple(
-            BinaryForm(d, [terms.get((d - k, k), 0) for k in range(d + 1)]) for d in range(7)
+            BinaryForm(d, [terms.get((d - k, k), 0) for k in range(d + 1)])
+            for d in range(max(6, F.degree()) + 1)
         )
     return F._parts
 

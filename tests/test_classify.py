@@ -25,6 +25,9 @@ from sexticlab.classify import (
     reduce_to_quartic,
     unimodular_matrix_for,
     _detect_pell_k,
+    _MP3_SLOTS,
+    _require,
+    _taoshape_try,
     _xpow_div,
 )
 from sexticlab import unipoly as up
@@ -441,6 +444,168 @@ def test_mp3_proportionality_failure():
     with pytest.raises(ClassifyError, match=r"^layers are not proportional to x\^3 - 1 y\^2 "
                        r"\(residual monomials \[\(1, 3\)\]\)"):
         ecform_normalize(F)
+
+
+def _ecform_reference(F: BivarPoly) -> ECRecord:
+    """The general path of ecform_normalize in closed form: a, b1 and b0 from
+    the shear, shift and scale formulas, F composed with x -> -x first and
+    the flip folded back into the substitution at the end, and G composed
+    again when its y^2 drift moves b0.  The differential oracle of the
+    one-composition path."""
+    if not _xpow_div(decompose(F)[5], 3):
+        raise ClassifyError("x^3 does not divide F5 (anisotropic witness applies)")
+    aprime, a1, a0 = F.coeff(6, 0), F.coeff(3, 2), F.coeff(0, 4)
+    if not aprime:
+        raise ClassifyError("a2 = 0: leading coefficient vanished")
+    disc = a1 * a1 - 4 * aprime * a0
+    if disc or aprime < 0 or a0 <= 0:
+        raise ClassifyError(
+            "weighted lead form is not a perfect square with nonzero alpha1; "
+            f"discriminant {disc}, a0 = {a0} (not arithmetically positive route)"
+        )
+    # x -> -x flips the signs of a1 and of the odd-x layers
+    x_flipped = a1 > 0
+    X, Y = BivarPoly.x(), BivarPoly.y()
+    work_F = F.subs(-X, Y) if x_flipped else F
+    alpha1 = -work_F.coeff(3, 2) / (2 * aprime)
+    _require(alpha1 > 0, "MP3 core: alpha1 is not positive after the flip")
+    # solve the betas from the x-heavy slot of each layer; the layers mix the
+    # betas triangularly because squaring the core feeds beta products back
+    # into the lighter slots (e.g. (beta1 xy)^2 lands in the x^2 y^2 slot)
+    beta1 = work_F.coeff(4, 1) / (2 * aprime)
+    beta2 = work_F.coeff(5, 0) / (2 * aprime)
+    beta4 = (work_F.coeff(3, 1) / aprime - 2 * beta1 * beta2) / 2
+    beta3 = (work_F.coeff(4, 0) / aprime - beta2 * beta2) / 2
+    core = X**3 - Y * Y * alpha1 + X * Y * beta1 + X * X * beta2 + X * beta3 + Y * beta4
+    residual = work_F - core * core * aprime
+    stuck = [m for m in _MP3_SLOTS if residual.coeff(*m)]
+    if stuck:
+        raise ClassifyError(
+            f"layers are not proportional to x^3 - {alpha1} y^2 "
+            f"(residual monomials {stuck}); size-comparison witness applies"
+        )
+    # shear: y = y1 + (beta1 x + beta4)/(2 alpha1) turns the core into
+    # x^3 - alpha1 y1^2 + b2' x^2 + b1' x + b0'
+    b2p = beta2 + beta1 * beta1 / (4 * alpha1)
+    b1p = beta3 + beta1 * beta4 / (2 * alpha1)
+    b0p = beta4 * beta4 / (4 * alpha1)
+    # shift: x = x1 - b2'/3 kills the x^2 term
+    sh = -b2p / 3
+    c1 = b1p + 3 * sh * sh + 2 * b2p * sh
+    c0 = b0p + sh**3 + b2p * sh * sh + b1p * sh
+    # scale: x1 = mu2 X, y1 = mu3 Y with mu2 = mu3 = alpha1
+    mu2 = mu3 = alpha1
+    a_scale = alpha1**3
+    b1_out = c1 * mu2 / a_scale
+    b0_out = c0 / a_scale
+    a_out = aprime * a_scale * a_scale
+
+    # total substitution (X, Y) -> (x, y)
+    x_cx = mu2
+    x_c0 = sh
+    y_cy = mu3
+    y_cx = beta1 * x_cx / (2 * alpha1)
+    y_c0 = (beta1 * x_c0 + beta4) / (2 * alpha1)
+    subst = {"x_cx": x_cx, "x_c0": x_c0, "y_cy": y_cy, "y_cx": y_cx, "y_c0": y_c0}
+
+    xe = X * x_cx + BivarPoly.const(x_c0)
+    ye = Y * y_cy + X * y_cx + BivarPoly.const(y_c0)
+
+    def compute_G(b0v):
+        W = Y * Y - X**3 - X * b1_out - BivarPoly.const(b0v)
+        return work_F.subs(xe, ye) - W * W * a_out
+
+    G = compute_G(b0_out)
+    # absorb the y^2 drift of G into b0 (adding a constant to the core)
+    lam = G.coeff(0, 2)
+    if lam:
+        eps = lam / (2 * a_out)
+        b0_out = b0_out - eps
+        G = compute_G(b0_out)
+    heavy = sorted((i, j) for (i, j) in G.terms if 2 * i + 3 * j >= 6)
+    if x_flipped:
+        # fold the x -> -x pre-composition into the substitution so that the
+        # recorded map lands in the coordinates of the input polynomial
+        subst["x_cx"] = -subst["x_cx"]
+        subst["x_c0"] = -subst["x_c0"]
+    rec = ECRecord(
+        a=a_out,
+        b1=b1_out,
+        b0=b0_out,
+        G=G,
+        substitution=subst,
+        heavy_monomials=heavy,
+        x_flipped=x_flipped,
+    )
+    _require(rec.verify(F), "EC normal form: identity fails")
+    return rec
+
+
+_LIGHT = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1))  # 2i + 3j < 8
+
+
+def _mp3_case(rng: random.Random) -> BivarPoly:
+    """A seeded MP3 polynomial: a Tao shape a (y^2 - x^3 - b1 x - b0)^2 + g
+    with deg g <= 2, g with or without its y^2 term; or a' core^2 plus
+    light terms, about 15 % of them with one term in a layer slot (or
+    x^2 y^3, off x^3 | F5) that breaks proportionality.  Half are flipped
+    x -> -x."""
+    X, Y = BivarPoly.x(), BivarPoly.y()
+
+    def rat(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+
+    def nonzero():
+        return rat(1, 9) * rng.choice((1, -1))
+
+    if rng.random() < 0.15:
+        g = sum((X**i * Y**j * nonzero() for i, j in _LIGHT[:6] if rng.random() < 0.5),
+                BivarPoly())
+        if rng.random() < 0.5:
+            g = g + Y * Y * nonzero()
+        W = Y * Y - X**3 - X * rat(-9, 9) - BivarPoly.const(rat(-9, 9))
+        F = W * W * rat(1, 6) + g
+    else:
+        alpha1 = rat(1, 12)
+        b1, b2, b3, b4 = (rat(-9, 9) for _ in range(4))
+        core = X**3 - Y * Y * alpha1 + X * Y * b1 + X * X * b2 + X * b3 + Y * b4
+        F = core * core * rat(1, 6)
+        for i, j in _LIGHT:
+            if rng.random() < 0.5:
+                F = F + X**i * Y**j * nonzero()
+        if rng.random() < 0.15:
+            i, j = rng.choice(_MP3_SLOTS + ((2, 3),))
+            F = F + X**i * Y**j * nonzero()
+    return F.subs(-X, Y) if rng.random() < 0.5 else F
+
+
+def test_ecform_matches_closed_form_reference():
+    """The record of the one-composition path, or its ClassifyError text,
+    equals the closed-form reference's on 500 seeded MP3 polynomials, and
+    the seeds reach every kind of outcome."""
+
+    def outcome(normalize, F):
+        try:
+            return normalize(F).to_json_obj()
+        except ClassifyError as exc:
+            return str(exc)
+
+    rng = random.Random(20261020)
+    kinds = set()
+    for _ in range(500):
+        F = _mp3_case(rng)
+        got = outcome(ecform_normalize, F)
+        assert got == outcome(lambda H: _taoshape_try(H) or _ecform_reference(H), F), F.format()
+        if isinstance(got, str):
+            kinds.add(" ".join(got.split()[:3]))  # the error, without its numbers
+        elif _taoshape_try(F) is not None:
+            kinds.add("tao, G with y^2" if [0, 2] in [m[:2] for m in got["G"]["terms"]] else "tao")
+        else:
+            kinds.add("flipped" if got["x_flipped"] else "general")
+    assert kinds == {
+        "tao", "tao, G with y^2", "general", "flipped",
+        "x^3 does not", "weighted lead form", "layers are not",
+    }, kinds
 
 
 # -- ECform -------------------------------------------------------------------

@@ -232,6 +232,22 @@ def test_witness_exhausted_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("poly,lemma,note", [
+    # 10^100 x^4 outweighs -x^6 until |x| passes 10^50, far beyond the
+    # scales up to 10^12 that the ray search takes
+    ("-x^6 + 10^100*x^4", "indefinite-leading", "scaling budget exhausted"),
+    # 10^100 x^4 outweighs x^5 until x passes 10^100, which 64 convergents
+    # of +-sqrt 2 do not reach
+    ("(x^2 - 2*y^2)^2*(x^2 + y^2) + 10^100*x^4 + x^5", "dirichlet-approximation",
+     "no negative value within 64 convergents over 2 directions"),
+])
+def test_witness_engine_budget_exit(capsys, poly, lemma, note):
+    code, out, _ = run(capsys, "witness", f"--poly={poly}")
+    obj = json.loads(out)
+    assert (obj["kind"], obj["lemma"], obj["note"]) == ("inconclusive", lemma, note)
+    assert code == EXIT_BUDGET
+
+
 def test_witness_large_convergent_budget(capsys):
     # 200 convergents give values past the float range; the reported growth
     # ratio is taken from logs, so the run ends with its witness, not an

@@ -262,6 +262,14 @@ def test_ladder_searches_floor_once_per_edge(monkeypatch):
     assert calls[2] == [1, 0, 0, 0, 2] and calls[3] == [2, 0, 0, 0, 1]
 
 
+def test_ladder_searches_octic_floor_once_per_edge(monkeypatch):
+    # decompose gives every degree its leading form, so the floor of an
+    # octic is kept on it as a sextic's is
+    calls = _count_searches(monkeypatch)
+    stanley_probe(parse("x^8 + y^8 + x*y"), [10**4, 10**5, 10**6])
+    assert calls == [[1, 0, 0, 0, 0, 0, 0, 0, 1]] * 2
+
+
 def test_certified_box_minimality():
     F = parse("x^6 + y^6 + x - 3")
     bound = 2 * 10**4

@@ -48,8 +48,10 @@ def test_decompose():
     ]
     H = apply_matrix(F, [[2, 1], [1, 1]])
     assert sum((p.to_poly() for p in decompose(H)), parse("0")) == H
-    with pytest.raises(ValueError, match="exceeds"):
-        decompose(parse("x^7"))
+    # past degree 6 the parts run to the degree of F
+    assert [p.to_poly() for p in decompose(parse("x^7 + y"))] == [
+        parse("0"), parse("y"), *[parse("0")] * 5, parse("x^7"),
+    ]
 
 
 def test_form_gcd_simple():
