@@ -510,16 +510,13 @@ _MP3_SLOTS = (
 
 def _weierstrass(b1, b0) -> BivarPoly:
     """W = y^2 - x^3 - b1 x - b0, the core of the elliptic normal form."""
-    X, Y = BivarPoly.x(), BivarPoly.y()
-    return Y * Y - X**3 - X * b1 - BivarPoly.const(b0)
+    return BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): -b1, (0, 0): -b0})
 
 
 def _affine(s: dict) -> tuple[BivarPoly, BivarPoly]:
     """The recorded substitution as the polynomials (x, y) in X, Y."""
-    X, Y = BivarPoly.x(), BivarPoly.y()
-    xe = X * s["x_cx"] + BivarPoly.const(s["x_c0"])
-    ye = Y * s["y_cy"] + X * s["y_cx"] + BivarPoly.const(s["y_c0"])
-    return xe, ye
+    return (BivarPoly({(1, 0): s["x_cx"], (0, 0): s["x_c0"]}),
+            BivarPoly({(0, 1): s["y_cy"], (1, 0): s["y_cx"], (0, 0): s["y_c0"]}))
 
 
 @dataclass

@@ -30,6 +30,11 @@ class _Tok:
         return f"_Tok({self.kind}, {self.value!r})"
 
 
+# ASCII only: str.isdigit also accepts digits such as '²', which int() rejects,
+# and '٣', which int() reads as 3
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
     i = 0
@@ -39,9 +44,9 @@ def _tokenize(text: str) -> list[_Tok]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(_Tok("int", int(text[i:j]), i))
             i = j

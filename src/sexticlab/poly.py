@@ -13,8 +13,17 @@ coefficients exact themselves.  All arithmetic is exact; no floating point
 anywhere in this module.
 
 The public constructor validates and canonicalizes its input; the results of
-+, - and * have int-pair keys already, so they are built without that pass:
-they only drop the coefficients that cancelled and store the rest as above.
++, -, *, ** and subs have int-pair keys already, so they are built without
+that pass: they only drop the coefficients that cancelled and store the rest
+as above.  Every product of two polynomials, in *, ** and subs, is one dict
+product (_dmul) over the term dicts, and each result is canonicalized once:
+** squares and multiplies plain dicts, and subs is Horner in y over the
+powers of the x substitute.
+
+BivarPoly.eval sums integer numerators: L * F has integer coefficients (L
+the lcm of the coefficient denominators), so at an integer point the value
+is one integer divided by L.  L and the scaled coefficients are kept on the
+object.
 
 Enumeration loops and the witness searches over many points (Dirichlet
 convergents, curve families) evaluate through BivarPoly.kernel(), the same
@@ -25,9 +34,9 @@ degrees of F), which fixes a polynomial of those degrees; exact evaluation
 (BivarPoly.eval, which shares no code with the kernel) stays the gate for
 every certificate.
 
-A BivarPoly never changes, so the kernel, the degrees in x and y and the
-homogeneous parts (the _parts slot, which forms.decompose fills) are kept on
-the object.
+A BivarPoly never changes, so the kernel, the scaled coefficients of eval,
+the degrees in x and y and the homogeneous parts (the _parts slot, which
+forms.decompose fills) are kept on the object.
 """
 
 from __future__ import annotations
@@ -65,6 +74,19 @@ def _powers(b, n: int) -> list:
     for _ in range(n):
         out.append(out[-1] * b)
     return out
+
+
+def _dmul(p: dict, q: dict) -> dict:
+    """The product of two term dicts {(i, j): c}: like terms are summed but
+    not canonicalized, so a sum that cancelled stays in as a zero and an
+    integral Fraction stays a Fraction until BivarPoly._canonical."""
+    d = {}
+    get = d.get
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            t = (i1 + i2, j1 + j2)
+            d[t] = get(t, 0) + c1 * c2
+    return d
 
 
 class IdentityError(RuntimeError):
@@ -143,17 +165,19 @@ def _kernel_rows(terms: Mapping[Term, Fraction], D: int) -> tuple:
 class BivarPoly:
     """Immutable sparse bivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("_terms", "_hash", "_kernel", "_parts", "_degs")
+    __slots__ = ("_terms", "_hash", "_kernel", "_parts", "_degs", "_scaled")
 
     def __init__(self, terms: Mapping[Term, Fraction] | Iterable[tuple[Term, Fraction]] = ()):
         d = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (i, j), c in items:
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"exponent ({i!r},{j!r}) is not a pair of ints")
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent ({i},{j})")
             c = _int_or_rat(c)
             if c:
-                key = (int(i), int(j))
+                key = (i, j)
                 if key in d:
                     c = _int_or_rat(d[key] + c)
                     if not c:
@@ -165,6 +189,7 @@ class BivarPoly:
         self._kernel = None
         self._parts = None
         self._degs = None
+        self._scaled = None
 
     @classmethod
     def _canonical(cls, terms: dict) -> "BivarPoly":
@@ -177,6 +202,7 @@ class BivarPoly:
         p._kernel = None
         p._parts = None
         p._degs = None
+        p._scaled = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -264,13 +290,7 @@ class BivarPoly:
             if not other:
                 return BivarPoly()
             return BivarPoly._canonical({t: c * other for t, c in self._terms.items()})
-        other = self._coerce(other)
-        d = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                t = (i1 + i2, j1 + j2)
-                d[t] = d.get(t, 0) + c1 * c2
-        return BivarPoly._canonical(d)
+        return BivarPoly._canonical(_dmul(self._terms, self._coerce(other)._terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -278,15 +298,14 @@ class BivarPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = BivarPoly.const(1)
-        base = self
+        out, base = {(0, 0): 1}, self._terms
         while True:
             if n & 1:
-                out = out * base
+                out = _dmul(out, base)
             n >>= 1
             if not n:
-                return out
-            base = base * base
+                return BivarPoly._canonical(out)
+            base = _dmul(base, base)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -314,16 +333,23 @@ class BivarPoly:
         """Exact F(x, y) as a Fraction: the gate every certificate passes
         through.
 
+        L * F has integer coefficients, L the lcm of the coefficient
+        denominators; L and those integers are taken on first use and kept.
         The powers of x and y are taken once per call, in integers where the
-        argument is integral.  With integral coefficients as well, the sum is
-        taken in integers and made a Fraction once, at the end."""
+        argument is integral, so at an integer point the sum is taken in
+        integers and divided by L once, at the end."""
+        if self._scaled is None:
+            L = lcm(*(c.denominator for c in self._terms.values()))
+            self._scaled = (L, [(i, j, c.numerator * (L // c.denominator))
+                                for (i, j), c in self._terms.items()])
+        L, scaled = self._scaled
         dx, dy = self._degrees()
         xp = _powers(x if type(x) is int else _int_or_rat(x), dx)
         yp = _powers(y if type(y) is int else _int_or_rat(y), dy)
         total = 0
-        for (i, j), c in self._terms.items():
-            total += c * (xp[i] * yp[j])
-        return Fraction(total)
+        for i, j, n in scaled:
+            total += n * (xp[i] * yp[j])
+        return Fraction(total, L)
 
     def kernel(self) -> IntKernel:
         """The integer kernel of self, compiled and checked on first use.
@@ -359,19 +385,27 @@ class BivarPoly:
         return self._kernel
 
     def subs(self, x_expr: "BivarPoly", y_expr: "BivarPoly") -> "BivarPoly":
-        """Compose: substitute polynomials for x and y."""
-        out = BivarPoly()
-        xp_cache = {0: BivarPoly.const(1)}
-        yp_cache = {0: BivarPoly.const(1)}
+        """Compose: substitute polynomials for x and y.
 
-        def power(cache, base, n):
-            if n not in cache:
-                cache[n] = power(cache, base, n - 1) * base
-            return cache[n]
-
-        for (i, j), c in sorted(self._terms.items()):
-            out = out + power(xp_cache, x_expr, i) * power(yp_cache, y_expr, j) * c
-        return out
+        Horner in y: row j of self, sum_i c_ij x_expr^i, is summed into one
+        dict from the powers of x_expr, and the rows are folded by
+        acc -> acc * y_expr + row."""
+        xt, yt = self._coerce(x_expr)._terms, self._coerce(y_expr)._terms
+        dx, dy = self._degrees()
+        xp = [{(0, 0): 1}]
+        for _ in range(dx):
+            xp.append(_dmul(xp[-1], xt))
+        rows = [{} for _ in range(dy + 1)]
+        for (i, j), c in self._terms.items():
+            row = rows[j]
+            for t, a in xp[i].items():
+                row[t] = row.get(t, 0) + c * a
+        acc = {}
+        for row in reversed(rows):
+            acc = _dmul(acc, yt)
+            for t, c in row.items():
+                acc[t] = acc.get(t, 0) + c
+        return BivarPoly._canonical(acc)
 
     # -- formatting and serialization --------------------------------------
 

@@ -118,8 +118,9 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
             for u, v in pairs:
                 val = _eval_pm(K, u, v, negatives)
                 expo = 2.5 - _seeds.get("growth_epsilon")
+                g = math.gcd(val, K.D)
                 log_ratio = (
-                    math.log(abs(val.numerator)) - math.log(val.denominator)
+                    math.log(abs(val) // g) - math.log(K.D // g)
                     if val else -math.inf
                 ) - expo * math.log(u * u + v * v)
                 if best_log is None or log_ratio < best_log:
@@ -154,15 +155,16 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
 
 
 def _eval_pm(K, u, v, negatives):
-    """F at (u, v) and (-u, -v) from the kernel K of F; collects negatives
-    and returns the value of larger size.  Sign and size are read off the
-    integers D*F, as D > 0; only the values kept become Fractions."""
+    """D*F at (u, v) and (-u, -v) from the kernel K of F; collects negatives
+    and returns the one of larger size, as the integer D*F.  Sign and size
+    are read off the integers D*F, as D > 0; only the negatives kept become
+    Fractions."""
     a, b = K(u, v), K(-u, -v)
     if a < 0:
         negatives.append((u, v, Fraction(a, K.D)))
     if b < 0:
         negatives.append((-u, -v, Fraction(b, K.D)))
-    return Fraction(a if abs(a) >= abs(b) else b, K.D)
+    return a if abs(a) >= abs(b) else b
 
 
 # -- anisotropic schedule -----------------------------------------------------

@@ -121,6 +121,13 @@ def test_analyze_parse_error(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("poly", ["x^²", "x^٣"])
+def test_analyze_non_ascii_digit_exit_2(capsys, poly):
+    code, out, err = run(capsys, "analyze", "--poly", poly)
+    assert code == EXIT_INPUT
+    assert out == "" and "parse error" in err and "Traceback" not in err
+
+
 def test_bad_poly_file(tmp_path, capsys):
     pf = tmp_path / "bad.json"
     pf.write_text("{not json")

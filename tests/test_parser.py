@@ -49,6 +49,14 @@ def test_errors_have_positions():
             parse(bad)
 
 
+def test_only_ascii_digits_are_numbers():
+    # str.isdigit accepts '²' (which int() rejects) and '٣' (which int()
+    # reads as 3); neither is a literal here
+    for bad in ("x^²", "x^٣", "²", "٣*x", "x^2٣"):
+        with pytest.raises(ParseError):
+            parse(bad)
+
+
 def test_error_mentions_position():
     try:
         parse("x + @")

@@ -2,9 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sexticlab import poly as poly_mod
+from sexticlab.classify import _affine, apply_matrix
 from sexticlab.poly import BivarPoly, KernelMismatchError
 from sexticlab.parser import parse
 
@@ -367,6 +368,10 @@ def test_public_accessors_give_fractions_on_integral_input():
             BinaryForm(1, bad)
     with pytest.raises(TypeError):
         BivarPoly({(1, 0): 0.5})
+    # an exponent is an int, never truncated from a float or read off a bool
+    for bad in ({(1.5, 0): 1}, {(0, 2.0): 1}, {(True, 0): 1}, [((1, Fraction(2)), 1)]):
+        with pytest.raises(TypeError):
+            BivarPoly(bad)
 
 
 # -- fast paths against their Fraction oracles --------------------------------
@@ -401,3 +406,78 @@ def test_degrees_are_kept_and_match_the_terms():
         assert (F.degree_in(0), F.degree_in(1)) == want
         assert F.eval(2, 3) == sum(c * 2**i * 3**j for (i, j), c in F.terms.items())
         assert F._degs == want
+
+
+# -- composition and evaluation at sextic size --------------------------------
+#
+# Every result is compared with the Fraction reference on plain dicts, so an
+# edit to the dict product, the order in which terms are summed or the
+# dropping of cancelled terms shows as a wrong term, a stored zero, a
+# Fraction left where an int belongs or a changed hash or output text.
+
+
+def _sextic_dicts(coeffs):
+    return st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda t: t[0] + t[1] <= 6),
+        coeffs, max_size=28,
+    ).map(lambda d: {t: c for t, c in d.items() if c})
+
+
+sextic_dicts = st.one_of(_sextic_dicts(integral_coeffs), _sextic_dicts(mixed_coeffs))
+
+
+def _nonzero(pairs):
+    return {t: Fraction(c) for t, c in pairs if c}
+
+
+def _composes_like_ref(P, A, X, Y):
+    ref = _ref_subs(A, X, Y)
+    _matches_ref(P, ref)
+    assert P.format() == BivarPoly(ref).format()
+    assert P.to_json_obj() == BivarPoly(ref).to_json_obj()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sextic_dicts, st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+@example({}, [1, 2, -1, 0])
+@example({(6, 0): Fraction(1), (0, 6): Fraction(1, 2), (0, 0): Fraction(-3)}, [0, 0, 1, 2])
+@example({(6, 0): Fraction(1), (3, 3): Fraction(-2)}, [1, 1, 1, 1])
+def test_apply_matrix_matches_fraction_reference(A, m):
+    X = _nonzero((((1, 0), m[0]), ((0, 1), m[1])))
+    Y = _nonzero((((1, 0), m[2]), ((0, 1), m[3])))
+    _composes_like_ref(apply_matrix(BivarPoly(A), [m[:2], m[2:]]), A, X, Y)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sextic_dicts, st.lists(small_rats, min_size=5, max_size=5),
+       st.sampled_from(["affine", "constant x", "zero x"]))
+@example({}, [Fraction(1, 2), 1, 3, Fraction(-1, 3), 2], "affine")
+def test_affine_composition_matches_fraction_reference(A, coeffs, shape):
+    # the shape of ECRecord's substitution: x = x_cx X + x_c0,
+    # y = y_cy Y + y_cx X + y_c0, here with any small rational coefficients
+    x_cx, x_c0, y_cy, y_cx, y_c0 = coeffs
+    if shape != "affine":
+        x_cx = 0
+    if shape == "zero x":
+        x_c0 = 0
+    xe, ye = _affine({"x_cx": x_cx, "x_c0": x_c0, "y_cy": y_cy, "y_cx": y_cx, "y_c0": y_c0})
+    X = _nonzero((((1, 0), x_cx), ((0, 0), x_c0)))
+    Y = _nonzero((((0, 1), y_cy), ((1, 0), y_cx), ((0, 0), y_c0)))
+    _composes_like_ref(BivarPoly(A).subs(xe, ye), A, X, Y)
+
+
+# integers and Fractions of about 100 bits, of either sign
+bits100 = st.integers(2**99, 2**100)
+signed100 = st.one_of(bits100, bits100.map(lambda v: -v))
+points100 = st.one_of(signed100, st.builds(Fraction, signed100, bits100))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sextic_dicts, points100, points100)
+@example({}, 2**100, -(2**99))
+def test_eval_matches_termwise_at_100_bit_points(A, a, b):
+    F = BivarPoly(A)
+    v = F.eval(a, b)
+    assert type(v) is Fraction and v == termwise_eval(A, a, b)
+    # the second call reads the scaled coefficients kept by the first
+    assert F._scaled is not None and F.eval(a, b) == v
