@@ -226,11 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("witness", help="search for a negative-value or small-core witness")
     add_poly_opts(pw, ("json", "text"))
-    pw.add_argument("--budget-convergents", type=int, default=None)
-    pw.add_argument("--budget-tmax", type=int, default=None)
-    pw.add_argument("--budget-box", type=int, default=None)
-    pw.add_argument("--budget-rmax", type=int, default=None)
-    pw.add_argument("--budget-nmax", type=int, default=None)
+    pw.add_argument("--budget-convergents", type=int, default=None,
+                    help="convergents walked per root direction by the Dirichlet search "
+                         "(default 64)")
+    pw.add_argument("--budget-tmax", type=int, default=None,
+                    help="largest T of the anisotropic scan schedule (default 10^12)")
+    pw.add_argument("--budget-box", type=int, default=None,
+                    help="box half-width of the ray search and the growth scan (default 200; "
+                         "they use min(4*degree, box) and min(box, 60))")
+    pw.add_argument("--budget-rmax", type=int, default=None,
+                    help="largest r of the 3P family walk (default 25)")
+    pw.add_argument("--budget-nmax", type=int, default=None,
+                    help="largest scale N of the weighted sign search (default 10^9)")
     pw.set_defaults(func=cmd_witness)
 
     pd = sub.add_parser("density", help="count distinct values in [N, 2N)")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .poly import BivarPoly, IdentityError
+from .poly import BivarPoly, IdentityError, _rat
 
 
 class CurveError(ValueError):
@@ -24,8 +24,8 @@ class EllipticCurve:
     B: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
+        object.__setattr__(self, "A", _rat(self.A))
+        object.__setattr__(self, "B", _rat(self.B))
         if not self.discriminant():
             raise CurveError("singular curve (discriminant 0)")
 
@@ -49,8 +49,8 @@ class CurvePoint:
         if infinite:
             self.x = self.y = None
         else:
-            self.x = Fraction(x)
-            self.y = Fraction(y)
+            self.x = _rat(x)
+            self.y = _rat(y)
 
     def __eq__(self, other):
         if not isinstance(other, CurvePoint):
@@ -136,7 +136,7 @@ def rouse_family(b1: int, b0: int, r_values) -> list[tuple[int, int, int, int]]:
         if r == 0:
             continue
         x_r, y_r = rouse_point(b1, r)
-        E = EllipticCurve(Fraction(b1), Fraction(r * r * b1 * b1))
+        E = EllipticCurve(b1, r * r * b1 * b1)
         P = CurvePoint(0, r * b1)
         T = ec_mul(E, P, 3)
         if T.infinite or T.x != x_r or T.y != y_r:
@@ -487,7 +487,7 @@ def hall_scan(Xmax: int, threshold) -> list[tuple[int, int, int, float]]:
     """
     if Xmax < 2:
         raise ValueError("Xmax must be >= 2")
-    threshold = Fraction(threshold)
+    threshold = _rat(threshold)
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     # gap^2 <= (p/q)^2 x  <=>  gap^2 q^2 <= p^2 x, all in integers

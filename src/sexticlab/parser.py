@@ -1,14 +1,21 @@
 """Recursive-descent parser for polynomial expressions in x and y.
 
-Grammar: +, -, *, ^ with a nonnegative integer literal exponent (a stacked
-exponent such as x^2^3 is rejected; parenthesize the base instead),
-parentheses, integer and rational literals (written INT/INT; there is no
-general division operator), unary minus.  Implicit multiplication is rejected so that format() round-trips
-unambiguously.
+Grammar, where INT is a nonnegative integer literal and INT/INT a rational
+literal (there is no general division operator):
+
+    expr := term (('+' | '-') term)*      term := factor ('*' factor)*
+    factor := '-' factor | power          power := atom ('^' INT)?
+    atom := INT | INT/INT | 'x' | 'y' | '(' expr ')'
+
+So unary minus binds one level above ^, wherever it stands: -y^2, x*-y^2 and
+x - -y^2 all negate y^2.  A stacked exponent such as x^2^3 is rejected
+(parenthesize the base), and so is implicit multiplication, so that format()
+round-trips unambiguously.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .poly import BivarPoly
@@ -20,14 +27,7 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Tok:
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-    def __repr__(self):
-        return f"_Tok({self.kind}, {self.value!r})"
+_Tok = namedtuple("_Tok", "kind value pos")
 
 
 # ASCII only: str.isdigit also accepts digits such as '²', which int() rejects,
@@ -86,12 +86,7 @@ class _Parser:
         return t
 
     def parse_expr(self) -> BivarPoly:
-        # term (('+'|'-') term)*
-        if self.peek().kind == "-":
-            self.take()
-            acc = -self.parse_term()
-        else:
-            acc = self.parse_term()
+        acc = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
             t = self.parse_term()
@@ -99,18 +94,24 @@ class _Parser:
         return acc
 
     def parse_term(self) -> BivarPoly:
-        acc = self.parse_power()
+        acc = self.parse_factor()
         while True:
             nxt = self.peek()
             if nxt.kind == "*":
                 self.take()
-                acc = acc * self.parse_power()
+                acc = acc * self.parse_factor()
             elif nxt.kind in ("var", "int", "("):
                 raise ParseError(
                     "implicit multiplication is not supported; insert '*'", nxt.pos
                 )
             else:
                 return acc
+
+    def parse_factor(self) -> BivarPoly:
+        if self.peek().kind == "-":
+            self.take()
+            return -self.parse_factor()
+        return self.parse_power()
 
     def parse_power(self) -> BivarPoly:
         base = self.parse_atom()
@@ -144,9 +145,6 @@ class _Parser:
             inner = self.parse_expr()
             self.take(")")
             return inner
-        if t.kind == "-":
-            self.take()
-            return -self.parse_atom()
         raise ParseError(f"unexpected token {t.value!r}", t.pos)
 
 

@@ -28,11 +28,12 @@ object.
 Enumeration loops and the witness searches over many points (Dirichlet
 convergents, curve families) evaluate through BivarPoly.kernel(), the same
 polynomial compiled once to integer rows of D*F (D the lcm of the coefficient
-denominators).  When it is built, the kernel is checked against exact
-evaluation on the triangle of points i + j <= deg F (within the x and y
-degrees of F), which fixes a polynomial of those degrees; exact evaluation
-(BivarPoly.eval, which shares no code with the kernel) stays the gate for
-every certificate.
+denominators).  The kernel has one Horner, IntKernel.values (in x on each
+row, then in y along the column), and a point call is a column of one.  When
+it is built, that Horner is checked against exact evaluation on the triangle
+of points i + j <= deg F (within the x and y degrees of F), which fixes a
+polynomial of those degrees; exact evaluation (BivarPoly.eval, which shares
+no code with the kernel) stays the gate for every certificate.
 
 A BivarPoly never changes, so the kernel, the scaled coefficients of eval,
 the degrees in x and y and the homogeneous parts (the _parts slot, which
@@ -50,6 +51,8 @@ Term = Tuple[int, int]
 
 
 def _rat(v) -> Fraction:
+    """v as a Fraction, from a Fraction, an int or a string; a float raises
+    TypeError instead of becoming its binary expansion."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
@@ -113,19 +116,15 @@ class IntKernel:
         self.D = D
         self.rows = rows
 
-    def column(self, x: int) -> list:
-        """Coefficients in y of D * F(x, y), highest power first."""
-        out = []
+    def values(self, x: int, ys) -> list:
+        """[D * F(x, y) for y in ys], by Horner in x on each row, then in y
+        across the column of row values: one column of an enumeration box."""
+        col = []
         for row in self.rows:
             v = 0
             for c in row:
                 v = v * x + c
-            out.append(v)
-        return out
-
-    def values(self, x: int, ys) -> list:
-        """[D * F(x, y) for y in ys]: one column of an enumeration box."""
-        col = self.column(x)
+            col.append(v)
         out = []
         for y in ys:
             v = 0
@@ -135,14 +134,8 @@ class IntKernel:
         return out
 
     def __call__(self, x: int, y: int) -> int:
-        """D * F(x, y), by Horner in x on each row and in y across them."""
-        acc = 0
-        for row in self.rows:
-            v = 0
-            for c in row:
-                v = v * x + c
-            acc = acc * y + v
-        return acc
+        """D * F(x, y)."""
+        return self.values(x, (y,))[0]
 
 
 def _kernel_rows(terms: Mapping[Term, Fraction], D: int) -> tuple:
@@ -184,7 +177,12 @@ class BivarPoly:
                         del d[key]
                         continue
                 d[key] = c
-        self._terms = d
+        self._init(d)
+
+    def _init(self, terms: dict) -> None:
+        """Store canonical terms and empty every cache slot: the one list of
+        those slots, which both constructors run."""
+        self._terms = terms
         self._hash = None
         self._kernel = None
         self._parts = None
@@ -197,12 +195,7 @@ class BivarPoly:
         int or Fraction values, as arithmetic on BivarPolys yields.  Zero
         coefficients are dropped and the rest stored as _int_or_rat gives."""
         p = object.__new__(cls)
-        p._terms = {t: c if type(c) is int else _int_or_rat(c) for t, c in terms.items() if c}
-        p._hash = None
-        p._kernel = None
-        p._parts = None
-        p._degs = None
-        p._scaled = None
+        p._init({t: c if type(c) is int else _int_or_rat(c) for t, c in terms.items() if c})
         return p
 
     # -- constructors ------------------------------------------------------
@@ -357,14 +350,14 @@ class BivarPoly:
         The rows are checked to have degree <= deg_x in x, <= deg_y in y and
         total degree <= deg F, as D * F has.  So the difference G of the rows
         and D * F has its exponents in the staircase S of (i, j) with i <= deg_x,
-        j <= deg_y and i + j <= deg F, and the rows are compared with exact
-        evaluation on the points of S: at most the 28 points of the triangle
-        i + j <= 6 for a sextic.  A polynomial G with exponents in S that
-        vanishes on S is zero: G(x, 0) has degree <= deg_x and vanishes at
-        x = 0..deg_x, so y divides G, and G(x, y + 1) / (y + 1) has its
-        exponents in the staircase of deg_x, deg_y - 1, deg F - 1 and
-        vanishes on its points; induct on deg_y.  So agreement on S proves
-        that the rows equal D * F."""
+        j <= deg_y and i + j <= deg F, and IntKernel.values, one column x of S
+        at a time, is compared with exact evaluation on the points of S: at
+        most the 28 points of the triangle i + j <= 6 for a sextic.  A
+        polynomial G with exponents in S that vanishes on S is zero: G(x, 0)
+        has degree <= deg_x and vanishes at x = 0..deg_x, so y divides G, and
+        G(x, y + 1) / (y + 1) has its exponents in the staircase of deg_x,
+        deg_y - 1, deg F - 1 and vanishes on its points; induct on deg_y.  So
+        agreement on S proves that the rows equal D * F."""
         if self._kernel is None:
             D = lcm(*(c.denominator for c in self._terms.values()))
             K = IntKernel(D, _kernel_rows(self._terms, D))
@@ -376,8 +369,9 @@ class BivarPoly:
             ):
                 raise KernelMismatchError(f"kernel rows exceed the degrees of {self.format()}")
             for x in range(dx + 1):
-                for y in range(min(dy, d - x) + 1):
-                    if K(x, y) != D * self.eval(x, y):
+                ys = range(min(dy, d - x) + 1)
+                for y, v in zip(ys, K.values(x, ys)):
+                    if v != D * self.eval(x, y):
                         raise KernelMismatchError(
                             f"kernel of {self.format()} disagrees at ({x}, {y})"
                         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as igcd, lcm
 
-from .poly import IdentityError
+from .poly import IdentityError, _rat
 
 
 def trim(p: list) -> list:
@@ -256,8 +256,8 @@ class IsolatingInterval:
 
     def __init__(self, poly: list, lo: Fraction, hi: Fraction):
         self.poly = _positive(primitive(poly))
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
+        self.lo = _rat(lo)
+        self.hi = _rat(hi)
 
     def __repr__(self):
         return f"IsolatingInterval({self.lo}, {self.hi})"

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .poly import BivarPoly
+from .poly import BivarPoly, _rat
 from .forms import decompose, definiteness, real_roots
 from .classify import (
     ClassificationReport,
@@ -178,7 +178,7 @@ def anisotropic_witness(F: BivarPoly, theta: Fraction, Tmax: int = 10**12) -> Wi
     """Scans x within a factor 2 of T^theta and y = +-T on a doubling T
     schedule; returns the first negative value with the per-degree dominant
     term decomposition recorded at the witness point."""
-    theta = Fraction(theta)
+    theta = _rat(theta)
     if not 0 < theta < 1:
         raise ValueError("theta must be in (0, 1)")
     parts = decompose(F)
@@ -283,7 +283,7 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
 def growth_diagnostic(F: BivarPoly, delta: Fraction, box: int = 200) -> Witness:
     """Empirical box scan of F(x,y) / max(|x|,|y|)^(1+delta).  Diagnostic
     only: ratios are floats and nothing is certified."""
-    delta = Fraction(delta)
+    delta = _rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     expo = 1 + float(delta)

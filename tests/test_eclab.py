@@ -44,6 +44,21 @@ def test_curve_rejects_singular():
         EllipticCurve(Fraction(-3), Fraction(2))  # disc = 0
 
 
+def test_curve_rejects_float_coefficients():
+    # Fraction(0.5) would silently become an exact binary fraction
+    for A, B in [(0.5, 1), (1, 0.1)]:
+        with pytest.raises(TypeError):
+            EllipticCurve(A, B)
+    assert EllipticCurve(1, "1/2").B == Fraction(1, 2)
+
+
+def test_curve_point_rejects_float_coordinates():
+    for x, y in [(0.1, 2), (0, 1.0)]:
+        with pytest.raises(TypeError):
+            CurvePoint(x, y)
+    assert CurvePoint("1/3", 2).x == Fraction(1, 3)
+
+
 def test_group_law_basics():
     E = curve(1, 1)
     P = CurvePoint(0, 1)
@@ -101,6 +116,11 @@ def test_rouse_gap_identity_symbolic():
 def test_rouse_rejects_b1_zero():
     with pytest.raises(CurveError):
         rouse_family(0, 0, [1])
+
+
+def test_rouse_family_rejects_float_b1():
+    with pytest.raises(TypeError):
+        rouse_family(0.5, 0, [1])
 
 
 def test_fibonacci_lucas():
@@ -183,6 +203,11 @@ def _hall_scan_fraction(Xmax, threshold, start=2):
         if gap and Fraction(gap * gap) <= t2 * x:
             out.append((x, y, gap, abs(gap) / x**0.5))
     return out
+
+
+def test_hall_scan_rejects_float_threshold():
+    with pytest.raises(TypeError):
+        hall_scan(20, 0.1)
 
 
 @pytest.mark.parametrize("threshold", [0, 1, Fraction(5, 2), Fraction(7, 3)])

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from sexticlab.parser import ParseError, parse
 from sexticlab.poly import BivarPoly
@@ -19,6 +20,17 @@ def test_precedence():
     assert parse("x * y ^ 2") == parse("x*(y^2)")
     assert parse("-x^2") == -parse("x^2")
     assert parse("(x + y)^2") == parse("x^2 + 2*x*y + y^2")
+
+
+@pytest.mark.parametrize("text", [
+    "x*-y^2", "x+-y^2", "-x^2*-y^2", "x*-2^2", "x - -y^2", "(x)*-(y)^2",
+    "--x", "-(x + y)^3", "x^2*-y",
+])
+def test_unary_minus_binds_above_power_wherever_it_stands(text):
+    # sympy, with ^ read as **, is the reference: -a^2 is -(a^2) in any position
+    x, y = sympy.symbols("x y")
+    ref = sympy.Poly(sympy.sympify(text.replace("^", "**")), x, y)
+    assert parse(text) == BivarPoly({m: Fraction(str(c)) for m, c in ref.terms()})
 
 
 def test_rational_literals():

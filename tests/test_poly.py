@@ -173,6 +173,21 @@ def test_kernel_compile_check_rejects_corrupted_coefficient(monkeypatch):
     assert F._kernel is None  # a rejected kernel is never cached
 
 
+def test_kernel_compile_check_runs_the_column_horner(monkeypatch):
+    # a Horner that density counting reads (values), wrong off the y = 0
+    # row only, is caught when the kernel is compiled
+    values = poly_mod.IntKernel.values
+
+    def corrupted(self, x, ys):
+        return [v + (y == 1) for y, v in zip(ys, values(self, x, ys))]
+
+    monkeypatch.setattr(poly_mod.IntKernel, "values", corrupted)
+    F = parse("x^6 + 3/2*x^2*y^3 + y^6 - 7")
+    with pytest.raises(KernelMismatchError):
+        F.kernel()
+    assert F._kernel is None
+
+
 def test_kernel_compile_check_rejects_excess_degree(monkeypatch):
     # x^2 + x(x-1)(x-2) agrees with x^2 on the grid 0..2, so only the
     # degree bound on the rows can reject it

@@ -265,6 +265,13 @@ def test_interval_poly_is_made_primitive():
     assert up.IsolatingInterval([6, 0, -4], 1, 2).poly == [-3, 0, 2]
 
 
+def test_interval_rejects_float_ends():
+    for lo, hi in [(1.0, 2), (1, 1.5)]:
+        with pytest.raises(TypeError):
+            up.IsolatingInterval([-2, 0, 1], lo, hi)
+    assert up.IsolatingInterval([-2, 0, 1], "7/5", 2).lo == Fraction(7, 5)
+
+
 def test_cubic_root_convergents_certified():
     # real root of t^3 - t - 1 (the plastic number, ~1.3247)
     p = [Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)]

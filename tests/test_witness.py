@@ -325,6 +325,11 @@ def test_anisotropic_theta_validation():
         anisotropic_witness(F, Fraction(3, 2), 100)
 
 
+def test_anisotropic_rejects_float_theta():
+    with pytest.raises(TypeError):
+        anisotropic_witness(parse("x^6 - y^6"), 0.5, 100)
+
+
 def test_anisotropic_budget_exhaustion_note():
     w = anisotropic_witness(parse("x^6 + y^6"), Fraction(1, 2), 2**10)
     assert w.kind == "inconclusive"
@@ -368,6 +373,11 @@ def test_growth_diagnostic_reports_ratio():
     assert "min_ratio" in w.extra
     with pytest.raises(ValueError):
         growth_diagnostic(F, Fraction(-1), box=4)
+
+
+def test_growth_diagnostic_rejects_float_delta():
+    with pytest.raises(TypeError):
+        growth_diagnostic(parse("x^4 + y^4 + 1"), 0.5, box=4)
 
 
 def test_growth_diagnostic_matches_fraction_scan():
