@@ -25,15 +25,15 @@ the lcm of the coefficient denominators), so at an integer point the value
 is one integer divided by L.  L and the scaled coefficients are kept on the
 object.
 
-Enumeration loops and the witness searches over many points (Dirichlet
-convergents, curve families) evaluate through BivarPoly.kernel(), the same
-polynomial compiled once to integer rows of D*F (D the lcm of the coefficient
-denominators).  The kernel has one Horner, IntKernel.values (in x on each
-row, then in y along the column), and a point call is a column of one.  When
-it is built, that Horner is checked against exact evaluation on the triangle
-of points i + j <= deg F (within the x and y degrees of F), which fixes a
-polynomial of those degrees; exact evaluation (BivarPoly.eval, which shares
-no code with the kernel) stays the gate for every certificate.
+Enumeration loops and every witness search evaluate through
+BivarPoly.kernel(), the same polynomial compiled once to integer rows of D*F
+(D the lcm of the coefficient denominators).  The kernel has one Horner,
+IntKernel.values (in x on each row, then in y along the column), and a point
+call is a column of one.  When it is built, that Horner is checked against
+exact evaluation on the triangle of points i + j <= deg F (within the x and y
+degrees of F), which fixes a polynomial of those degrees; exact evaluation
+(BivarPoly.eval, which shares no code with the kernel) stays the gate for
+every certificate.
 
 A BivarPoly never changes, so the kernel, the scaled coefficients of eval,
 the degrees in x and y and the homogeneous parts (the _parts slot, which

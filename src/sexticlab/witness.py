@@ -2,9 +2,10 @@
 
 Every engine takes explicit budgets and returns a Witness; an exhausted
 budget yields kind "inconclusive" with `exhausted` set instead of looping.
-Searches over many points (Dirichlet convergents, curve families, the growth
-box) take their values from F.kernel(), which is proved equal to D*F when it
-is compiled.  Engines search and record exact values; they do not certify.
+Every engine searches on F.kernel(), which is proved equal to D*F when it is
+compiled, and reads signs off the integers D*F; the searches that stop at
+their first negative value (anisotropic, weighted cubic, ray) share one walk,
+_first_negative.  Engines search and record exact values; they do not certify.
 witness_for runs the engine on the polynomial its route searches, maps the
 points back to the input's coordinates once, and checks every point once in
 Fraction against the input.  A failed check raises CertificateError, so it
@@ -58,9 +59,6 @@ class Witness:
             return any(v < 0 for _, _, v in self.points)
         return True
 
-    def min_value(self):
-        return min((v for _, _, v in self.points), default=None)
-
     def to_json_obj(self) -> dict:
         return {
             "kind": self.kind,
@@ -73,6 +71,28 @@ class Witness:
 
 class CertificateError(RuntimeError):
     """A witness failed exact verification against its polynomial."""
+
+
+def _inconclusive(lemma: str, note: str, exhausted: bool = False) -> Witness:
+    """A search that found no witness; exhausted when it ran out of budget."""
+    return Witness("inconclusive", lemma, [], note=note, exhausted=exhausted)
+
+
+def _first_negative(K, points):
+    """(x, y, F(x, y)) at the first of points where the kernel K of F is
+    negative, else None.  The sign is read off the integer D*F, as D > 0."""
+    for x, y in points:
+        v = K(x, y)
+        if v < 0:
+            return x, y, Fraction(v, K.D)
+    return None
+
+
+def _doubling(n: int, limit: int):
+    """n, 2n, 4n, ... up to limit."""
+    while n <= limit:
+        yield n
+        n *= 2
 
 
 # -- Dirichlet convergent walk ------------------------------------------------
@@ -143,15 +163,9 @@ def dirichlet_witness(F: BivarPoly, max_convergents: int = 64) -> Witness:
             note="negative values along leading-form root directions",
             extra=extra,
         )
-    return Witness(
-        kind="inconclusive",
-        lemma="dirichlet-approximation",
-        points=[],
-        note=f"no negative value within {max_convergents} convergents "
-        f"over {len(ivs) + at_infinity} directions",
-        extra=extra,
-        exhausted=True,
-    )
+    note = (f"no negative value within {max_convergents} convergents "
+            f"over {len(ivs) + at_infinity} directions")
+    return replace(_inconclusive("dirichlet-approximation", note, exhausted=True), extra=extra)
 
 
 def _eval_pm(K, u, v, negatives):
@@ -169,10 +183,6 @@ def _eval_pm(K, u, v, negatives):
 
 # -- anisotropic schedule -----------------------------------------------------
 
-# The anisotropic, weighted-cubic and ray searches stop at their first
-# negative value and evaluate a handful of points per input, far fewer than
-# the kernel's compile check costs, so they evaluate with F.eval.
-
 
 def anisotropic_witness(F: BivarPoly, theta: Fraction, Tmax: int = 10**12) -> Witness:
     """Scans x within a factor 2 of T^theta and y = +-T on a doubling T
@@ -182,36 +192,30 @@ def anisotropic_witness(F: BivarPoly, theta: Fraction, Tmax: int = 10**12) -> Wi
     if not 0 < theta < 1:
         raise ValueError("theta must be in (0, 1)")
     parts = decompose(F)
-    T = 2
-    while T <= Tmax:
-        r = up.iroot(T**theta.numerator, theta.denominator)
-        if r >= 1:
+
+    def schedule():
+        for T in _doubling(2, Tmax):
+            r = up.iroot(T**theta.numerator, theta.denominator)
             xlo, xhi = max(1, r - r // 2), 2 * r
-            span = xhi - xlo + 1
-            stride = max(1, span // 64)
-            for ax in range(xlo, xhi + 1, stride):
+            for ax in range(xlo, xhi + 1, max(1, (xhi - xlo + 1) // 64)):
                 for x in (ax, -ax):
-                    for y in (T, -T):
-                        v = F.eval(x, y)
-                        if v < 0:
-                            decomp = {
-                                f"|F{j}|": str(abs(parts[j].eval(x, y)))
-                                for j in range(1, 7)
-                            }
-                            return Witness(
-                                "negative-value",
-                                "anisotropic-schedule",
-                                [(x, y, v)],
-                                note=f"theta={theta}, T={T}",
-                                extra=decomp,
-                            )
-        T *= 2
+                    yield x, T
+                    yield x, -T
+
+    hit = _first_negative(F.kernel(), schedule())
+    if hit is None:
+        return _inconclusive(
+            "anisotropic-schedule",
+            f"no negative value on the theta={theta} schedule up to T={Tmax}",
+            exhausted=True,
+        )
+    x, y, _v = hit
     return Witness(
-        kind="inconclusive",
-        lemma="anisotropic-schedule",
-        points=[],
-        note=f"no negative value on the theta={theta} schedule up to T={Tmax}",
-        exhausted=True,
+        "negative-value",
+        "anisotropic-schedule",
+        [hit],
+        note=f"theta={theta}, T={abs(y)}",
+        extra={f"|F{j}|": str(abs(parts[j].eval(x, y))) for j in range(1, 7)},
     )
 
 
@@ -225,27 +229,19 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
     F(c1 N, c2 N^2) equals G(c1^2, c2)) is checked symbolically."""
     lay = f40_layers(F)
     if lay.is_zero():
-        return Witness(
-            kind="inconclusive",
-            lemma="weighted-cubic",
-            points=[],
-            note="weighted lead form is identically zero; degenerate, routed onward",
+        return _inconclusive(
+            "weighted-cubic", "weighted lead form is identically zero; degenerate, routed onward"
         )
-    found = None
-    for c1 in range(1, 9):
-        for c2 in sorted(range(-16, 17), key=lambda t: (abs(t), -t)):
-            if lay.eval(c1 * c1, c2) < 0:
-                found = (c1, c2)
-                break
-        if found:
-            break
+    found = next(
+        ((c1, c2) for c1 in range(1, 9)
+         for c2 in sorted(range(-16, 17), key=lambda t: (abs(t), -t))
+         if lay.eval(c1 * c1, c2) < 0),
+        None,
+    )
     if not found:
-        return Witness(
-            kind="inconclusive",
-            lemma="weighted-cubic",
-            points=[],
-            note="weighted lead form nonnegative on the scanned box; "
-            "degenerate, routed onward",
+        return _inconclusive(
+            "weighted-cubic",
+            "weighted lead form nonnegative on the scanned box; degenerate, routed onward",
         )
     c1, c2 = found
     gval = lay.eval(c1 * c1, c2)
@@ -255,25 +251,19 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
     curve = F.subs(N * c1, N * N * c2)
     if curve.coeff(6, 0) != gval or curve.degree_in(1) != 0:
         raise CertificateError(f"weighted-cubic: scaling identity fails at ({c1},{c2})")
-    N_int = 1
-    while N_int <= Nmax:
-        x, y = c1 * N_int, c2 * N_int * N_int
-        v = F.eval(x, y)
-        if v < 0:
-            return Witness(
-                "negative-value",
-                "weighted-cubic",
-                [(x, y, v)],
-                note=f"lead form at (c1,c2)=({c1},{c2}) is {gval}; scaled by N={N_int}",
-                extra={"c1": c1, "c2": c2, "lead_value": gval},
-            )
-        N_int *= 2
+    hit = _first_negative(F.kernel(), ((c1 * n, c2 * n * n) for n in _doubling(1, Nmax)))
+    if hit is None:
+        return _inconclusive(
+            "weighted-cubic",
+            f"lead form negative at ({c1},{c2}) but budget Nmax={Nmax} exhausted",
+            exhausted=True,
+        )
     return Witness(
-        kind="inconclusive",
-        lemma="weighted-cubic",
-        points=[],
-        note=f"lead form negative at ({c1},{c2}) but budget Nmax={Nmax} exhausted",
-        exhausted=True,
+        "negative-value",
+        "weighted-cubic",
+        [hit],
+        note=f"lead form at (c1,c2)=({c1},{c2}) is {gval}; scaled by N={hit[0] // c1}",
+        extra={"c1": c1, "c2": c2, "lead_value": gval},
     )
 
 
@@ -393,12 +383,7 @@ def _family_walk(F: BivarPoly, rec: ECRecord, family, lemma: str, note: str, ext
         x, y, v = min(evaluated, key=lambda t: t[2])
         mn = (x, y, Fraction(v, K.D))
         return Witness("small-core-sequence", lemma, [mn], note=min_note(mn, len(evaluated)))
-    return Witness(
-        kind="inconclusive",
-        lemma=lemma,
-        points=[],
-        note="no family point maps to integers under the recorded substitution",
-    )
+    return _inconclusive(lemma, "no family point maps to integers under the recorded substitution")
 
 
 # -- indefinite leading form --------------------------------------------------
@@ -407,43 +392,22 @@ def _family_walk(F: BivarPoly, rec: ECRecord, family, lemma: str, note: str, ext
 def ray_witness(F: BivarPoly, box: int = 24, scale_max: int = 10**12) -> Witness:
     """For F6 taking negative values: finds a small integer direction with
     F6 < 0 and scales along the ray until F itself is negative."""
-    parts = decompose(F)
-    F6 = parts[6]
-    direction = None
-    for u in range(-box, box + 1):
-        for v in range(-box, box + 1):
-            if not u and not v:
-                continue
-            if F6.eval(u, v) < 0:
-                direction = (u, v)
-                break
-        if direction:
-            break
+    F6 = decompose(F)[6]
+    span = range(-box, box + 1)
+    direction = next(
+        ((u, v) for u in span for v in span if (u or v) and F6.eval(u, v) < 0), None
+    )
     if direction is None:
-        return Witness(
-            kind="inconclusive",
-            lemma="indefinite-leading",
-            points=[],
-            note=f"no negative leading-form direction in the |u|,|v| <= {box} box",
+        return _inconclusive(
+            "indefinite-leading", f"no negative leading-form direction in the |u|,|v| <= {box} box"
         )
     u, v = direction
-    n = 1
-    while n <= scale_max:
-        val = F.eval(n * u, n * v)
-        if val < 0:
-            return Witness(
-                "negative-value",
-                "indefinite-leading",
-                [(n * u, n * v, val)],
-                note=f"ray ({u},{v}) scaled by {n}",
-            )
-        n *= 2
+    hit = _first_negative(F.kernel(), ((n * u, n * v) for n in _doubling(1, scale_max)))
+    if hit is None:
+        return _inconclusive("indefinite-leading", "scaling budget exhausted", exhausted=True)
+    n = hit[0] // u if u else hit[1] // v
     return Witness(
-        kind="inconclusive",
-        lemma="indefinite-leading",
-        points=[],
-        note="scaling budget exhausted",
-        exhausted=True,
+        "negative-value", "indefinite-leading", [hit], note=f"ray ({u},{v}) scaled by {n}"
     )
 
 
@@ -484,10 +448,8 @@ def _route_witness(F: BivarPoly, report: ClassificationReport, budgets: SearchBu
         w = anisotropic_witness(F, theta, budgets.Tmax)
         if name == "anisotropic" or w.kind != "inconclusive":
             return w
-        return Witness(
-            kind="inconclusive", lemma="mp2", points=[],
-            note="square check failed but no negative found on the schedule",
-            exhausted=w.exhausted,
+        return _inconclusive(
+            "mp2", "square check failed but no negative found on the schedule", w.exhausted
         )
     if name == "weighted-cubic":
         w = weighted_cubic_sign_search(F, budgets.Nmax)
@@ -501,18 +463,14 @@ def _route_witness(F: BivarPoly, report: ClassificationReport, budgets: SearchBu
 
     # no engine applies, or the sign search found nothing and no ECRecord exists
     if report.route == "MP3":
-        return Witness(kind="inconclusive", lemma="mp3", points=[], note=report.ecform_error)
+        return _inconclusive("mp3", report.ecform_error)
     if report.route == "MP2":
-        return Witness(
-            kind="inconclusive", lemma="mp2", points=[],
-            note="completed-square shape; representable values are sparse "
-            "(density probe recommended)",
+        return _inconclusive(
+            "mp2",
+            "completed-square shape; representable values are sparse (density probe recommended)",
         )
-    return Witness(
-        kind="inconclusive",
-        lemma=report.route.lower(),
-        points=[],
-        note="no negativity engine applies; density probe recommended",
+    return _inconclusive(
+        report.route.lower(), "no negativity engine applies; density probe recommended"
     )
 
 

@@ -393,12 +393,16 @@ def test_public_accessors_give_fractions_on_integral_input():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(sextic_polys, coords, coords)
-def test_kernel_call_matches_column_values(F, a, b):
-    # the one-point Horner against the column path and exact evaluation
+@given(sextic_polys, coords, st.lists(coords, min_size=2, max_size=6))
+def test_kernel_call_matches_column_values(F, a, ys):
+    # a column of several points, as density counting reads it, against
+    # point calls and exact evaluation, at +-y and at x = +-a
     K = F.kernel()
-    assert K(a, b) == K.values(a, (b,))[0] == K.D * F.eval(a, b)
-    assert K(-a, -b) == K.values(-a, (-b,))[0] == K.D * F.eval(-a, -b)
+    ys = ys + [-y for y in ys]
+    for x in (a, -a):
+        col = K.values(x, ys)
+        assert col == [K.D * F.eval(x, y) for y in ys]
+        assert col == [K(x, y) for y in ys]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sexticlab import unipoly as up
-from sexticlab.classify import classify, ecform_normalize
+from sexticlab.classify import classify, ecform_normalize, f40_layers
 from sexticlab.forms import decompose, real_roots
 from sexticlab.parser import parse
-from sexticlab.poly import BivarPoly
+from sexticlab.poly import BivarPoly, _rat
 from sexticlab.witness import (
     CertificateError,
     SearchBudgets,
@@ -139,20 +140,32 @@ def test_witness_for_rechecks_what_its_engine_did_not(monkeypatch, engine):
         witness_for(F)
 
 
-# acceptance-4 Dirichlet family, searched on F itself, and a Rouse family
-# input, searched on its normalized form Fn and mapped back to F
+# acceptance-4 Dirichlet family and an indefinite leading form, searched on F
+# itself; a Rouse family input and anisotropic and weighted-cubic inputs,
+# searched on their normalized form Fn and mapped back to F.  The constants
+# keep the first points of the last three searches positive.  Each case
+# names its engine, lemma and the size of the searched polynomial's staircase
+# i <= deg_x, j <= deg_y, i + j <= 6 (the 28 points of the triangle for
+# deg_y = 6, 25 for deg_y = 4, 18 for deg_y = 2)
 ONE_EVAL_PER_POINT = [
-    *[(f"(x^2 - {k}*y^2)^2*(x^2 + y^2) + x^5", "dirichlet-approximation") for k in (2, 3, 5)],
-    ("(y^2 - x^3 - x)^2 - y + 10", "rouse-3p"),
+    *[(f"(x^2 - {k}*y^2)^2*(x^2 + y^2) + x^5", "dirichlet", "dirichlet-approximation", 28)
+      for k in (2, 3, 5)],
+    ("(y^2 - x^3 - x)^2 - y + 10", "family", "rouse-3p", 25),
+    ("x^6 + x*y^4 + 1000000", "anisotropic", "anisotropic-schedule", 25),
+    ("x^6 - y^6 + 1000000000", "ray", "indefinite-leading", 28),
+    ("x^6 - x^2*y^2 + 1000", "weighted-cubic", "weighted-cubic", 18),
 ]
 
 
-@pytest.mark.parametrize("expr,lemma", ONE_EVAL_PER_POINT, ids=["2", "3", "5", "rouse-normalized"])
-def test_direct_route_evaluates_each_point_once(monkeypatch, expr, lemma):
+@pytest.mark.parametrize("expr,engine,lemma,stair", ONE_EVAL_PER_POINT,
+                         ids=["2", "3", "5", "rouse-normalized", "anisotropic", "ray",
+                              "weighted-cubic"])
+def test_direct_route_evaluates_each_point_once(monkeypatch, expr, engine, lemma, stair):
     # the search runs on the kernel and witness_for checks each point once
     # in Fraction, against the input F, and nowhere else
     F = parse(expr)
     report = classify(F)
+    assert report.engine[0] == engine
     searched = report.shape.get("normalized", F) if report.shape else F
     real = BivarPoly.eval
     calls = []
@@ -164,17 +177,14 @@ def test_direct_route_evaluates_each_point_once(monkeypatch, expr, lemma):
     monkeypatch.setattr(BivarPoly, "eval", counting)
     w = witness_for(F, report, SearchBudgets(convergents=20))
     # the kernel's compile check evaluates the searched polynomial on its
-    # staircase i <= deg_x, j <= deg_y, i + j <= 6 (the 28 points of the
-    # triangle for the Dirichlet inputs, 25 for deg_y = 4), and witness_for
-    # each witness point against F
+    # staircase, and witness_for each witness point against F
     dx, dy = searched.degree_in(0), searched.degree_in(1)
-    stair = sum(min(dy, 6 - i) + 1 for i in range(dx + 1))
-    assert stair == (28 if lemma == "dirichlet-approximation" else 25)
+    assert sum(min(dy, 6 - i) + 1 for i in range(dx + 1)) == stair
     assert w.kind == "negative-value" and w.lemma == lemma
     assert len(calls) == len(w.points) + stair
     assert all(G is searched for G, _x, _y in calls[:stair])
     assert [(G is F, x, y) for G, x, y in calls[stair:]] == [(True, x, y) for x, y, _v in w.points]
-    assert (searched is F) == (lemma == "dirichlet-approximation")
+    assert (searched is F) == (report.route not in ("MP2", "MP3"))
 
 
 def test_witness_json_shape():
@@ -182,7 +192,7 @@ def test_witness_json_shape():
     obj = w.to_json_obj()
     assert obj["points"] == [[1, -2, "-3"]]
     assert obj["extra"] == {"k": "7"}
-    assert w.min_value() == -3
+    assert min(v for _, _, v in w.points) == -3
 
 
 # -- Dirichlet convergent walk ------------------------------------------------
@@ -417,7 +427,7 @@ def test_rouse_witness_negative_family():
     w = rouse_witness(F, rec, 25)
     assert w.kind == "negative-value"
     assert w.verify(F)
-    assert w.min_value() < -10**6
+    assert min(v for _, _, v in w.points) < -10**6
 
 
 def test_rouse_requires_nonzero_b1():
@@ -559,6 +569,213 @@ def test_ray_witness_negative():
 def test_ray_witness_inconclusive_when_definite():
     w = ray_witness(parse("x^6 + y^6"), box=4)
     assert w.kind == "inconclusive"
+
+
+# -- Fraction references of the first-negative engines -----------------------
+
+# The anisotropic, weighted-cubic and ray searches with every scanned point
+# evaluated by F.eval in Fraction: the oracles of the kernel engines, which
+# must return the same Witness in every field.
+
+
+def _ref_anisotropic_witness(F: BivarPoly, theta: Fraction, Tmax: int = 10**12) -> Witness:
+    theta = _rat(theta)
+    if not 0 < theta < 1:
+        raise ValueError("theta must be in (0, 1)")
+    parts = decompose(F)
+    T = 2
+    while T <= Tmax:
+        r = up.iroot(T**theta.numerator, theta.denominator)
+        if r >= 1:
+            xlo, xhi = max(1, r - r // 2), 2 * r
+            span = xhi - xlo + 1
+            stride = max(1, span // 64)
+            for ax in range(xlo, xhi + 1, stride):
+                for x in (ax, -ax):
+                    for y in (T, -T):
+                        v = F.eval(x, y)
+                        if v < 0:
+                            decomp = {
+                                f"|F{j}|": str(abs(parts[j].eval(x, y)))
+                                for j in range(1, 7)
+                            }
+                            return Witness(
+                                "negative-value",
+                                "anisotropic-schedule",
+                                [(x, y, v)],
+                                note=f"theta={theta}, T={T}",
+                                extra=decomp,
+                            )
+        T *= 2
+    return Witness(
+        kind="inconclusive",
+        lemma="anisotropic-schedule",
+        points=[],
+        note=f"no negative value on the theta={theta} schedule up to T={Tmax}",
+        exhausted=True,
+    )
+
+
+def _ref_weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
+    lay = f40_layers(F)
+    if lay.is_zero():
+        return Witness(
+            kind="inconclusive",
+            lemma="weighted-cubic",
+            points=[],
+            note="weighted lead form is identically zero; degenerate, routed onward",
+        )
+    found = None
+    for c1 in range(1, 9):
+        for c2 in sorted(range(-16, 17), key=lambda t: (abs(t), -t)):
+            if lay.eval(c1 * c1, c2) < 0:
+                found = (c1, c2)
+                break
+        if found:
+            break
+    if not found:
+        return Witness(
+            kind="inconclusive",
+            lemma="weighted-cubic",
+            points=[],
+            note="weighted lead form nonnegative on the scanned box; "
+            "degenerate, routed onward",
+        )
+    c1, c2 = found
+    gval = lay.eval(c1 * c1, c2)
+    # symbolic scaling identity: substitute (x, y) -> (c1 N, c2 N^2); the
+    # result is univariate in N and its N^6 coefficient must be G(c1^2, c2)
+    N = BivarPoly.x()
+    curve = F.subs(N * c1, N * N * c2)
+    if curve.coeff(6, 0) != gval or curve.degree_in(1) != 0:
+        raise CertificateError(f"weighted-cubic: scaling identity fails at ({c1},{c2})")
+    N_int = 1
+    while N_int <= Nmax:
+        x, y = c1 * N_int, c2 * N_int * N_int
+        v = F.eval(x, y)
+        if v < 0:
+            return Witness(
+                "negative-value",
+                "weighted-cubic",
+                [(x, y, v)],
+                note=f"lead form at (c1,c2)=({c1},{c2}) is {gval}; scaled by N={N_int}",
+                extra={"c1": c1, "c2": c2, "lead_value": gval},
+            )
+        N_int *= 2
+    return Witness(
+        kind="inconclusive",
+        lemma="weighted-cubic",
+        points=[],
+        note=f"lead form negative at ({c1},{c2}) but budget Nmax={Nmax} exhausted",
+        exhausted=True,
+    )
+
+
+def _ref_ray_witness(F: BivarPoly, box: int = 24, scale_max: int = 10**12) -> Witness:
+    parts = decompose(F)
+    F6 = parts[6]
+    direction = None
+    for u in range(-box, box + 1):
+        for v in range(-box, box + 1):
+            if not u and not v:
+                continue
+            if F6.eval(u, v) < 0:
+                direction = (u, v)
+                break
+        if direction:
+            break
+    if direction is None:
+        return Witness(
+            kind="inconclusive",
+            lemma="indefinite-leading",
+            points=[],
+            note=f"no negative leading-form direction in the |u|,|v| <= {box} box",
+        )
+    u, v = direction
+    n = 1
+    while n <= scale_max:
+        val = F.eval(n * u, n * v)
+        if val < 0:
+            return Witness(
+                "negative-value",
+                "indefinite-leading",
+                [(n * u, n * v, val)],
+                note=f"ray ({u},{v}) scaled by {n}",
+            )
+        n *= 2
+    return Witness(
+        kind="inconclusive",
+        lemma="indefinite-leading",
+        points=[],
+        note="scaling budget exhausted",
+        exhausted=True,
+    )
+
+
+def _seeded(lead: str, seed: int) -> BivarPoly:
+    """lead plus random terms of degree 1 to 5, some with denominators so
+    that the kernel's D is not always 1, and a constant up to 10^8 that keeps
+    the first points of a search positive."""
+    rng = random.Random(seed)
+    lower = {(i, j): Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+             for i in range(6) for j in range(6 - i) if i + j and rng.random() < 0.25}
+    lower[0, 0] = 10 ** rng.randint(0, 8)
+    return parse(lead) + BivarPoly(lower)
+
+
+def _agree(pairs):
+    """Asserts that each (engine, reference) pair of witnesses is equal in
+    every field, and returns the witnesses."""
+    out = []
+    for new, ref in pairs:
+        assert new == ref, (new, ref)  # kind, lemma, points, note, extra, exhausted
+        out.append(new)
+    return out
+
+
+def test_anisotropic_matches_fraction_reference():
+    ws = _agree(
+        (anisotropic_witness(F, theta, Tmax), _ref_anisotropic_witness(F, theta, Tmax))
+        for seed in range(12)
+        for lead, theta in (("x^6 + x*y^4", Fraction(1, 2)), ("x^6 + x^2*y^3", Fraction(2, 3)),
+                            ("x^6 + x*y^3", Fraction(1, 6)), ("x^6 + y^6", Fraction(7, 12)))
+        for F in (_seeded(lead, seed),)
+        for Tmax in (2**3, 2**12)
+    )
+    assert any(w.kind == "negative-value" for w in ws)
+    assert any(w.exhausted for w in ws)
+
+
+def test_weighted_cubic_matches_fraction_reference():
+    ws = _agree(
+        (weighted_cubic_sign_search(F, Nmax), _ref_weighted_cubic_sign_search(F, Nmax))
+        for seed in range(12)
+        for lead in ("x^6 - 5*x^2*y^2", "x^6 + x^2*y^2 + y^4", "x*y^5")
+        for F in (_seeded(lead, seed),)
+        for Nmax in (2, 10**9)
+    )
+    assert {w.kind for w in ws} == {"negative-value", "inconclusive"}
+    assert any(w.exhausted for w in ws)
+    assert any(w.kind == "inconclusive" and not w.exhausted for w in ws)
+
+
+def test_ray_matches_fraction_reference():
+    # with box 2 the first direction of 100 x^6 - y^6 is (0, -2): the scale
+    # comes from v there, as u = 0
+    u0 = parse("100*x^6 - y^6 - 1000*y^5")
+    w = ray_witness(u0, box=2)
+    assert w == _ref_ray_witness(u0, box=2)
+    assert w.points == [(0, -1024, u0.eval(0, -1024))] and w.note == "ray (0,-2) scaled by 512"
+    ws = _agree(
+        (ray_witness(F, box, scale_max), _ref_ray_witness(F, box, scale_max))
+        for seed in range(12)
+        for lead, box in (("x^6 - y^6", 24), ("100*x^6 - y^6", 2), ("-x^5*y", 3), ("x^6 + y^6", 4))
+        for F in (_seeded(lead, seed),)
+        for scale_max in (1, 10**12)
+    )
+    assert any(w.kind == "negative-value" and w.points[0][0] == 0 for w in ws)
+    assert any(w.exhausted for w in ws)
+    assert any(w.kind == "inconclusive" and not w.exhausted for w in ws)
 
 
 # -- map back through a unimodular matrix -------------------------------------
