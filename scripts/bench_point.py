@@ -20,14 +20,18 @@ trees load fresh bytecode and no run pays for compiling (which adds about
 
 The point records, per tree, workload and metric, the median, [q1, q3] and
 the raw values, and for pairs how many the change won (all four metrics
-are better when lower).  It also records the Python version and the host
-speed: the median of bench/hostspeed.py samples taken before each run over
-its NOMINAL_S (above 1 is a slower host than the nominal one).  An existing
---out file keeps every other key (such as a hand-written "history") and
-gains the point at the end of "points".
+are better when lower).  It also records an id of each tree (`git
+describe`, or a sha256 of src/sexticlab/*.py where the tree is not a git
+checkout), the Python version and the host speed: the median of
+bench/hostspeed.py samples taken before each run over its NOMINAL_S (above
+1 is a slower host than the nominal one).  An existing --out file keeps
+every other key (such as a hand-written "history") and gains the point at
+the end of "points".
 """
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import shutil
@@ -76,10 +80,21 @@ def summary(values: list) -> dict:
             "runs": [round(v, 4) for v in values]}
 
 
-def git_head(tree: str) -> str:
-    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or "unknown"
+def tree_id(tree: str) -> str:
+    """`git describe` of a git checkout; for any other tree, the sha256 of
+    its src/sexticlab/*.py files (relative paths in sorted order, each
+    followed by the file's bytes), so a point names the code it measured."""
+    if os.path.exists(os.path.join(tree, ".git")):
+        proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
+                              capture_output=True, text=True)
+        if proc.stdout.strip():
+            return proc.stdout.strip()
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(tree, "src", "sexticlab", "*.py"))):
+        digest.update(os.path.relpath(path, tree).encode())
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return "sha256:" + digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -110,7 +125,7 @@ def main(argv=None) -> int:
         "host_speed": round(statistics.median(speed), 3),
         "seeds": [FIRST_SEED, FIRST_SEED + PAIRS - 1],
         "seconds": SECONDS,
-        "trees": {side: git_head(tree) for side, tree in trees.items()},
+        "trees": {side: tree_id(tree) for side, tree in trees.items()},
         "workloads": {},
     }
     for workload in joblist.WORKLOADS:

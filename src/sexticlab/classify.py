@@ -7,14 +7,14 @@ divisibility structure of F5/F4, assigns one of the routes
     paper-gap, not-positive-leading, not-a-sextic
 
 and, where the route admits one, computes the associated normal form: the
-MP1 square completions, the MP2 square check and quartic reduction, the MP3
-weighted cubic lead form, and the (y^2 - x^3 - b1 x - b0)^2 shape with its
-rational change of coordinates.  The MP2 and MP3 normal forms read their
-weighted layers straight off the coefficients of F, one pass each; the MP3
-shape then composes F with its change of coordinates once and reads a, b1
-and b0 off the result.  Every normal form checks its own exact identity and
-raises poly.IdentityError (not a ClassifyError, so never a note) when the
-check fails.
+MP1 square completions, the MP2 square check, the MP3 weighted cubic lead
+form, and the (y^2 - x^3 - b1 x - b0)^2 shape with its rational change of
+coordinates.  The MP2 and MP3 normal forms read their weighted layers
+straight off the coefficients of F, one pass each; the MP3 shape then
+composes F with its change of coordinates once, on every input, and reads
+a, b1 and b0 off the result.  Every normal form checks its own exact
+identity and raises poly.IdentityError (not a ClassifyError, so never a
+note) when the check fails.
 
 Route tokens are part of the stable report schema.  "paper-gap" marks the
 two ramification profiles (max multiplicity exactly 3 on the linear part, or
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as igcd
 
-from .poly import BivarPoly, IdentityError
+from .poly import BivarPoly, IdentityError, _int_or_rat
 from .forms import (
     BinaryForm,
     decompose,
@@ -174,13 +174,6 @@ def apply_matrix(F: BivarPoly, M) -> BivarPoly:
     xe = BivarPoly({(1, 0): Fraction(M[0][0]), (0, 1): Fraction(M[0][1])})
     ye = BivarPoly({(1, 0): Fraction(M[1][0]), (0, 1): Fraction(M[1][1])})
     return F.subs(xe, ye)
-
-
-def matrix_inverse(M):
-    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    if abs(det) != 1:
-        raise ClassifyError("matrix is not unimodular")
-    return [[M[1][1] * det, -M[0][1] * det], [-M[1][0] * det, M[0][0] * det]]
 
 
 # -- divisibility conditions --------------------------------------------------
@@ -454,42 +447,6 @@ def mp2_square_check(F: BivarPoly) -> MP2SquareResult:
     )
 
 
-def reduce_to_quartic(F: BivarPoly, comp: SquareCompletion) -> BivarPoly:
-    """Substitutes y = (1/rho) x^2 + (beta1 - beta2/rho) x + t, the branch
-    parametrization that cancels the cubic term of the completed-square core.
-    Both the substituted core and the substituted remainder then have weighted
-    degree <= 4 (weights x:1, t:2), so F becomes scale * Q1^2 + Q2 with Q1, Q2
-    weighted quartics.  Returns the substituted polynomial (second variable
-    slot holds t); the decomposition identity and the round trip back to F are
-    checked (IdentityError on failure, also under python -O)."""
-    sub = comp.substitution
-    rho, beta1, beta2 = sub["rho"], sub["beta1"], sub["beta2"]
-    if not rho:
-        raise ClassifyError("alpha2 = 0: no quartic reduction (fixed-x dearth)")
-    x = BivarPoly.x()
-    t = BivarPoly.y()
-    c = beta1 - beta2 / rho
-    y_expr = x * x * (1 / rho) + x * c + t
-    out = F.subs(x, y_expr)
-    core_sub = comp.core.subs(x, y_expr)
-    rem_sub = out - core_sub * core_sub * comp.scale
-    _require(not core_sub.coeff(3, 0), "quartic reduction: cubic term of the core must cancel")
-    _require(
-        all(i + 2 * j <= 4 for (i, j) in core_sub.terms),
-        "quartic reduction: core weighted degree exceeds 4",
-    )
-    bad = [(i, j) for (i, j) in rem_sub.terms if i + 2 * j > 4]
-    if bad:
-        raise ClassifyError(
-            f"weighted degree exceeds 4 at remainder monomials {sorted(bad)}; "
-            "a lower-layer trim condition fails for this input"
-        )
-    # round-trip: substituting t = y - (1/rho)x^2 - c x recovers F
-    t_expr = BivarPoly.y() - x * x * (1 / rho) - x * c
-    _require(out.subs(x, t_expr) == F, "quartic reduction: round trip does not recover F")
-    return out
-
-
 # -- MP3 ----------------------------------------------------------------------
 
 
@@ -551,35 +508,6 @@ class ECRecord:
         }
 
 
-def _taoshape_try(F: BivarPoly) -> ECRecord | None:
-    """Fast path: F already of the shape a (y^2 - x^3 - b1 x - b0)^2 + g with
-    deg g <= 2; read a, b1, b0 off the monomials and verify."""
-    a = F.coeff(0, 4)
-    if a <= 0:
-        return None
-    b1 = F.coeff(4, 0) / (2 * a)
-    b0 = F.coeff(3, 0) / (2 * a)
-    W = _weierstrass(b1, b0)
-    g = F - W * W * a
-    if g.degree() <= 2:
-        rec = ECRecord(
-            a=a,
-            b1=b1,
-            b0=b0,
-            G=g,
-            substitution={
-                "x_cx": Fraction(1),
-                "x_c0": Fraction(0),
-                "y_cy": Fraction(1),
-                "y_cx": Fraction(0),
-                "y_c0": Fraction(0),
-            },
-        )
-        _require(rec.verify(F), "Tao-shape EC form: identity fails")
-        return rec
-    return None
-
-
 def ecform_normalize(F: BivarPoly) -> ECRecord:
     """For F6 = a2 x^6 with x^3 | F5, read as the weighted layers
     F = a2 x^6 + a1 x^3 y^2 + a0 y^4 + xy L1(x^3,y^2) + x^2 L2(x^3,y^2)
@@ -596,12 +524,7 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
     the cubic monic.  F is composed with it once, and a, b1 and b0 are read
     off the y^4, x^4 and y^2 coefficients: the map raises no weight, so G
     has no x^4 or y^4 term, and b0 is chosen so that G has no y^2 term.
-    Inputs already of the shape a (y^2 - x^3 - b1 x - b0)^2 + g with
-    deg g <= 2 keep g as G, y^2 term and all (_taoshape_try).
     """
-    tao = _taoshape_try(F)
-    if tao is not None:
-        return tao
     if not _xpow_div(decompose(F)[5], 3):
         raise ClassifyError("x^3 does not divide F5 (anisotropic witness applies)")
     aprime, a1, a0 = F.coeff(6, 0), F.coeff(3, 2), F.coeff(0, 4)
@@ -629,9 +552,10 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
     beta2 = layer(5, 0) / (2 * aprime)
     beta4 = (layer(3, 1) / aprime - 2 * beta1 * beta2) / 2
     beta3 = (layer(4, 0) / aprime - beta2 * beta2) / 2
-    X, Y = BivarPoly.x(), BivarPoly.y()
-    core = X**3 - Y * Y * alpha1 + X * Y * beta1 + X * X * beta2 + X * beta3 + Y * beta4
-    square = core * core * aprime
+    core = BivarPoly({(3, 0): 1, (0, 2): -alpha1, (1, 1): beta1, (2, 0): beta2,
+                      (1, 0): beta3, (0, 1): beta4})
+    # an integral scale as an int keeps the scalar products off Fraction
+    square = core * core * _int_or_rat(aprime)
     stuck = [m for m in _MP3_SLOTS if layer(*m) != square.coeff(*m)]
     if stuck:
         raise ClassifyError(
@@ -647,7 +571,7 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
     a = Fs.coeff(0, 4)
     b1, b0 = Fs.coeff(4, 0) / (2 * a), -Fs.coeff(0, 2) / (2 * a)
     W = _weierstrass(b1, b0)
-    G = Fs - W * W * a
+    G = Fs - W * W * _int_or_rat(a)
     heavy = sorted((i, j) for (i, j) in G.terms if 2 * i + 3 * j >= 6)
     rec = ECRecord(a=a, b1=b1, b0=b0, G=G, substitution=subst,
                    heavy_monomials=heavy, x_flipped=x_flipped)

@@ -434,20 +434,6 @@ def landau_baseline(Nmax: int) -> tuple[int, float]:
     return count, ratio
 
 
-def two_squares_direct(Nmax: int) -> int:
-    """Independent enumeration of sums of two squares in [1, Nmax]."""
-    seen = set()
-    x = 0
-    while x * x <= Nmax:
-        y = 0
-        while x * x + y * y <= Nmax:
-            if x or y:
-                seen.add(x * x + y * y)
-            y += 1
-        x += 1
-    return len(seen)
-
-
 # -- normalized ladder --------------------------------------------------------
 
 

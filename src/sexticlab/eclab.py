@@ -148,17 +148,6 @@ def rouse_family(b1: int, b0: int, r_values) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def rouse_gap_identity() -> bool:
-    """y_r^2 - x_r^3 - b1 x_r - r^2 b1^2 = 0 as a polynomial identity in
-    (b1, r), checked by exact symbolic expansion."""
-    b = BivarPoly.x()  # stands for b1
-    r = BivarPoly.y()
-    x_r = b * b * r**6 * 64 + b * r * r * 8
-    y_r = b**3 * r**9 * 512 + b * b * r**5 * 96 + b * r * 3
-    expr = y_r * y_r - x_r**3 - b * x_r - r * r * b * b
-    return expr.is_zero()
-
-
 # -- Pell solver --------------------------------------------------------------
 
 

@@ -12,11 +12,11 @@ integer quotient (`_exquo`) or a pseudo-remainder (`_prem`).  `pgcd` and
 `sturm_chain` read one remainder sequence, `_remainders`.  `hom_eval` signs
 an integer list at a rational point without a Fraction.  `peval` is the one
 Horner evaluation in the ring of its argument, so it also evaluates at an
-element of Q(sqrt k); `pdivmod` and `monic` work on Fraction lists, and
-`pmul` in the ring of its entries.  The convergents come from Lagrange's
-method on integer polynomials and are certified by checking that
-consecutive ones bracket the root; the walk keeps its interval ends as
-integer pairs and compares them with the convergents by cross-multiplying.
+element of Q(sqrt k); `pdivmod` works on Fraction lists, and `pmul` in
+the ring of its entries.  The convergents come from Lagrange's method on
+integer polynomials and are certified by checking that consecutive ones
+bracket the root; the walk keeps its interval ends as integer pairs and
+compares them with the convergents by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ def _positive(p: list) -> list:
     return pneg(p) if p and p[-1] < 0 else p
 
 
-def monic(p: list) -> list:
-    if not p:
-        return []
-    lead = Fraction(p[-1])
-    return [c / lead for c in p]
-
-
 def _prem(a: list, b: list) -> list:
     """A positive integer multiple of the remainder of a by b, for int lists:
     each step that cannot cancel the lead exactly first scales by |lc(b)|,
@@ -177,17 +170,6 @@ def pgcd(p: list, q: list) -> list:
     """Primitive integer gcd with a positive lead: the last member of the
     remainder sequence of the primitive forms of p and q."""
     return _positive(_remainders(primitive(trim(list(p))), primitive(trim(list(q))))[-1])
-
-
-def squarefree_part(p: list) -> list:
-    d = pderiv(p)
-    if not d:
-        return monic(p) if p else []
-    g = pgcd(p, d)
-    q, r = pdivmod(p, g)
-    if r:
-        raise IdentityError("squarefree_part: the gcd with p' does not divide p")
-    return monic(q)
 
 
 def yun_decomposition(p: list) -> list:
@@ -299,44 +281,6 @@ def isolate_real_roots(p: list) -> list[IsolatingInterval]:
     split(-bound, bound, sign_variations(chain, -bound), sign_variations(chain, bound))
     out.sort(key=lambda iv: iv.lo)
     return out
-
-
-def rational_roots(p: list) -> list[Fraction]:
-    """All rational roots, by the rational root theorem on the primitive form."""
-    p = trim(list(p))
-    if not p:
-        raise ValueError("zero polynomial")
-    roots = []
-    v = 0
-    while not p[v]:
-        v += 1
-    if v:
-        roots.append(Fraction(0))
-        p = p[v:]
-    if pdeg(p) < 1:
-        return roots
-
-    q = primitive(p)
-    a0 = abs(int(q[0]))
-    an = abs(int(q[-1]))
-
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    for num in divisors(a0):
-        for den in divisors(an):
-            for s in (1, -1):
-                r = Fraction(s * num, den)
-                if not peval(q, r):
-                    roots.append(r)
-    return sorted(set(roots))
 
 
 # -- certified continued-fraction convergents ---------------------------------

@@ -8,16 +8,15 @@ import json
 import time
 from fractions import Fraction
 
-from sexticlab.classify import classify, cubic_square_completion, mp2_square_check, reduce_to_quartic
+from sexticlab.classify import classify, cubic_square_completion
 from sexticlab.cli import main as cli_main
-from sexticlab.density import count_range, growth_exponent, landau_baseline, two_squares_direct
+from sexticlab.density import count_range, growth_exponent, landau_baseline
 from sexticlab.eclab import (
     CurvePoint,
     EllipticCurve,
     danilov_family,
     ec_mul,
     hall_scan,
-    rouse_gap_identity,
     rouse_point,
 )
 from sexticlab.parser import parse
@@ -26,6 +25,8 @@ from sexticlab.witness import SearchBudgets, dirichlet_witness, witness_for
 from sexticlab import _seeds
 
 from corpus import CORPUS
+from test_density import two_squares_direct
+from test_eclab import rouse_gap_identity
 
 
 def _report(num, name, body):
@@ -129,14 +130,6 @@ def test_acceptance_5_classifier_fixtures():
         F = f * f + parse("x^2") * f + parse("y") * f + parse("x*y + 7")
         comp = cubic_square_completion(F)
         assert comp.verify(F)
-        # symbolic quartic-reduction round trip (completed-square shape);
-        # the substitution identity is asserted exactly inside
-        core = parse("y*(x^2 - y) + x*(x^2 - 2*y)")
-        G = core * core + parse("x^2*y + 3")
-        sq = mp2_square_check(G)
-        assert sq.ok and sq.completion.verify(G)
-        Q = reduce_to_quartic(G, sq.completion)
-        assert Q.degree() >= 0
 
     _report(5, "classifier-fixtures", body)
 

@@ -19,15 +19,12 @@ from sexticlab.classify import (
     ecform_normalize,
     f40_layers,
     gcd_condition,
-    matrix_inverse,
     mp2_square_check,
     quadratic_case_analysis,
-    reduce_to_quartic,
     unimodular_matrix_for,
     _detect_pell_k,
     _MP3_SLOTS,
     _require,
-    _taoshape_try,
     _xpow_div,
 )
 from sexticlab import unipoly as up
@@ -45,6 +42,7 @@ from sexticlab.quadext import QuadExt
 from sexticlab.witness import witness_for
 
 from corpus import CORPUS, ENGINELESS
+from test_unipoly import monic
 
 
 # -- routing ------------------------------------------------------------------
@@ -101,7 +99,7 @@ def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
     # factorization: one Yun decomposition, and one root isolation per factor
     F6 = decompose(parse(expr))[6]
     p6 = up.trim(F6.coefficients[::-1])  # F6(t, 1)
-    factors = [up.monic(up.trim(b.coefficients[::-1])) for _, b in squarefree_factors(F6)]
+    factors = [monic(up.trim(b.coefficients[::-1])) for _, b in squarefree_factors(F6)]
     args, isolated = [], []
 
     def counting(real, calls):
@@ -119,7 +117,7 @@ def test_classify_runs_yun_once_on_f6(monkeypatch, expr, route):
     assert args.count(p6) == 1
     w = witness_for(F, report)
     assert args.count(p6) == 1
-    assert [up.monic(p) for p in isolated] == factors
+    assert [monic(p) for p in isolated] == factors
     if route == "MP1-quadratic":
         assert w.lemma == "dirichlet-approximation" and w.kind == "negative-value"
     if expr in GOLDEN_ANALYZE:
@@ -177,6 +175,13 @@ def test_unimodular_matrix(a, b):
     Fn = apply_matrix(ell.to_poly(), M)
     assert Fn.coeff(0, 1) == 0
     assert Fn.coeff(1, 0) != 0
+
+
+def matrix_inverse(M):
+    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    if abs(det) != 1:
+        raise ClassifyError("matrix is not unimodular")
+    return [[M[1][1] * det, -M[0][1] * det], [-M[1][0] * det, M[0][0] * det]]
 
 
 def test_apply_matrix_inverse_roundtrip():
@@ -380,26 +385,13 @@ def test_mp2_alpha2_zero_dearth():
     assert sq.ok and sq.fixed_x_dearth
 
 
-def test_mp2_completion_identity_and_quartic():
+def test_mp2_completion_identity():
     core = parse("y*(x^2 - y) + x*(x^2 - 2*y)")
     for extra in ("x^2*y + 3", "x^4 + x^3 + x*y + y + 5", "0"):
         F = core * core + parse(extra)
         sq = mp2_square_check(F)
         assert sq.ok and sq.completion is not None
         assert sq.completion.verify(F)
-        Q = reduce_to_quartic(F, sq.completion)
-        # round trip is asserted inside; check the weighted degree of the
-        # non-square part on a fresh decomposition
-        assert Q.degree() >= 0
-
-
-def test_quartic_reduction_trim_failure():
-    core = parse("y*(x^2 - y) + x*(x^2 - 2*y)")
-    F = core * core + parse("x^5")  # x^5 exceeds every trimmed G5 monomial
-    sq = mp2_square_check(F)
-    assert sq.ok
-    with pytest.raises(ClassifyError):
-        reduce_to_quartic(F, sq.completion)
 
 
 # -- MP3 ----------------------------------------------------------------------
@@ -579,10 +571,23 @@ def _mp3_case(rng: random.Random) -> BivarPoly:
     return F.subs(-X, Y) if rng.random() < 0.5 else F
 
 
+def _tao_g(F: BivarPoly) -> BivarPoly | None:
+    """g when F = a (y^2 - x^3 - b1 x - b0)^2 + g with a > 0 and deg g <= 2,
+    a, b1 and b0 read off the y^4, x^4 and x^3 coefficients; else None."""
+    a = F.coeff(0, 4)
+    if a <= 0:
+        return None
+    X, Y = BivarPoly.x(), BivarPoly.y()
+    W = Y * Y - X**3 - X * (F.coeff(4, 0) / (2 * a)) - BivarPoly.const(F.coeff(3, 0) / (2 * a))
+    g = F - W * W * a
+    return g if g.degree() <= 2 else None
+
+
 def test_ecform_matches_closed_form_reference():
     """The record of the one-composition path, or its ClassifyError text,
     equals the closed-form reference's on 500 seeded MP3 polynomials, and
-    the seeds reach every kind of outcome."""
+    the seeds reach every kind of outcome, Tao shapes with and without a
+    y^2 term in g among them."""
 
     def outcome(normalize, F):
         try:
@@ -595,15 +600,15 @@ def test_ecform_matches_closed_form_reference():
     for _ in range(500):
         F = _mp3_case(rng)
         got = outcome(ecform_normalize, F)
-        assert got == outcome(lambda H: _taoshape_try(H) or _ecform_reference(H), F), F.format()
+        assert got == outcome(_ecform_reference, F), F.format()
         if isinstance(got, str):
             kinds.add(" ".join(got.split()[:3]))  # the error, without its numbers
-        elif _taoshape_try(F) is not None:
-            kinds.add("tao, G with y^2" if [0, 2] in [m[:2] for m in got["G"]["terms"]] else "tao")
+        elif (g := _tao_g(F)) is not None:
+            kinds.add("tao, g with y^2" if g.coeff(0, 2) else "tao")
         else:
             kinds.add("flipped" if got["x_flipped"] else "general")
     assert kinds == {
-        "tao", "tao, G with y^2", "general", "flipped",
+        "tao", "tao, g with y^2", "general", "flipped",
         "x^3 does not", "weighted lead form", "layers are not",
     }, kinds
 
@@ -626,6 +631,17 @@ def test_ecform_taoshape(expr, a, b1, b0):
     rec = ecform_normalize(F)
     assert rec.verify(F)
     assert (rec.a, rec.b1, rec.b0) == (a, b1, b0)
+
+
+def test_ecform_moves_the_y2_term_of_a_tao_shape_into_b0():
+    # W^2 + y^2 = (W + 1/2)^2 + x^3 - x - 21/4 for W = y^2 - x^3 + x + 5:
+    # the y^2 term goes into b0, and G keeps the weight-6 monomial x^3
+    F = parse("(y^2 - x^3 + x + 5)^2 + y^2")
+    rec = ecform_normalize(F)
+    assert rec.verify(F)
+    assert (rec.a, rec.b1, rec.b0) == (1, -1, Fraction(-11, 2))
+    assert rec.G == parse("x^3 - x") - Fraction(21, 4)
+    assert not rec.G.coeff(0, 2) and rec.heavy_monomials == [(3, 0)]
 
 
 def test_ecform_general_shear():

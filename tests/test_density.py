@@ -23,13 +23,26 @@ from sexticlab.density import (
     growth_exponent,
     landau_baseline,
     stanley_probe,
-    two_squares_direct,
     _lower_abs_sum,
 )
 from sexticlab import unipoly as up
 from sexticlab.forms import BinaryForm
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
+
+
+def two_squares_direct(Nmax: int) -> int:
+    """Independent enumeration of sums of two squares in [1, Nmax]."""
+    seen = set()
+    x = 0
+    while x * x <= Nmax:
+        y = 0
+        while x * x + y * y <= Nmax:
+            if x or y:
+                seen.add(x * x + y * y)
+            y += 1
+        x += 1
+    return len(seen)
 
 
 def window_values(F, N, M):

@@ -259,18 +259,12 @@ def test_dirichlet_rational_direction():
     assert all(F.eval(x, y) == v for x, y, v in w.points)
 
 
-def _no_trial_division(p):
-    raise AssertionError("rational_roots must not be called")
-
-
-def test_dirichlet_rational_directions_come_from_the_walk(monkeypatch):
+def test_dirichlet_rational_directions_come_from_the_walk():
     # F6 = (x^2 - 4y^2)^2 (x^2 + y^2) has the rational root directions
-    # t = -2 and t = 2, found here by trial division; each walks as
-    # +-(2^k b, 2^k c) for t = b/c, with values from Fraction evaluation
+    # t = -2 and t = 2; each walks as +-(2^k b, 2^k c) for t = b/c, with
+    # values from Fraction evaluation
     F = parse("(x^2 - 4*y^2)^2*(x^2 + y^2) + x^5")
-    roots = up.rational_roots(up.trim(decompose(F)[6].coefficients[::-1]))
-    assert roots == [-2, 2]
-    monkeypatch.setattr(up, "rational_roots", _no_trial_division)
+    roots = [Fraction(-2), Fraction(2)]
     n = 12
     expected = []
     for t in roots:
@@ -285,11 +279,10 @@ def test_dirichlet_rational_directions_come_from_the_walk(monkeypatch):
     assert w.extra == {}  # no irrational direction, so no growth ratio
 
 
-def test_dirichlet_large_coefficient_irrational_direction(monkeypatch):
+def test_dirichlet_large_coefficient_irrational_direction():
     # the root direction t = (10^12 + 1)^(1/3) is irrational; this engine once
     # found that by trial division up to 10^6, now the walk alone decides it.
-    # The points are those the engine gave when it still used rational_roots
-    monkeypatch.setattr(up, "rational_roots", _no_trial_division)
+    # The points are those the engine gave when it still used trial division
     F = parse("(x^3 - 1000000000001*y^3)^2 + x^5")
     w = dirichlet_witness(F, 6)
     assert w.kind == "negative-value"
@@ -860,12 +853,15 @@ def test_dispatch_positive_definite_inconclusive():
 
 def test_dispatch_respects_budgets():
     # tiny Tmax starves the anisotropic schedule on an MP3 shape with x^2 | F5
-    # failing; the engine must come back inconclusive rather than loop
-    F = parse("x^6 + x*y^4 + y^6")
+    # failing: the constant keeps its first points positive, so the engine
+    # comes back inconclusive with its budget spent rather than loop, and
+    # finds a negative value at the default budget
+    F = parse("x^6 + x*y^4 + 1000000")
     rep = classify(F)
-    if rep.route.startswith("MP"):
-        w = witness_for(F, rep, SearchBudgets(Tmax=4))
-        assert isinstance(w, Witness)
+    assert (rep.route, rep.engine) == ("MP3", ("anisotropic", Fraction(1, 2)))
+    w = witness_for(F, rep, SearchBudgets(Tmax=4))
+    assert (w.kind, w.exhausted) == ("inconclusive", True)
+    assert witness_for(F, rep).kind == "negative-value"
 
 
 class _SealedConditions(dict):
