@@ -12,9 +12,9 @@ form, and the (y^2 - x^3 - b1 x - b0)^2 shape with its rational change of
 coordinates.  The MP2 and MP3 normal forms read their weighted layers
 straight off the coefficients of F, one pass each; the MP3 shape then
 composes F with its change of coordinates once, on every input, and reads
-a, b1 and b0 off the result.  Every normal form checks its own exact
-identity and raises poly.IdentityError (not a ClassifyError, so never a
-note) when the check fails.
+a, b1 and b0 off the result.  Every normal form checks the (weighted)
+degree it promises of what is left beside its square and raises
+poly.IdentityError (not a ClassifyError, so never a note) when it fails.
 
 Route tokens are part of the stable report schema.  "paper-gap" marks the
 two ramification profiles (max multiplicity exactly 3 on the linear part, or
@@ -58,15 +58,14 @@ def _require(ok: bool, what: str) -> None:
 
 @dataclass
 class SquareCompletion:
-    """scale * core^2 + remainder = the input polynomial, exactly."""
+    """scale * core^2 + remainder = F, the remainder being F - scale * core^2.
+    Checked: the remainder has degree <= 4 (MP1-cubic) or only terms of
+    weight i + 2j <= 6 (MP2)."""
 
     core: BivarPoly
     scale: Fraction | int
     remainder: BivarPoly
     substitution: dict | None = None
-
-    def verify(self, F: BivarPoly) -> bool:
-        return self.core * self.core * self.scale + self.remainder == F
 
     def to_json_obj(self) -> dict:
         out = {
@@ -222,10 +221,8 @@ def cubic_square_completion(F: BivarPoly) -> SquareCompletion:
     g = g5.to_poly() + g4.to_poly()
     core = f + g * (Fraction(1, 2) / a)
     remainder = F - core * core * a
-    comp = SquareCompletion(core=core, scale=a, remainder=remainder)
-    _require(comp.verify(F), "cubic square completion: identity fails")
     _require(remainder.degree() <= 4, "cubic square completion: remainder degree exceeds 4")
-    return comp
+    return SquareCompletion(core=core, scale=a, remainder=remainder)
 
 
 @dataclass
@@ -427,17 +424,18 @@ def mp2_square_check(F: BivarPoly) -> MP2SquareResult:
         )
     beta1 = b2 / (2 * A)
     beta2 = -b1 / (2 * A) - rho * beta1
-    _require(b0 == 2 * A * rho * beta2, "MP2 square check: b-layer constant mismatch")
     x, y = BivarPoly.x(), BivarPoly.y()
     core = y * (x * x - y * rho) + x * (x * x * beta1 - y * beta2)
     remainder = F - core * core * A
+    # the a- and b-layers of F are the terms of weight 8 and 7
+    _require(remainder.weighted_degree(1, 2) <= 6,
+             "MP2 square check: remainder has a term of weight i + 2j > 6")
     comp = SquareCompletion(
         core=core,
         scale=A,
         remainder=remainder,
         substitution={"rho": rho, "beta1": beta1, "beta2": beta2},
     )
-    _require(comp.verify(F), "MP2 square check: completion identity fails")
     return MP2SquareResult(
         ok=True,
         alpha1=alpha1,
@@ -478,8 +476,9 @@ def _affine(s: dict) -> tuple[BivarPoly, BivarPoly]:
 
 @dataclass
 class ECRecord:
-    """F composed with the recorded substitution equals
-    a (y^2 - x^3 - b1 x - b0)^2 + G, exactly."""
+    """F composed with the recorded substitution is a (y^2 - x^3 - b1 x - b0)^2
+    + G, G being the difference.  Checked: every monomial x^i y^j of G has
+    weight 2i + 3j < 8, and G has no y^2 term."""
 
     a: Fraction
     b1: Fraction
@@ -488,13 +487,6 @@ class ECRecord:
     substitution: dict  # x = x_cx*X + x_c0 ; y = y_cy*Y + y_cx*X + y_c0
     heavy_monomials: list = field(default_factory=list)
     x_flipped: bool = False
-
-    def subst_exprs(self) -> tuple[BivarPoly, BivarPoly]:
-        return _affine(self.substitution)
-
-    def verify(self, F: BivarPoly) -> bool:
-        W = _weierstrass(self.b1, self.b0)
-        return F.subs(*self.subst_exprs()) == W * W * self.a + self.G
 
     def to_json_obj(self) -> dict:
         return {
@@ -524,6 +516,7 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
     the cubic monic.  F is composed with it once, and a, b1 and b0 are read
     off the y^4, x^4 and y^2 coefficients: the map raises no weight, so G
     has no x^4 or y^4 term, and b0 is chosen so that G has no y^2 term.
+    Both claims on G are checked.
     """
     if not _xpow_div(decompose(F)[5], 3):
         raise ClassifyError("x^3 does not divide F5 (anisotropic witness applies)")
@@ -572,11 +565,11 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
     b1, b0 = Fs.coeff(4, 0) / (2 * a), -Fs.coeff(0, 2) / (2 * a)
     W = _weierstrass(b1, b0)
     G = Fs - W * W * _int_or_rat(a)
+    _require(G.weighted_degree(2, 3) < 8 and not G.coeff(0, 2),
+             "EC normal form: G has a term of weight 2i + 3j >= 8 or a y^2 term")
     heavy = sorted((i, j) for (i, j) in G.terms if 2 * i + 3 * j >= 6)
-    rec = ECRecord(a=a, b1=b1, b0=b0, G=G, substitution=subst,
-                   heavy_monomials=heavy, x_flipped=x_flipped)
-    _require(rec.verify(F), "EC normal form: identity fails")
-    return rec
+    return ECRecord(a=a, b1=b1, b0=b0, G=G, substitution=subst,
+                    heavy_monomials=heavy, x_flipped=x_flipped)
 
 
 # -- the router ---------------------------------------------------------------

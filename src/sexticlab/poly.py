@@ -235,13 +235,11 @@ class BivarPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(i + j for i, j in self._terms)
+        return self.weighted_degree(1, 1)
 
-    def degree_in(self, var: int) -> int:
-        """Degree in variable 0 (x) or 1 (y); -1 for zero."""
-        return self._degrees()[var]
+    def weighted_degree(self, wx: int, wy: int) -> int:
+        """The largest wx*i + wy*j over the terms x^i y^j; -1 for zero."""
+        return max((wx * i + wy * j for i, j in self._terms), default=-1)
 
     def _degrees(self) -> tuple[int, int]:
         """(degree in x, degree in y), taken once."""

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -37,12 +38,15 @@ from sexticlab.forms import (
     squarefree_profile,
 )
 from sexticlab.parser import parse
-from sexticlab.poly import BivarPoly
+from sexticlab.poly import BivarPoly, IdentityError
 from sexticlab.quadext import QuadExt
 from sexticlab.witness import witness_for
 
 from corpus import CORPUS, ENGINELESS
 from test_unipoly import monic
+
+# the package exports the function classify under the module's name
+classify_mod = importlib.import_module("sexticlab.classify")
 
 
 # -- routing ------------------------------------------------------------------
@@ -229,7 +233,9 @@ def test_cubic_square_completion():
     f = parse("x^3 + x*y^2 + y^3")
     F = f * f + parse("x^2") * f + parse("y") * f + parse("x*y + 7")
     comp = cubic_square_completion(F)
-    assert comp.verify(F)
+    # core = f + (x^2 + y)/2, so the remainder is x y + 7 - (x^2 + y)^2/4
+    assert comp.core == f + parse("x^2 + y") * Fraction(1, 2)
+    assert comp.remainder == parse("x*y + 7") - parse("(x^2 + y)^2") * Fraction(1, 4)
     assert comp.remainder.degree() <= 4
 
 
@@ -385,16 +391,45 @@ def test_mp2_alpha2_zero_dearth():
     assert sq.ok and sq.fixed_x_dearth
 
 
+def test_mp2_completion_rejects_a_heavy_remainder():
+    # x^3 y^3 has weight 9 and lies in none of the a-, b- or c-layers
+    F = parse("(y*(x^2 - y) + x*(x^2 - 2*y))^2 + x^3*y^3")
+    with pytest.raises(IdentityError, match="^MP2 square check: remainder has a term"):
+        mp2_square_check(F)
+
+
 def test_mp2_completion_identity():
     core = parse("y*(x^2 - y) + x*(x^2 - 2*y)")
     for extra in ("x^2*y + 3", "x^4 + x^3 + x*y + y + 5", "0"):
         F = core * core + parse(extra)
         sq = mp2_square_check(F)
         assert sq.ok and sq.completion is not None
-        assert sq.completion.verify(F)
+        # every extra term has weight i + 2j <= 6, so it is the remainder
+        assert sq.completion.core == core and sq.completion.remainder == parse(extra)
+        assert sq.completion.remainder.weighted_degree(1, 2) <= 6
 
 
 # -- MP3 ----------------------------------------------------------------------
+
+
+def _ec_promise(rec: ECRecord) -> bool:
+    """What an ECRecord promises of G (docs/schemas.md): every monomial has
+    weight 2i + 3j < 8, with x of weight 2 and y of weight 3, and there is
+    no y^2 term."""
+    return rec.G.weighted_degree(2, 3) < 8 and not rec.G.coeff(0, 2)
+
+
+def _ec_back(rec: ECRecord) -> BivarPoly:
+    """a (Y^2 - X^3 - b1 X - b0)^2 + G taken back to the input's coordinates
+    through the inverse of the recorded map x = x_cx X + x_c0,
+    y = y_cy Y + y_cx X + y_c0: the input polynomial when the record is
+    right."""
+    s = rec.substitution
+    x, y = BivarPoly.x(), BivarPoly.y()
+    X = (x - s["x_c0"]) * (1 / Fraction(s["x_cx"]))
+    Y = (y - X * s["y_cx"] - s["y_c0"]) * (1 / Fraction(s["y_cy"]))
+    W = Y * Y - X**3 - X * rec.b1 - rec.b0
+    return W * W * rec.a + rec.G.subs(X, Y)
 
 
 def test_mp3_shape_trivial():
@@ -403,7 +438,7 @@ def test_mp3_shape_trivial():
     for H in (F, F.subs(BivarPoly.x(), BivarPoly.y() + BivarPoly.x())):
         rec = ecform_normalize(H)
         assert (rec.a, rec.b1, rec.b0) == (1, 0, 0)
-        assert rec.G.is_zero() and not rec.x_flipped and rec.verify(H)
+        assert rec.G.is_zero() and not rec.x_flipped and _ec_back(rec) == H
 
 
 def test_mp3_shape_reassembly():
@@ -411,7 +446,7 @@ def test_mp3_shape_reassembly():
     for H in (F, F.subs(BivarPoly.x(), BivarPoly.y() + BivarPoly.x())):
         rec = ecform_normalize(H)
         assert (rec.a, rec.b1, rec.b0) == (1, 1, 0)
-        assert rec.G == BivarPoly.const(1) and rec.verify(H)
+        assert rec.G == BivarPoly.const(1) and _ec_back(rec) == H
 
 
 def test_mp3_shape_requires_x3_divides_f5():
@@ -423,12 +458,23 @@ def test_mp3_shape_requires_x3_divides_f5():
 def test_mp3_core_and_flip():
     F = parse("(y^2 - x^3 - x)^2 + 2")
     rec = ecform_normalize(F)
-    assert not rec.x_flipped and rec.verify(F)
+    assert not rec.x_flipped and _ec_promise(rec) and _ec_back(rec) == F
     # a1 > 0 forces the x flip; the recorded map lands on the input
     Fflip = F.subs(-BivarPoly.x(), BivarPoly.y())
     rec2 = ecform_normalize(Fflip)
-    assert rec2.x_flipped and rec2.verify(Fflip)
+    assert rec2.x_flipped and _ec_promise(rec2) and _ec_back(rec2) == Fflip
     assert (rec2.a, rec2.b1, rec2.b0) == (rec.a, rec.b1, rec.b0)
+
+
+def test_ecform_rejects_a_shifted_map(monkeypatch):
+    # with x_c0 off by 1 the composition keeps x^5, x^2 y^2 and x y^2 terms
+    # of weight >= 8 that no choice of a, b1, b0 cancels, so G breaks the
+    # record's promise
+    real = classify_mod._affine
+    monkeypatch.setattr(classify_mod, "_affine",
+                        lambda s: real(dict(s, x_c0=s["x_c0"] + 1)))
+    with pytest.raises(IdentityError, match="^EC normal form: G has a term of weight"):
+        ecform_normalize(parse("(y^2 - x^3 - x)^2 - y + 10"))
 
 
 def test_mp3_proportionality_failure():
@@ -529,7 +575,7 @@ def _ecform_reference(F: BivarPoly) -> ECRecord:
         heavy_monomials=heavy,
         x_flipped=x_flipped,
     )
-    _require(rec.verify(F), "EC normal form: identity fails")
+    _require(_ec_promise(rec), "EC normal form: G has a term of weight >= 8 or a y^2 term")
     return rec
 
 
@@ -629,7 +675,7 @@ def test_ecform_matches_closed_form_reference():
 def test_ecform_taoshape(expr, a, b1, b0):
     F = parse(expr)
     rec = ecform_normalize(F)
-    assert rec.verify(F)
+    assert _ec_promise(rec) and _ec_back(rec) == F
     assert (rec.a, rec.b1, rec.b0) == (a, b1, b0)
 
 
@@ -638,7 +684,7 @@ def test_ecform_moves_the_y2_term_of_a_tao_shape_into_b0():
     # the y^2 term goes into b0, and G keeps the weight-6 monomial x^3
     F = parse("(y^2 - x^3 + x + 5)^2 + y^2")
     rec = ecform_normalize(F)
-    assert rec.verify(F)
+    assert _ec_promise(rec) and _ec_back(rec) == F
     assert (rec.a, rec.b1, rec.b0) == (1, -1, Fraction(-11, 2))
     assert rec.G == parse("x^3 - x") - Fraction(21, 4)
     assert not rec.G.coeff(0, 2) and rec.heavy_monomials == [(3, 0)]
@@ -652,15 +698,15 @@ def test_ecform_general_shear():
     F = W * W  # plain square, then disturb coordinates: x -> x, y -> y + x
     G = F.subs(X, Y + X)
     rec = ecform_normalize(G)
-    assert rec.verify(G)
+    assert _ec_promise(rec) and _ec_back(rec) == G
 
 
 def test_ecform_epsilon_absorption():
     # a linear-in-y tail shifts b0 by eps = g_y/(2a); the record must still
-    # verify exactly
+    # keep its promise and map back onto F
     F = parse("(y^2 - x^3 - 2*x - 3)^2 - y + 10")
     rec = ecform_normalize(F)
-    assert rec.verify(F)
+    assert _ec_promise(rec) and _ec_back(rec) == F
     assert rec.b1 == 2
 
 
@@ -686,27 +732,59 @@ def test_square_predicate_matches_numeric():
     assert agree == 100
 
 
+# Each case feeds a normal form a wrong input at a point upstream of its
+# check, on an input whose route is unchanged, and names the error the check
+# raises: IdentityError from classify, ValueError from the weighted-cubic
+# search.
+NORMAL_FORM_FAULTS = r"""
+import importlib
+from sexticlab.forms import BinaryForm
+from sexticlab.parser import parse
+from sexticlab.poly import IdentityError
+C = importlib.import_module('sexticlab.classify')
+W = importlib.import_module('sexticlab.witness')
+form_div, affine, apply_matrix = C.form_div, C._affine, C.apply_matrix
+
+def heavier(term):
+    # the route reads F6 of the input and F5, F4 of the normalized form, so
+    # an added degree-6 term of high weight keeps it
+    C.apply_matrix = lambda F, M: apply_matrix(F, M) + parse(term)
+
+def mp1_cubic():
+    # F5 / f comes out zero, so the core misses (x^2)/2
+    C.form_div = lambda A, B: form_div(A, BinaryForm(5, [0] * 6) if B.degree == 5 else B)
+    C.classify(parse('(x^3 + x*y^2 + y^3)^2 + (x^2 + y)*(x^3 + x*y^2 + y^3) + x*y + 7'))
+
+def mp2():
+    heavier('x^3*y^3')
+    C.classify(parse('y^2*(x^4 - 2*x^2*y + y^2) + x^5'))
+
+def mp3():
+    C._affine = lambda s: affine(dict(s, x_c0=s['x_c0'] + 1))
+    C.classify(parse('(y^2 - x^3 - x)^2 - y + 10'))
+
+def weighted_cubic():
+    heavier('x^5*y')
+    W.witness_for(parse('x^6 - x^2*y^2'))
+
+for case, error in ((mp1_cubic, IdentityError), (mp2, IdentityError), (mp3, IdentityError),
+                    (weighted_cubic, ValueError)):
+    try:
+        case()
+        raise SystemExit('unchecked normal form accepted: ' + case.__name__)
+    except error as exc:
+        if type(exc) is not error:
+            raise
+    finally:
+        C.form_div, C._affine, C.apply_matrix = form_div, affine, apply_matrix
+"""
+
+
 def test_normal_form_checks_survive_optimize():
-    # assert statements vanish under python -O; the identity checks must not,
-    # and no ClassifyError handler may turn a failure into a note.  Both
-    # inputs build a SquareCompletion: MP1-cubic and the MP2 square check.
-    code = (
-        "import importlib\n"
-        "C = importlib.import_module('sexticlab.classify')\n"
-        "from sexticlab.parser import parse\n"
-        "from sexticlab.poly import IdentityError\n"
-        "C.SquareCompletion.verify = lambda self, F: False\n"
-        "f = '(x^3 + x*y^2 + y^3)'\n"
-        "for text in (f + '^2 + (x^2 + y)*' + f + ' + x*y + 7',\n"
-        "             'y^2*(x^4 - 2*x^2*y + y^2) + x^5'):\n"
-        "    try:\n"
-        "        C.classify(parse(text))\n"
-        "    except IdentityError:\n"
-        "        continue\n"
-        "    raise SystemExit('unchecked completion accepted: ' + text)\n"
-    )
+    # assert statements vanish under python -O; the checks must not, and no
+    # ClassifyError handler may turn a failure into a note
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", NORMAL_FORM_FAULTS], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -26,6 +26,9 @@ GOLDEN = json.loads(
 QUADRATIC_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "quadratic_case_cli.json").read_text()
 )
+NORMAL_FORM_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "normal_form_cli.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -50,6 +53,14 @@ def test_analyze_quadratic_case_matches_golden(capsys, row):
     """The Q(sqrt k) arithmetic of the MP1-quadratic analysis, byte for byte:
     v_k a square, v_k not a square, and a doubled factor that needs the
     shift x + (-1)*y."""
+    assert run(capsys, "analyze", "--poly", row["poly"])[:2] == (row["exit"], row["stdout"])
+
+
+@pytest.mark.parametrize("row", NORMAL_FORM_GOLDEN, ids=[row["poly"] for row in NORMAL_FORM_GOLDEN])
+def test_analyze_normal_forms_match_golden(capsys, row):
+    """The square completions and the MP3 record, byte for byte: an MP1-cubic
+    completion, two MP2 completions, an MP3 G with the heavy monomial
+    x^3, and an MP3 input that needs the x -> -x flip."""
     assert run(capsys, "analyze", "--poly", row["poly"])[:2] == (row["exit"], row["stdout"])
 
 

@@ -422,9 +422,22 @@ def test_degrees_are_kept_and_match_the_terms():
     x, y = BivarPoly.x(), BivarPoly.y()
     for F in [BivarPoly(), BivarPoly.const(3), x**3 * y + y**2, (x + y) ** 4 - x**4, x * y - x * y]:
         want = tuple(max((t[v] for t in F.terms), default=-1) for v in (0, 1))
-        assert (F.degree_in(0), F.degree_in(1)) == want
+        assert (F.weighted_degree(1, 0), F.weighted_degree(0, 1)) == want
         assert F.eval(2, 3) == sum(c * 2**i * 3**j for (i, j), c in F.terms.items())
         assert F._degs == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ref_dicts, st.integers(0, 4), st.integers(0, 4))
+@example({}, 2, 3)
+@example({(0, 0): Fraction(5)}, 0, 0)
+def test_weighted_degree_is_the_largest_term_weight(A, wx, wy):
+    F = BivarPoly(A)
+    want = -1
+    for i, j in A:
+        want = max(want, wx * i + wy * j)
+    assert F.weighted_degree(wx, wy) == want
+    assert F.weighted_degree(1, 1) == F.degree()
 
 
 # -- composition and evaluation at sextic size --------------------------------

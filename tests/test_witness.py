@@ -178,7 +178,7 @@ def test_direct_route_evaluates_each_point_once(monkeypatch, expr, engine, lemma
     w = witness_for(F, report, SearchBudgets(convergents=20))
     # the kernel's compile check evaluates the searched polynomial on its
     # staircase, and witness_for each witness point against F
-    dx, dy = searched.degree_in(0), searched.degree_in(1)
+    dx, dy = searched.weighted_degree(1, 0), searched.weighted_degree(0, 1)
     assert sum(min(dy, 6 - i) + 1 for i in range(dx + 1)) == stair
     assert w.kind == "negative-value" and w.lemma == lemma
     assert len(calls) == len(w.points) + stair
@@ -352,6 +352,13 @@ def test_weighted_cubic_finds_negative():
     assert int(str(w.extra["lead_value"])) < 0
 
 
+def test_weighted_cubic_rejects_a_term_above_weight_6():
+    # x^3 y^2 has weight 7, so N^7 tops F(c1 N, c2 N^2) and the negative lead
+    # value at (c1, c2) = (1, 2) says nothing about the sign for large N
+    with pytest.raises(ValueError, match=r"weight i \+ 2j > 6"):
+        weighted_cubic_sign_search(parse("x^6 - x^2*y^2 + x^3*y^2"), 10**6)
+
+
 def test_weighted_cubic_nonnegative_lead_inconclusive():
     F = parse("x^6 + x^2*y^2 + y^4")
     w = weighted_cubic_sign_search(F, 10**6)
@@ -361,9 +368,11 @@ def test_weighted_cubic_nonnegative_lead_inconclusive():
 
 
 def test_weighted_cubic_zero_lead_inconclusive():
-    F = parse("x^5*y^40")  # not a sextic but the layers are all zero
-    w = weighted_cubic_sign_search(parse("x*y"), 10**6)
-    assert w.kind == "inconclusive"
+    # neither is a sextic but the layers are all zero, so no scaling is
+    # tried and the weight of x^5 y^40 is never looked at
+    for F in (parse("x*y"), parse("x^5*y^40")):
+        w = weighted_cubic_sign_search(F, 10**6)
+        assert w.kind == "inconclusive" and "identically zero" in w.note
 
 
 # -- growth diagnostic --------------------------------------------------------
@@ -640,7 +649,7 @@ def _ref_weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
     # result is univariate in N and its N^6 coefficient must be G(c1^2, c2)
     N = BivarPoly.x()
     curve = F.subs(N * c1, N * N * c2)
-    if curve.coeff(6, 0) != gval or curve.degree_in(1) != 0:
+    if curve.coeff(6, 0) != gval or curve.weighted_degree(0, 1) != 0:
         raise CertificateError(f"weighted-cubic: scaling identity fails at ({c1},{c2})")
     N_int = 1
     while N_int <= Nmax:
@@ -705,13 +714,15 @@ def _ref_ray_witness(F: BivarPoly, box: int = 24, scale_max: int = 10**12) -> Wi
     )
 
 
-def _seeded(lead: str, seed: int) -> BivarPoly:
+def _seeded(lead: str, seed: int, weight: int | None = None) -> BivarPoly:
     """lead plus random terms of degree 1 to 5, some with denominators so
     that the kernel's D is not always 1, and a constant up to 10^8 that keeps
-    the first points of a search positive."""
+    the first points of a search positive.  With a weight, only terms x^i y^j
+    with i + 2j <= weight are drawn."""
     rng = random.Random(seed)
     lower = {(i, j): Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
-             for i in range(6) for j in range(6 - i) if i + j and rng.random() < 0.25}
+             for i in range(6) for j in range(6 - i)
+             if i + j and (weight is None or i + 2 * j <= weight) and rng.random() < 0.25}
     lower[0, 0] = 10 ** rng.randint(0, 8)
     return parse(lead) + BivarPoly(lower)
 
@@ -740,16 +751,34 @@ def test_anisotropic_matches_fraction_reference():
 
 
 def test_weighted_cubic_matches_fraction_reference():
+    # the reference scales whatever the weight of F, so the two agree on the
+    # shape the engine takes: every term of weight i + 2j <= 6
     ws = _agree(
         (weighted_cubic_sign_search(F, Nmax), _ref_weighted_cubic_sign_search(F, Nmax))
         for seed in range(12)
-        for lead in ("x^6 - 5*x^2*y^2", "x^6 + x^2*y^2 + y^4", "x*y^5")
-        for F in (_seeded(lead, seed),)
+        for lead in ("x^6 - 5*x^2*y^2", "x^6 + x^2*y^2", "x^6 + y^3")
+        for F in (_seeded(lead, seed, weight=6),)
         for Nmax in (2, 10**9)
     )
     assert {w.kind for w in ws} == {"negative-value", "inconclusive"}
     assert any(w.exhausted for w in ws)
     assert any(w.kind == "inconclusive" and not w.exhausted for w in ws)
+    # most seeds drawn from all of i + j <= 5 have heavier terms: once the
+    # lead form is negative somewhere, the engine refuses to scale them
+    rejected = 0
+    for seed in range(12):
+        for lead in ("x^6 - 5*x^2*y^2", "x^6 + x^2*y^2 + y^4", "x*y^5"):
+            F = _seeded(lead, seed)
+            ref = _ref_weighted_cubic_sign_search(F, 2)
+            if F.weighted_degree(1, 2) <= 6 or (ref.kind == "inconclusive" and not ref.exhausted):
+                assert weighted_cubic_sign_search(F, 2) == ref
+            else:
+                with pytest.raises(ValueError, match=r"weight i \+ 2j > 6"):
+                    weighted_cubic_sign_search(F, 2)
+                rejected += 1
+    # 33 of the 36 seeds have a heavier term; 17 of those stop at a lead form
+    # that is nonnegative or zero on the scanned box, before any scaling
+    assert rejected == 16
 
 
 def test_ray_matches_fraction_reference():
