@@ -387,7 +387,13 @@ def mp2_square_check(F: BivarPoly) -> MP2SquareResult:
     b-layer.  Internally the square is written a2 (x^2 - rho y)^2 with the
     rational rho = -a1/(2 a2); the (alpha1, alpha2) of the real factorization
     (alpha1 x^2 - alpha2 y)^2 are reported as exact (value, under-sqrt) pairs.
+    F must be a sextic with x^4 | F6 and x^2 | F5, as the MP2 route
+    normalizes it: outside that shape the remainder can keep a term of weight
+    i + 2j > 6, so such an input is a ClassifyError.
     """
+    parts = decompose(F)
+    if F.degree() != 6 or not _xpow_div(parts[6], 4) or not _xpow_div(parts[5], 2):
+        raise ClassifyError("not an MP2 normal form: need a sextic with x^4 | F6 and x^2 | F5")
     a2, a1, a0 = F.coeff(4, 2), F.coeff(2, 3), F.coeff(0, 4)
     if not a2:
         return MP2SquareResult(ok=False, reason="a2 = 0 (x^5 divides F6?)")
@@ -516,13 +522,15 @@ def ecform_normalize(F: BivarPoly) -> ECRecord:
     the cubic monic.  F is composed with it once, and a, b1 and b0 are read
     off the y^4, x^4 and y^2 coefficients: the map raises no weight, so G
     has no x^4 or y^4 term, and b0 is chosen so that G has no y^2 term.
-    Both claims on G are checked.
+    Both claims on G are checked.  F must be a sextic with F6 = a2 x^6, as
+    the MP3 route normalizes it; any other input is a ClassifyError.
     """
-    if not _xpow_div(decompose(F)[5], 3):
+    parts = decompose(F)
+    if F.degree() != 6 or not _xpow_div(parts[6], 6):
+        raise ClassifyError("not an MP3 normal form: need a sextic with F6 = a2 x^6")
+    if not _xpow_div(parts[5], 3):
         raise ClassifyError("x^3 does not divide F5 (anisotropic witness applies)")
     aprime, a1, a0 = F.coeff(6, 0), F.coeff(3, 2), F.coeff(0, 4)
-    if not aprime:
-        raise ClassifyError("a2 = 0: leading coefficient vanished")
     disc = a1 * a1 - 4 * aprime * a0
     if disc or aprime < 0 or a0 <= 0:
         raise ClassifyError(

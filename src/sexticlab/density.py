@@ -23,6 +23,7 @@ symmetric F counts in process on a box whose full width would start it.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,6 +57,19 @@ def _mem_bits() -> int:
 
 class DensityError(ValueError):
     pass
+
+
+def _bitmap(N: int) -> mmap.mmap:
+    """A zeroed bitmap of N bits: an anonymous mapping, to be unmapped by a
+    with block.  The OS zero-fills a page only when it is first touched, so
+    resident memory follows the pages values land on, not N."""
+    try:
+        return mmap.mmap(-1, (N + 7) // 8)
+    except (OSError, OverflowError) as exc:
+        raise DensityError(
+            f"cannot map a bitmap of N = {N} bits ({exc}); "
+            "set SEXTIC_SIEVE_MEM below N to count with a set"
+        ) from exc
 
 
 @dataclass
@@ -273,8 +287,14 @@ def _chunk_values(K: IntKernel, columns, lo: int, hi: int) -> set[int]:
 
 
 def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
-    """Count of distinct integer values of F in [N, 2N).  The counter is a
-    bitmap of N bits while N <= SEXTIC_SIEVE_MEM (default 2^31), else a set."""
+    """Count of distinct integer values of F in [N, 2N).  While
+    N <= SEXTIC_SIEVE_MEM (default 2^31) the counter is a bitmap of N bits
+    (mode bitmap) in an anonymous memory mapping, unmapped when the call
+    returns or raises.  Its pages are zero-filled as values first land on
+    them, so resident memory and set-up follow the values, not N; a window
+    dense with values pays one page fault per page it touches.  A mapping
+    that cannot be made is a DensityError.  Above the knob a set counts the
+    values (mode dedup)."""
     if N < 2:
         raise DensityError("N must be >= 2")
     if F.is_zero():
@@ -301,25 +321,47 @@ def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
     nshards = max(1, min(workers * 4, len(columns)))
     shards = [columns[i::nshards] for i in range(nshards)]
 
-    # each absorb returns how many of its values were new, so the running
-    # total is the count and the store is never recounted
-    use_bitmap = N <= _mem_bits()
-    mode = "bitmap" if use_bitmap else "dedup"
-    if use_bitmap:
-        bits = bytearray((N + 7) // 8)
+    K = F.kernel()
 
-        def absorb(values) -> int:
-            added = 0
-            for v in values:
-                k = v - lo
-                i, m = k >> 3, 1 << (k & 7)
-                if not bits[i] & m:
-                    bits[i] |= m
-                    added += 1
-            return added
+    def fill(absorb) -> int:
+        # each absorb returns how many of its values were new, so the running
+        # total is the count and the store is never recounted
+        count = 0
+        if workers > 1 and sum(y1 - y0 + 1 for _, y0, y1 in columns) >= POOL_MIN_POINTS:
+            import concurrent.futures
 
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+                futs = [ex.submit(_chunk_values, K, cols, lo, hi) for cols in shards]
+                for fut in futs:  # shard order, not completion order
+                    count += absorb(fut.result())
+        else:
+            for cols in shards:
+                count += absorb(_chunk_values(K, cols, lo, hi))
+        if not certified:
+            added = absorb(_near_curve_values(F, lo, hi))
+            count += added
+            if added:
+                notes.append(f"{added} values added from curve-family points")
+        return count
+
+    if N <= _mem_bits():
+        mode = "bitmap"
+        with _bitmap(N) as bits:
+
+            def absorb(values) -> int:
+                added = 0
+                for v in values:
+                    k = v - lo
+                    i, m = k >> 3, 1 << (k & 7)
+                    if not bits[i] & m:
+                        bits[i] |= m
+                        added += 1
+                return added
+
+            count = fill(absorb)
     else:
-        notes.append("bitmap budget exceeded; sorted-dedup fallback")
+        mode = "dedup"
+        notes.append("N is above SEXTIC_SIEVE_MEM; a set counts the values")
         allvals = set()
 
         def absorb(values) -> int:
@@ -327,24 +369,7 @@ def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
             allvals.update(values)
             return len(allvals) - before
 
-    K = F.kernel()
-    count = 0
-    if workers > 1 and sum(y1 - y0 + 1 for _, y0, y1 in columns) >= POOL_MIN_POINTS:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(_chunk_values, K, cols, lo, hi) for cols in shards]
-            for fut in futs:  # shard order, not completion order
-                count += absorb(fut.result())
-    else:
-        for cols in shards:
-            count += absorb(_chunk_values(K, cols, lo, hi))
-
-    if not certified:
-        added = absorb(_near_curve_values(F, lo, hi))
-        count += added
-        if added:
-            notes.append(f"{added} values added from curve-family points")
+        count = fill(absorb)
 
     logN = math.log(N)
     return DensityReport(

@@ -391,11 +391,35 @@ def test_mp2_alpha2_zero_dearth():
     assert sq.ok and sq.fixed_x_dearth
 
 
-def test_mp2_completion_rejects_a_heavy_remainder():
-    # x^3 y^3 has weight 9 and lies in none of the a-, b- or c-layers
-    F = parse("(y*(x^2 - y) + x*(x^2 - 2*y))^2 + x^3*y^3")
+def test_mp2_completion_rejects_a_heavy_remainder(monkeypatch):
+    # a core built on x + 1 squares to terms of weight 7 that F lacks
+    class Shifted(BivarPoly):
+        @staticmethod
+        def x():
+            return BivarPoly.x() + 1
+
+    monkeypatch.setattr(classify_mod, "BivarPoly", Shifted)
+    F = parse("(y*(x^2 - y) + x*(x^2 - 2*y))^2")
     with pytest.raises(IdentityError, match="^MP2 square check: remainder has a term"):
         mp2_square_check(F)
+
+
+@pytest.mark.parametrize("normal_form, text", [
+    # F6 = x^6 + x^5 y is not a2 x^6
+    (ecform_normalize, "(y^2 - x^3)^2 + x^5*y"),
+    (ecform_normalize, "(y^2 - x^3)^2 + x^7"),
+    (ecform_normalize, "x^3*y^2 + y^4"),
+    # F6 = x^3 y^2 (x + y) is not x^4 times a quadratic
+    (mp2_square_check, "y^2*(x^4 - 2*x^2*y + y^2) + x^3*y^3"),
+    # x y^4 in F5 has weight 9 and lies in no layer
+    (mp2_square_check, "y^2*(x^4 - 2*x^2*y + y^2) + x*y^4"),
+    (mp2_square_check, "y^2*(x^4 - 2*x^2*y + y^2) + x^7"),
+])
+def test_normal_forms_reject_inputs_outside_their_shape(normal_form, text):
+    # outside its shape a normal form could not keep the weight it promises;
+    # that is the caller's input, not an internal fault
+    with pytest.raises(ClassifyError, match=r"^not an MP[23] normal form: need a sextic"):
+        normal_form(parse(text))
 
 
 def test_mp2_completion_identity():
@@ -732,15 +756,15 @@ def test_square_predicate_matches_numeric():
     assert agree == 100
 
 
-# Each case feeds a normal form a wrong input at a point upstream of its
-# check, on an input whose route is unchanged, and names the error the check
-# raises: IdentityError from classify, ValueError from the weighted-cubic
-# search.
+# Each case corrupts a normal form at a point upstream of its check (a wrong
+# input, or for MP2 a wrong core, since a wrong input fails its shape test),
+# on an input whose route is unchanged, and names the error the check raises:
+# IdentityError from classify, ValueError from the weighted-cubic search.
 NORMAL_FORM_FAULTS = r"""
 import importlib
 from sexticlab.forms import BinaryForm
 from sexticlab.parser import parse
-from sexticlab.poly import IdentityError
+from sexticlab.poly import BivarPoly, IdentityError
 C = importlib.import_module('sexticlab.classify')
 W = importlib.import_module('sexticlab.witness')
 form_div, affine, apply_matrix = C.form_div, C._affine, C.apply_matrix
@@ -756,7 +780,10 @@ def mp1_cubic():
     C.classify(parse('(x^3 + x*y^2 + y^3)^2 + (x^2 + y)*(x^3 + x*y^2 + y^3) + x*y + 7'))
 
 def mp2():
-    heavier('x^3*y^3')
+    # a core built on x + 1 squares to terms of weight 7 that F lacks
+    class Shifted(BivarPoly):
+        x = staticmethod(lambda: BivarPoly.x() + 1)
+    C.BivarPoly = Shifted
     C.classify(parse('y^2*(x^4 - 2*x^2*y + y^2) + x^5'))
 
 def mp3():
@@ -777,6 +804,7 @@ for case, error in ((mp1_cubic, IdentityError), (mp2, IdentityError), (mp3, Iden
             raise
     finally:
         C.form_div, C._affine, C.apply_matrix = form_div, affine, apply_matrix
+        C.BivarPoly = BivarPoly
 """
 
 

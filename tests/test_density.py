@@ -369,6 +369,74 @@ def test_mem_env_var(monkeypatch):
     assert rep.mode == "bitmap"
 
 
+def test_bitmap_heap_does_not_grow_with_n(monkeypatch):
+    # the bitmap is an anonymous mapping, not a Python object: at
+    # N = 2e9 a 250 MB bytearray would sit on the heap, while the mapping
+    # costs nothing there and its resident pages are the few that 153 values
+    # land on
+    import tracemalloc
+
+    F = parse("x^6 + y^6")
+    N = 2 * 10**9
+    monkeypatch.delenv("SEXTIC_SIEVE_MEM", raising=False)
+    tracemalloc.start()
+    try:
+        rep = count_range(F, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.mode == "bitmap" and peak < 10**6
+    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "1")
+    dedup = count_range(F, N)
+    assert dedup.mode == "dedup" and dedup.count == rep.count == 153
+
+
+def _seeded_polys(rng, n):
+    """n polynomials a x^d + b y^d + lower terms, with a, b > 0 and a few
+    lower coefficients, some of them non-integral."""
+    out = []
+    for _ in range(n):
+        d = rng.choice((2, 4))
+        terms = {(d, 0): rng.randint(1, 3), (0, d): Fraction(rng.randint(1, 5), rng.choice((1, 2)))}
+        for _ in range(3):
+            i = rng.randrange(d)
+            j = rng.randrange(d - i)
+            terms[(i, j)] = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+        out.append(BivarPoly(terms))
+    return out
+
+
+def test_bitmap_and_dedup_agree_on_seeded_polynomials(monkeypatch):
+    rng = random.Random(20261020)
+    cases = [(F, 8 * rng.randint(6, 400) + rng.randint(1, 7)) for F in _seeded_polys(rng, 12)]
+    # the window's two ends are values: 25 = 5^2, 49 = 7^2 and, with x and y
+    # odd, (1 + 5^2)/2 = 13 and (1 + 7^2)/2 = 25; neither N is a multiple of 8
+    ends = [(parse("x^2 + y^2"), 25), (parse("1/2*x^2 + 1/2*y^2"), 13)]
+    for F, N in cases + ends:
+        monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(N))
+        a = count_range(F, N)
+        monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(N - 1))
+        b = count_range(F, N)
+        assert (a.mode, b.mode) == ("bitmap", "dedup")
+        assert a.count == b.count == brute_count(F, N, a.box), (F.format(), N)
+    for F, N in ends:
+        assert {N, 2 * N - 1} <= window_values(F, N, count_range(F, N).box)
+
+
+def test_bitmap_that_cannot_be_mapped_is_a_density_error(monkeypatch):
+    def no_mapping(fileno, length):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(density_mod.mmap, "mmap", no_mapping)
+    monkeypatch.delenv("SEXTIC_SIEVE_MEM", raising=False)
+    F, N = parse("x^6 + y^6"), 10**8
+    with pytest.raises(DensityError, match="SEXTIC_SIEVE_MEM below N"):
+        count_range(F, N)
+    # the set counter maps nothing
+    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "1")
+    assert count_range(F, N).mode == "dedup"
+
+
 def test_worker_determinism(monkeypatch):
     # with the pool threshold lowered below the 2,415 to 9,409 orbit points
     # of the quadratics and the quartic (the sextic keeps 36 and counts in
