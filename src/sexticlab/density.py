@@ -16,8 +16,10 @@ every count is exact without a Fraction per point.  It covers one point of
 each orbit of F's symmetry group in the box, not the whole box: the group is
 read exactly off the coefficients (sign changes and swaps of x and y that fix
 F), and the value set, so every count, is the same as the full box's.  The
-process pool starts by the number of points those columns hold, so a
-symmetric F counts in process on a box whose full width would start it.
+columns also leave out the square around the origin on which a bound on
+|F| from its coefficients stays below the window.  The process pool starts
+by the number of points those columns hold, so a symmetric F counts in
+process on a box whose full width would start it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,8 +39,9 @@ DEFAULT_MEM_BITS = 2**31
 
 # count_range runs its --workers process pool only when the orbit columns
 # hold at least this many points; fewer count in process.  For F with a
-# trivial symmetry group the columns are the whole (2M+1)^2 box, so this is a
-# box at least 1024 columns wide.  Measured on a 2-vCPU host,
+# trivial symmetry group the columns are the whole (2M+1)^2 box less the
+# square skipped below the window, so this is a box at least 1024 columns
+# wide.  Measured on a 2-vCPU host,
 # x^2 + x*y + 2*y^2 + 3*x (trivial group), best of 3, one worker against 2:
 #   columns     97      227     573     1273    2537
 #   1 worker    5.0 ms  14 ms   101 ms  573 ms  2.16 s
@@ -222,10 +226,10 @@ def _act(g, x: int, y: int) -> tuple[int, int]:
 
 
 def _symmetries(F: BivarPoly) -> list:
-    """The g in D4 with F o g == F, read off the Fraction coefficients: g
-    sends c x^i y^j to c sx^i sy^j x^j y^i when it swaps, and to
-    c sx^i sy^j x^i y^j otherwise."""
-    terms = F.terms
+    """The g in D4 with F o g == F, read off the stored exact coefficients
+    (int or Fraction): g sends c x^i y^j to c sx^i sy^j x^j y^i when it
+    swaps, and to c sx^i sy^j x^i y^j otherwise."""
+    terms = F._terms
     return [
         (swap, sx, sy) for swap, sx, sy in _D4
         if all(
@@ -235,10 +239,29 @@ def _symmetries(F: BivarPoly) -> list:
     ]
 
 
-def _orbit_columns(F: BivarPoly, M: int) -> list:
+def _below_window_radius(F: BivarPoly, M: int, lo: int) -> int:
+    """h in [0, M + 1] with F < lo on the square max(|x|, |y|) < h.
+
+    With L * F = sum n_ij x^i y^j in integers (BivarPoly.scaled_terms), h is
+    the least integer with sum |n_ij| h^(i+j) >= L * lo, capped at M + 1: at
+    a point with max(|x|, |y|) <= h - 1, |L * F| <= sum |n_ij| (h - 1)^(i+j)
+    < L * lo.  The sum does not decrease in h, so h is found by bisection,
+    and the cap ends the search where the sum never reaches L * lo (a
+    constant below the window).  h = 0 when lo <= 0."""
+    if lo <= 0:
+        return 0
+    L, scaled = F.scaled_terms()
+    return bisect_left(range(M + 1), True,
+                       key=lambda h: sum(abs(n) * h ** (i + j) for i, j, n in scaled) >= L * lo)
+
+
+def _orbit_columns(F: BivarPoly, M: int, lo: int = 0) -> list:
     """[(x, y0, y1)]: the columns of a fundamental domain of F's symmetry
-    group H in the box |x|, |y| <= M, column x covering y0 <= y <= y1.  When H
-    is trivial these are the full box columns, (x, -M, M) for every x.
+    group H in the box |x|, |y| <= M, column x covering y0 <= y <= y1, less
+    the square max(|x|, |y|) < h on which F < lo (h from
+    _below_window_radius; a column through that square keeps its pieces
+    below and above it).  When H is trivial and h = 0 these are the full box
+    columns, (x, -M, M) for every x.
 
     H is the set of g in D4 (the signed permutations) with F o g == F.  The
     octants g(O0), with O0 = {0 <= y <= x} and g in D4, cover the plane, and
@@ -252,6 +275,7 @@ def _orbit_columns(F: BivarPoly, M: int) -> list:
     octant edges), which the value set absorbs.  (One octant per left coset
     gH is not a domain when H is not normal in D4.)
     """
+    h = _below_window_radius(F, M, lo)
     H = _symmetries(F)
     reps, seen = [], set()
     for g in _D4:
@@ -269,25 +293,31 @@ def _orbit_columns(F: BivarPoly, M: int) -> list:
                 if sy < 0:
                     a, b = -b, -a
                 y0, y1 = min(y0, a), max(y1, b)
-        if y0 <= y1:
-            cols.append((x, y0, y1))
+        pieces = [(y0, min(y1, -h)), (max(y0, h), y1)] if abs(x) < h else [(y0, y1)]
+        cols += [(x, a, b) for a, b in pieces if a <= b]
     return cols
 
 
 def _chunk_values(K: IntKernel, columns, lo: int, hi: int) -> set[int]:
     """The distinct integer values of F on the chunk's columns [(x, y0, y1)],
-    restricted to [lo, hi); K is F's integer kernel, so F(x, y) = v / K.D."""
+    restricted to [lo, hi); K is F's integer kernel, so F(x, y) = v / K.D.
+    The window of D * F is the range of multiples of D in [D lo, D hi), so
+    each column is filtered by that range and divided by D once, on the
+    distinct set."""
     D = K.D
-    Dlo, Dhi = D * lo, D * hi
+    window = range(D * lo, D * hi, D).__contains__
     vals = set()
     for x, y0, y1 in columns:
-        ys = range(y0, y1 + 1)
-        vals.update([v // D for v in K.values(x, ys) if Dlo <= v < Dhi and not v % D])
-    return vals
+        vals.update(filter(window, K.values(x, range(y0, y1 + 1))))
+    return vals if D == 1 else {v // D for v in vals}
 
 
 def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
-    """Count of distinct integer values of F in [N, 2N).  While
+    """Count of distinct integer values of F in [N, 2N) on the box of radius
+    M (certified or not), enumerated over the orbit columns of
+    _orbit_columns.  Those skip the square max(|x|, |y|) < h, h <= M + 1 the
+    least integer with sum |n_ij| h^(i+j) >= L * N for L * F = sum n_ij
+    x^i y^j in integers, because F < N there.  While
     N <= SEXTIC_SIEVE_MEM (default 2^31) the counter is a bitmap of N bits
     (mode bitmap) in an anonymous memory mapping, unmapped when the call
     returns or raises.  Its pages are zero-filled as values first land on
@@ -317,7 +347,7 @@ def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
 
     # deterministic shards of the orbit columns; merge order is shard order,
     # so the result is identical for any worker count
-    columns = _orbit_columns(F, M)
+    columns = _orbit_columns(F, M, lo)
     nshards = max(1, min(workers * 4, len(columns)))
     shards = [columns[i::nshards] for i in range(nshards)]
 

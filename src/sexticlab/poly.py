@@ -22,18 +22,21 @@ powers of the x substitute.
 
 BivarPoly.eval sums integer numerators: L * F has integer coefficients (L
 the lcm of the coefficient denominators), so at an integer point the value
-is one integer divided by L.  L and the scaled coefficients are kept on the
-object.
+is one integer divided by L.  L and the scaled coefficients
+(BivarPoly.scaled_terms) are kept on the object.
 
 Enumeration loops and every witness search evaluate through
 BivarPoly.kernel(), the same polynomial compiled once to integer rows of D*F
-(D the lcm of the coefficient denominators).  The kernel has one Horner,
-IntKernel.values (in x on each row, then in y along the column), and a point
-call is a column of one.  When it is built, that Horner is checked against
-exact evaluation on the triangle of points i + j <= deg F (within the x and y
-degrees of F), which fixes a polynomial of those degrees; exact evaluation
-(BivarPoly.eval, which shares no code with the kernel) stays the gate for
-every certificate.
+(D the lcm of the coefficient denominators).  A point call is Horner in x on
+each row, then in y along the column.  IntKernel.values, one column of an
+enumeration box, takes that Horner at the first d + 1 points of a range of
+y (d the column's degree in y) and builds the rest from their forward
+differences: the d-th difference of a degree-d polynomial is constant, so d
+running sums rebuild the column in exact integers.  When the kernel is
+built, IntKernel.values is checked against exact evaluation on the triangle
+of points i + j <= deg F (within the x and y degrees of F), which fixes a
+polynomial of those degrees; exact evaluation (BivarPoly.eval, which shares
+no code with the kernel) stays the gate for every certificate.
 
 A BivarPoly never changes, so the kernel, the scaled coefficients of eval,
 the degrees in x and y and the homogeneous parts (the _parts slot, which
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
 from typing import Tuple
 
@@ -77,6 +81,14 @@ def _powers(b, n: int) -> list:
     for _ in range(n):
         out.append(out[-1] * b)
     return out
+
+
+def _horner(coeffs, t):
+    """The polynomial with the given coefficients, highest power first, at t."""
+    v = 0
+    for c in coeffs:
+        v = v * t + c
+    return v
 
 
 def _dmul(p: dict, q: dict) -> dict:
@@ -117,25 +129,33 @@ class IntKernel:
         self.rows = rows
 
     def values(self, x: int, ys) -> list:
-        """[D * F(x, y) for y in ys], by Horner in x on each row, then in y
-        across the column of row values: one column of an enumeration box."""
-        col = []
-        for row in self.rows:
-            v = 0
-            for c in row:
-                v = v * x + c
-            col.append(v)
-        out = []
-        for y in ys:
-            v = 0
-            for c in col:
-                v = v * y + c
-            out.append(v)
-        return out
+        """[D * F(x, y) for y in ys]: one column of an enumeration box.
+
+        Horner in x on each row gives the column's coefficients in y, of
+        degree d at this x.  When ys is a range longer than d + 1, Horner in
+        y seeds the first d + 1 values and the rest come from their forward
+        differences: the d-th difference of a degree-d polynomial along an
+        arithmetic progression is constant, so d chained running sums of that
+        constant rebuild the column in exact integers.  Other ys take Horner
+        in y at every point."""
+        col = [_horner(row, x) for row in self.rows]
+        d = max(len(col) - 1, 0)
+        while d > 0 and not col[-1 - d]:
+            d -= 1
+        if type(ys) is not range or len(ys) <= d + 1:
+            return [_horner(col, y) for y in ys]
+        table, heads = [_horner(col, y) for y in ys[: d + 1]], []
+        for _ in range(d + 1):
+            heads.append(table[0])
+            table = [b - a for a, b in zip(table, table[1:])]
+        out = repeat(heads[d], len(ys) - d)
+        for h in reversed(heads[:d]):
+            out = accumulate(out, initial=h)
+        return list(out)
 
     def __call__(self, x: int, y: int) -> int:
-        """D * F(x, y)."""
-        return self.values(x, (y,))[0]
+        """D * F(x, y), by Horner in x on each row, then in y."""
+        return _horner([_horner(row, x) for row in self.rows], y)
 
 
 def _kernel_rows(terms: Mapping[Term, Fraction], D: int) -> tuple:
@@ -329,11 +349,7 @@ class BivarPoly:
         The powers of x and y are taken once per call, in integers where the
         argument is integral, so at an integer point the sum is taken in
         integers and divided by L once, at the end."""
-        if self._scaled is None:
-            L = lcm(*(c.denominator for c in self._terms.values()))
-            self._scaled = (L, [(i, j, c.numerator * (L // c.denominator))
-                                for (i, j), c in self._terms.items()])
-        L, scaled = self._scaled
+        L, scaled = self.scaled_terms()
         dx, dy = self._degrees()
         xp = _powers(x if type(x) is int else _int_or_rat(x), dx)
         yp = _powers(y if type(y) is int else _int_or_rat(y), dy)
@@ -341,6 +357,15 @@ class BivarPoly:
         for i, j, n in scaled:
             total += n * (xp[i] * yp[j])
         return Fraction(total, L)
+
+    def scaled_terms(self) -> tuple[int, list]:
+        """(L, [(i, j, n_ij)]): L the lcm of the coefficient denominators and
+        n_ij = L * c_ij the integer coefficients of L * F, taken once."""
+        if self._scaled is None:
+            L = lcm(*(c.denominator for c in self._terms.values()))
+            self._scaled = (L, [(i, j, c.numerator * (L // c.denominator))
+                                for (i, j), c in self._terms.items()])
+        return self._scaled
 
     def kernel(self) -> IntKernel:
         """The integer kernel of self, compiled and checked on first use.
@@ -369,7 +394,8 @@ class BivarPoly:
             for x in range(dx + 1):
                 ys = range(min(dy, d - x) + 1)
                 for y, v in zip(ys, K.values(x, ys)):
-                    if v != D * self.eval(x, y):
+                    e = self.eval(x, y)
+                    if v * e.denominator != D * e.numerator:
                         raise KernelMismatchError(
                             f"kernel of {self.format()} disagrees at ({x}, {y})"
                         )

@@ -16,6 +16,8 @@ it only appears in reported ratios.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mul, truediv
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -270,7 +272,14 @@ def weighted_cubic_sign_search(F: BivarPoly, Nmax: int = 10**9) -> Witness:
 
 def growth_diagnostic(F: BivarPoly, delta: Fraction, box: int = 200) -> Witness:
     """Empirical box scan of F(x,y) / max(|x|,|y|)^(1+delta).  Diagnostic
-    only: ratios are floats and nothing is certified."""
+    only: ratios are floats and nothing is certified.
+
+    The scan runs column by column, x then y ascending, and keeps the first
+    least ratio, leaving out the origin.  A column's ratios are
+    scale * (v / D) / m^(1+delta), v / D the correctly rounded float of
+    F(x, y) and m^(1+delta) read from a table over m = 0..box, taken by map
+    over the column.  A column with a value beyond the float range takes it
+    as +-inf, point by point."""
     delta = _rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -279,19 +288,23 @@ def growth_diagnostic(F: BivarPoly, delta: Fraction, box: int = 200) -> Witness:
     K = F.kernel()
     D = K.D
     span = range(-box, box + 1)
+    powers = [m ** expo for m in range(box + 1)]
     best = None
     for x in span:
-        for y, v in zip(span, K.values(x, span)):
-            if not x and not y:
-                continue
-            # int / int is correctly rounded, so v / D == float(F(x, y))
-            try:
-                value = v / D
-            except OverflowError:  # beyond the float range
-                value = math.inf if v > 0 else -math.inf
-            ratio = scale * value / (max(abs(x), abs(y)) ** expo)
-            if best is None or ratio < best[0]:
-                best = (ratio, x, y, v)
+        # the column's max(|x|, |y|)^expo for y in span
+        tail = powers[abs(x) + 1 :]
+        dens = tail[::-1] + [powers[abs(x)]] * (2 * abs(x) + 1) + tail
+        vals, ys = K.values(x, span), span
+        if not x:  # leave out the origin
+            del vals[box], dens[box]
+            ys = [*span[:box], *span[box + 1 :]]
+        try:
+            ratios = list(map(truediv, map(mul, repeat(scale), map(truediv, vals, repeat(D))), dens))
+        except OverflowError:  # a value beyond the float range
+            ratios = [scale * _float_or_inf(v, D) / p for v, p in zip(vals, dens)]
+        k = ratios.index(min(ratios))
+        if best is None or ratios[k] < best[0]:
+            best = (ratios[k], x, ys[k], vals[k])
     ratio, x, y, v = best
     return Witness(
         "dearth-diagnostic",
@@ -300,6 +313,15 @@ def growth_diagnostic(F: BivarPoly, delta: Fraction, box: int = 200) -> Witness:
         note=f"min ratio {ratio:.6g} at ({x},{y}); empirical, not a proof",
         extra={"delta": delta, "min_ratio": f"{ratio:.6g}", "box": box},
     )
+
+
+def _float_or_inf(v: int, D: int) -> float:
+    """v / D as a float, +-inf beyond the float range (int / int is correctly
+    rounded, so v / D == float(F(x, y)))."""
+    try:
+        return v / D
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 # -- elliptic-curve point families against the completed square ---------------

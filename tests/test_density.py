@@ -472,8 +472,11 @@ def test_pool_starts_only_for_wide_boxes(monkeypatch):
         raise PoolStarted
 
     def orbit_points(F, N):
+        # box columns, points on the orbit columns less the skipped square, h
         M = certified_box(F, 2 * N)[0]
-        return 2 * M + 1, sum(y1 - y0 + 1 for _, y0, y1 in density_mod._orbit_columns(F, M))
+        columns = density_mod._orbit_columns(F, M, N)
+        return 2 * M + 1, sum(y1 - y0 + 1 for _, y0, y1 in columns), \
+            density_mod._below_window_radius(F, M, N)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     F = parse("x^2 + y^2")
@@ -482,19 +485,24 @@ def test_pool_starts_only_for_wide_boxes(monkeypatch):
     assert 2 * rep.box + 1 == 157
     assert rep.to_json_obj() == count_range(F, 3000).to_json_obj()
     # the pool starts by the points of the orbit columns, not the box width:
-    # F's group of order 8 keeps 141,246 of the 1061^2 points at N = 140000
-    columns, points = orbit_points(F, 140000)
+    # F's group of order 8 and the square max(|x|, |y|) < 265 leave 106,001
+    # of the 1061^2 points at N = 140000, and 1,052,947 of 3349^2 at 1400000
+    columns, points, _h = orbit_points(F, 140000)
     assert columns >= 1024 and points < density_mod.POOL_MIN_POINTS
     assert count_range(F, 140000, workers=2).to_json_obj() == count_range(F, 140000).to_json_obj()
-    assert orbit_points(F, 1100000)[1] >= density_mod.POOL_MIN_POINTS
+    assert orbit_points(F, 1400000)[1] >= density_mod.POOL_MIN_POINTS
     with pytest.raises(PoolStarted):
-        count_range(F, 1100000, workers=2)
-    # with a trivial group the columns are the whole box: 1024 columns start it
+        count_range(F, 1400000, workers=2)
+    # with a trivial group the columns are the whole box less the square of
+    # side 2h - 1: 1067 columns start it at N = 70000, and 1051 do not at 68000
     G = parse("x^2 + x*y + 2*y^2 + 3*x")
-    columns, points = orbit_points(G, 140000)
-    assert points == columns**2 >= density_mod.POOL_MIN_POINTS
+    columns, points, h = orbit_points(G, 70000)
+    assert points == columns**2 - (2 * h - 1) ** 2 >= density_mod.POOL_MIN_POINTS
+    assert columns == 1067
     with pytest.raises(PoolStarted):
-        count_range(G, 140000, workers=2)
+        count_range(G, 70000, workers=2)
+    columns, points, h = orbit_points(G, 68000)
+    assert points == columns**2 - (2 * h - 1) ** 2 < density_mod.POOL_MIN_POINTS <= columns**2
 
 
 @pytest.mark.parametrize(
@@ -648,6 +656,53 @@ def test_orbit_domain_matches_full_box(text, N, extra):
     if rep.certified:
         M, _c = certified_box(F, N)
         assert distinct_values_up_to(F, N) == len(full_box_values(F, M, lambda v: v <= N))
+
+
+def _square_cases():
+    """(F, N) with N at the edge of the skipped square: L * N at and just
+    past the bound sum |n_ij| h^(i+j) for small h, on seeded definite
+    polynomials with rational coefficients, on inputs whose box is not
+    certified, and on constants below and in the window."""
+    rng = random.Random(3434)
+    polys = _seeded_polys(rng, 6) + [parse(t) for t in (
+        "x^6 + y^6", "1/2*x^6 + 1/3*y^6 + x*y - 5", "x^6 + x^2*y^3", "x^4 - 2*y^4 + x*y")]
+    cases = [(parse("7"), 50), (parse("7/2"), 2), (parse("60"), 50)]
+    for F in polys:
+        L, scaled = F.scaled_terms()
+        for h in (1, 2, 3, 4, rng.randint(5, 9)):
+            t = sum(abs(n) * h ** (i + j) for i, j, n in scaled)
+            cases += [(F, max(2, t // L)), (F, t // L + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("F, N", _square_cases())
+def test_skipped_square_keeps_every_window_value(F, N):
+    rep = count_range(F, N)
+    M = rep.box
+    h = density_mod._below_window_radius(F, M, N)
+    assert 0 <= h <= M + 1
+    # F < N at every point of the skipped square
+    inner = range(1 - h, h)
+    assert all(F.eval(x, y) < N for x in inner for y in inner)
+    # the count is the whole box's
+    ref = full_box_values(F, M, lambda v: N <= v < 2 * N)
+    if not rep.certified:
+        ref |= set(density_mod._near_curve_values(F, N, 2 * N))
+    assert rep.count == len(ref)
+
+
+def test_skipped_square_radius():
+    # h is the least radius whose coefficient bound reaches L * N, capped at
+    # M + 1, and 0 for a window at or below 0
+    F = parse("x^6 + y^6")  # L = 1, sum |n_ij| h^(i+j) = 2 h^6
+    assert [density_mod._below_window_radius(F, 100, N) for N in (2, 128, 129, 130)] == [1, 2, 3, 3]
+    assert density_mod._below_window_radius(F, 10, 10**12) == 11
+    assert density_mod._below_window_radius(F, 10, 0) == 0
+    # a constant below the window: the bound never reaches it, so the cap
+    # skips the whole box
+    assert density_mod._below_window_radius(parse("7"), 1, 50) == 2
+    assert density_mod._below_window_radius(parse("60"), 1, 50) == 0
+    assert density_mod._orbit_columns(parse("7"), 1, 50) == []
 
 
 # -- growth exponent ----------------------------------------------------------

@@ -405,6 +405,28 @@ def test_kernel_call_matches_column_values(F, a, ys):
         assert col == [K(x, y) for y in ys]
 
 
+# columns whose degree in y drops at some x (the top row of
+# x^2*y^4 + x^6 + 1 vanishes at x = 0), constants and the zero polynomial
+column_polys = st.one_of(
+    sextic_polys,
+    st.sampled_from(["x^2*y^4 + x^6 + 1", "1/3*x*y^6 - 2*y + 3", "5", "-7/3", "0"]).map(parse),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(column_polys, st.integers(-6, 6), coords, st.sampled_from([1, 2, -1, -3]))
+@example(parse("x^2*y^4 + x^6 + 1"), 0, -4, 1)
+@example(parse("1/3*x*y^6 - 2*y + 3"), 0, 5, -1)
+@example(parse("0"), 3, 0, 1)
+def test_kernel_values_on_a_range_match_fraction_eval(F, x, a, step):
+    # a range column takes Horner at its first d + 1 points and differences
+    # after them; lengths 0..3 deg + 2 run both sides of that switch
+    K = F.kernel()
+    for n in range(3 * max(F.degree(), 0) + 3):
+        ys = range(a, a + n * step, step)
+        assert K.values(x, ys) == [K.D * F.eval(x, y) for y in ys], (F, x, ys)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.one_of(small_ref_dicts, ref_dicts),
        st.integers(-5, 5), st.integers(-5, 5), small_rats)

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sexticlab import unipoly as up
+from sexticlab import _seeds, unipoly as up
 from sexticlab.classify import classify, ecform_normalize, f40_layers
 from sexticlab.forms import decompose, real_roots
 from sexticlab.parser import parse
@@ -418,6 +419,64 @@ def test_growth_diagnostic_past_float_range(expr, ratio):
     assert w.extra["min_ratio"] == ratio
     x, y, v = w.points[0]
     assert v == F.eval(x, y)
+
+
+def _ref_growth_diagnostic(F, delta, box=200):
+    """growth_diagnostic as a per-point loop, kept as the oracle of its
+    column-by-column scan: the same float operations in the same order."""
+    delta = _rat(delta)
+    expo = 1 + float(delta)
+    scale = _seeds.get("diagnostic_scale")
+    K = F.kernel()
+    D = K.D
+    span = range(-box, box + 1)
+    best = None
+    for x in span:
+        for y, v in zip(span, K.values(x, span)):
+            if not x and not y:
+                continue
+            try:
+                value = v / D
+            except OverflowError:
+                value = math.inf if v > 0 else -math.inf
+            ratio = scale * value / (max(abs(x), abs(y)) ** expo)
+            if best is None or ratio < best[0]:
+                best = (ratio, x, y, v)
+    ratio, x, y, v = best
+    return Witness(
+        "dearth-diagnostic",
+        "growth-bound",
+        [(x, y, Fraction(v, D))],
+        note=f"min ratio {ratio:.6g} at ({x},{y}); empirical, not a proof",
+        extra={"delta": delta, "min_ratio": f"{ratio:.6g}", "box": box},
+    )
+
+
+def _growth_cases():
+    rng = random.Random(3412)
+    texts = [
+        "x^2 + y^2", "x^4 + y^4", "3", "0", "x*y",  # ties across and within columns
+        "x^174 + y^2", "y^2 - 10^310*x^2",  # every |x| >= 60, or every x != 0, overflows
+        "10^306*x^4 - y^2",  # only the wide columns overflow
+        "x^2 - y",  # the least ratio at (0, 1), past the left-out origin
+    ]
+    for _ in range(8):  # seeded non-sextics with rational coefficients
+        terms = {(rng.randint(0, 5), rng.randint(0, 5)): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 6))}
+        F = BivarPoly(terms)
+        if F.degree() != 6:
+            texts.append(F.format())
+    return texts
+
+
+@pytest.mark.parametrize("box", [1, 2, 60])
+@pytest.mark.parametrize("expr", _growth_cases())
+def test_growth_diagnostic_matches_point_loop(expr, box):
+    F = parse(expr)
+    for delta in (Fraction(1), Fraction(1, 3)):
+        assert growth_diagnostic(F, delta, box=box) == _ref_growth_diagnostic(F, delta, box=box)
+        with _seeds.perturbed():
+            assert growth_diagnostic(F, delta, box=box) == _ref_growth_diagnostic(F, delta, box=box)
 
 
 # -- elliptic families --------------------------------------------------------
