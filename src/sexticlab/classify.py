@@ -153,9 +153,7 @@ def unimodular_matrix_for(ell: BinaryForm) -> list[list[int]]:
     m11, m21 = old_s, old_t
     # family: (m11 - t*b, m21 + t*a); minimize the max-norm
     best = None
-    t0 = 0
-    if a or b:
-        t0 = round((m11 * b - m21 * a) / (a * a + b * b))
+    t0 = round((m11 * b - m21 * a) / (a * a + b * b))
     for dt in range(-3, 4):
         tt = t0 + dt
         c1, c2 = m11 - tt * b, m21 + tt * a

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +34,10 @@ from .poly import BivarPoly, IntKernel
 from .forms import BinaryForm, decompose, definiteness
 from . import unipoly as up
 
-DEFAULT_MEM_BITS = 2**31
+# count_range counts on a bitmap while N is at most this many bits (a
+# mapping of at most 2^28 bytes, 256 MiB of address space), and with a set
+# above it.
+BITMAP_MAX_BITS = 2**31
 
 # count_range runs its --workers process pool only when the orbit columns
 # hold at least this many points; fewer count in process.  For F with a
@@ -49,16 +51,6 @@ DEFAULT_MEM_BITS = 2**31
 POOL_MIN_POINTS = 1024**2
 
 
-def _mem_bits() -> int:
-    v = os.environ.get("SEXTIC_SIEVE_MEM")
-    if not v:
-        return DEFAULT_MEM_BITS
-    try:
-        return int(v)
-    except ValueError:
-        raise DensityError(f"SEXTIC_SIEVE_MEM must be an integer, got {v!r}") from None
-
-
 class DensityError(ValueError):
     pass
 
@@ -69,11 +61,8 @@ def _bitmap(N: int) -> mmap.mmap:
     resident memory follows the pages values land on, not N."""
     try:
         return mmap.mmap(-1, (N + 7) // 8)
-    except (OSError, OverflowError) as exc:
-        raise DensityError(
-            f"cannot map a bitmap of N = {N} bits ({exc}); "
-            "set SEXTIC_SIEVE_MEM below N to count with a set"
-        ) from exc
+    except OSError as exc:
+        raise DensityError(f"cannot map a bitmap of N = {N} bits ({exc})") from exc
 
 
 @dataclass
@@ -318,13 +307,13 @@ def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
     _orbit_columns.  Those skip the square max(|x|, |y|) < h, h <= M + 1 the
     least integer with sum |n_ij| h^(i+j) >= L * N for L * F = sum n_ij
     x^i y^j in integers, because F < N there.  While
-    N <= SEXTIC_SIEVE_MEM (default 2^31) the counter is a bitmap of N bits
-    (mode bitmap) in an anonymous memory mapping, unmapped when the call
-    returns or raises.  Its pages are zero-filled as values first land on
-    them, so resident memory and set-up follow the values, not N; a window
-    dense with values pays one page fault per page it touches.  A mapping
-    that cannot be made is a DensityError.  Above the knob a set counts the
-    values (mode dedup)."""
+    N <= BITMAP_MAX_BITS (2^31) the counter is a bitmap of N bits (mode
+    bitmap) in an anonymous memory mapping of up to 256 MiB, unmapped when
+    the call returns or raises.  Its pages are zero-filled as values first
+    land on them, so resident memory and set-up follow the values, not N; a
+    window dense with values pays one page fault per page it touches.  A
+    mapping that cannot be made is a DensityError.  Above 2^31 a set counts
+    the values (mode dedup)."""
     if N < 2:
         raise DensityError("N must be >= 2")
     if F.is_zero():
@@ -374,7 +363,7 @@ def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
                 notes.append(f"{added} values added from curve-family points")
         return count
 
-    if N <= _mem_bits():
+    if N <= BITMAP_MAX_BITS:
         mode = "bitmap"
         with _bitmap(N) as bits:
 
@@ -391,7 +380,6 @@ def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
             count = fill(absorb)
     else:
         mode = "dedup"
-        notes.append("N is above SEXTIC_SIEVE_MEM; a set counts the values")
         allvals = set()
 
         def absorb(values) -> int:

@@ -33,7 +33,7 @@ class EllipticCurve:
         return -16 * (4 * self.A**3 + 27 * self.B**2)
 
     def contains(self, P) -> bool:
-        if P is INFINITY:
+        if P.infinite:
             return True
         x, y = P.x, P.y
         return y * y == x**3 + self.A * x + self.B
@@ -76,9 +76,9 @@ def ec_add(E: EllipticCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     for pt in (P, Q):
         if not E.contains(pt):
             raise CurveError(f"point {pt} is not on the curve")
-    if P is INFINITY or P.infinite:
+    if P.infinite:
         return Q
-    if Q is INFINITY or Q.infinite:
+    if Q.infinite:
         return P
     if P.x == Q.x:
         if P.y == -Q.y:

@@ -413,23 +413,6 @@ def test_density_bad_bound_or_mode_exit_2(capsys, argv, message):
     assert out == "" and message in err and "Traceback" not in err
 
 
-def test_density_malformed_mem_env(monkeypatch, capsys):
-    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "lots")
-    code, _, err = run(capsys, "density", "--poly", "x^2 + y^2", "--bound", "100")
-    assert code == EXIT_INPUT
-    assert err.startswith("error: SEXTIC_SIEVE_MEM") and "'lots'" in err
-
-
-def test_density_bitmap_beyond_address_space_exit_2(monkeypatch, capsys):
-    # (N + 7) // 8 bytes do not fit a C ssize_t, so mmap raises OverflowError
-    # before it asks the OS for anything
-    N = 16 * sys.maxsize
-    monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(N))
-    code, out, err = run(capsys, "density", "--poly", "x^6 + y^6", "--bound", str(N))
-    assert code == EXIT_INPUT and out == ""
-    assert err.startswith("error: cannot map a bitmap") and "SEXTIC_SIEVE_MEM" in err
-
-
 def test_density_bad_ladder(capsys):
     code, _, _ = run(
         capsys, "density", "--poly", "x^2 + y^2", "--ladder", "10,zz"

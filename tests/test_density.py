@@ -25,7 +25,7 @@ from sexticlab.density import (
     stanley_probe,
     _lower_abs_sum,
 )
-from sexticlab import unipoly as up
+from sexticlab import cli, unipoly as up
 from sexticlab.forms import BinaryForm
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
@@ -329,8 +329,8 @@ def test_count_rational_coefficients_match_fraction_oracle(monkeypatch):
     # D = 6: the kernel keeps a value only where 6 divides 6*F(x, y)
     F = parse("1/2*x^2 + 1/3*y^2 + 1/6*x*y + 1/2*x")
     for N in (20, 301):
-        for mem_bits in (10**6, 1):
-            monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(mem_bits))
+        for max_bits in (10**6, 1):
+            monkeypatch.setattr(density_mod, "BITMAP_MAX_BITS", max_bits)
             rep = count_range(F, N)
             assert rep.certified
             assert rep.count == brute_count(F, N, rep.box)
@@ -352,21 +352,32 @@ def test_count_rejects_tiny_n_and_zero_poly():
 def test_bitmap_and_dedup_agree(monkeypatch):
     F = parse("x^2 + 2*y^2 + x")
     N = 400
-    monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(10**9))
+    monkeypatch.setattr(density_mod, "BITMAP_MAX_BITS", 10**9)
     a = count_range(F, N)
-    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "1")  # forces the set-based dedup fallback
+    monkeypatch.setattr(density_mod, "BITMAP_MAX_BITS", 1)  # forces the set-based dedup store
     b = count_range(F, N)
     assert a.mode == "bitmap" and b.mode == "dedup"
     assert a.count == b.count
 
 
-def test_mem_env_var(monkeypatch):
-    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "1")
-    rep = count_range(parse("x^2 + y^2"), 100)
-    assert rep.mode == "dedup"
-    monkeypatch.delenv("SEXTIC_SIEVE_MEM")
-    rep = count_range(parse("x^2 + y^2"), 100)
-    assert rep.mode == "bitmap"
+def test_mem_env_var(monkeypatch, capsys):
+    # the store is picked from N alone: a bitmap up to 2^31 bits, a set above
+    F = parse("x^6 + y^6")
+    for N, mode, count, box in ((2**31, "bitmap", 178, 41), (2**31 + 1, "dedup", 177, 41)):
+        rep = count_range(F, N)
+        assert (rep.mode, rep.count, rep.box, rep.notes) == (mode, count, box, [])
+        assert rep.count == len(window_values(F, N, rep.box))
+    # SEXTIC_SIEVE_MEM once moved that switch; no value of it changes a byte
+    outputs = []
+    for value in ("1", "lots", None):
+        if value is None:
+            monkeypatch.delenv("SEXTIC_SIEVE_MEM", raising=False)
+        else:
+            monkeypatch.setenv("SEXTIC_SIEVE_MEM", value)
+        assert cli.main(["density", "--poly", "x^2 + y^2", "--bound", "100"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[0])["mode"] == "bitmap"
+    assert outputs == outputs[:1] * 3
 
 
 def test_bitmap_heap_does_not_grow_with_n(monkeypatch):
@@ -378,7 +389,6 @@ def test_bitmap_heap_does_not_grow_with_n(monkeypatch):
 
     F = parse("x^6 + y^6")
     N = 2 * 10**9
-    monkeypatch.delenv("SEXTIC_SIEVE_MEM", raising=False)
     tracemalloc.start()
     try:
         rep = count_range(F, N)
@@ -386,7 +396,7 @@ def test_bitmap_heap_does_not_grow_with_n(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.mode == "bitmap" and peak < 10**6
-    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "1")
+    monkeypatch.setattr(density_mod, "BITMAP_MAX_BITS", 1)
     dedup = count_range(F, N)
     assert dedup.mode == "dedup" and dedup.count == rep.count == 153
 
@@ -413,9 +423,9 @@ def test_bitmap_and_dedup_agree_on_seeded_polynomials(monkeypatch):
     # odd, (1 + 5^2)/2 = 13 and (1 + 7^2)/2 = 25; neither N is a multiple of 8
     ends = [(parse("x^2 + y^2"), 25), (parse("1/2*x^2 + 1/2*y^2"), 13)]
     for F, N in cases + ends:
-        monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(N))
+        monkeypatch.setattr(density_mod, "BITMAP_MAX_BITS", N)
         a = count_range(F, N)
-        monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(N - 1))
+        monkeypatch.setattr(density_mod, "BITMAP_MAX_BITS", N - 1)
         b = count_range(F, N)
         assert (a.mode, b.mode) == ("bitmap", "dedup")
         assert a.count == b.count == brute_count(F, N, a.box), (F.format(), N)
@@ -428,12 +438,11 @@ def test_bitmap_that_cannot_be_mapped_is_a_density_error(monkeypatch):
         raise OSError(12, "Cannot allocate memory")
 
     monkeypatch.setattr(density_mod.mmap, "mmap", no_mapping)
-    monkeypatch.delenv("SEXTIC_SIEVE_MEM", raising=False)
     F, N = parse("x^6 + y^6"), 10**8
-    with pytest.raises(DensityError, match="SEXTIC_SIEVE_MEM below N"):
+    with pytest.raises(DensityError, match="cannot map a bitmap of N = 100000000 bits"):
         count_range(F, N)
     # the set counter maps nothing
-    monkeypatch.setenv("SEXTIC_SIEVE_MEM", "1")
+    monkeypatch.setattr(density_mod, "BITMAP_MAX_BITS", 1)
     assert count_range(F, N).mode == "dedup"
 
 
@@ -452,8 +461,8 @@ def test_worker_determinism(monkeypatch):
         (parse("2*x^2 + x + 2*y^2"), 2000),
         (parse("x^4 + y^4 + x^2*y"), 600000),
     )
-    for mem_bits, mode in ((10**6, "bitmap"), (1, "dedup")):
-        monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(mem_bits))
+    for max_bits, mode in ((10**6, "bitmap"), (1, "dedup")):
+        monkeypatch.setattr(density_mod, "BITMAP_MAX_BITS", max_bits)
         for F, N in cases:
             base = count_range(F, N, workers=1).to_json_obj()
             assert base["mode"] == mode
@@ -544,8 +553,8 @@ def test_curve_family_merge_counts_only_new_values(monkeypatch):
         monkeypatch.setattr(density_mod, "_near_curve_values", lambda F, lo, hi: list(extra))
         added = len(set(extra) - in_box)
         notes = [f"{added} values added from curve-family points"] if added else []
-        for mem_bits in (10**6, 1):
-            monkeypatch.setenv("SEXTIC_SIEVE_MEM", str(mem_bits))
+        for max_bits in (10**6, 1):
+            monkeypatch.setattr(density_mod, "BITMAP_MAX_BITS", max_bits)
             rep = count_range(F, N)
             assert not rep.certified and rep.box == box
             assert rep.count == len(in_box | set(extra))

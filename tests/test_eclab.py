@@ -81,6 +81,21 @@ def test_group_law_basics():
     assert ec_add(E, Q, ec_neg(P)) == P  # (2P) - P = P
 
 
+def test_every_infinite_point_is_the_identity():
+    # a point built with infinite=True, or copied from INFINITY, is equal to
+    # INFINITY and must act as it does, not only the INFINITY object itself
+    import copy
+
+    E = curve(1, 1)
+    P = CurvePoint(0, 1)
+    for O in (CurvePoint(infinite=True), copy.copy(INFINITY), copy.deepcopy(INFINITY)):
+        assert O is not INFINITY and O == INFINITY
+        assert E.contains(O)
+        assert ec_add(E, O, P) == P and ec_add(E, P, O) == P
+        assert ec_add(E, O, O) == INFINITY
+        assert ec_mul(E, O, 5) == INFINITY
+
+
 def test_mul_consistency():
     E = curve(1, 1)
     P = CurvePoint(0, 1)
