@@ -443,10 +443,19 @@ def distinct_values_up_to(F: BivarPoly, N: int) -> int:
 
 def growth_exponent(F: BivarPoly, Ns: list) -> dict:
     """Least-squares slope of log(count of distinct values <= N) vs log N;
-    certified_box rejects a leading form that is not positive definite."""
+    certified_box rejects a leading form that is not positive definite.
+    Both logs must exist and the log N must not all be equal, so an N below
+    1, a repeated N and an N with no value of F up to it are errors."""
     if len(Ns) < 3:
         raise DensityError("need at least 3 ladder points")
+    if len(set(Ns)) != len(Ns):
+        raise DensityError(f"repeated N in the ladder: {sorted(Ns)}")
+    if min(Ns) < 1:
+        raise DensityError(f"every N in the ladder must be >= 1: {sorted(Ns)}")
     rows = [(N, distinct_values_up_to(F, N)) for N in sorted(Ns)]
+    for N, cnt in rows:
+        if not cnt:
+            raise DensityError(f"F takes no value <= {N}, so log(count) is undefined")
     xs = [math.log(N) for N, _ in rows]
     ys = [math.log(cnt) for _, cnt in rows]
     n = len(xs)

@@ -351,30 +351,34 @@ def _gap_ratio(gap: int, x: int) -> float:
 # The longest block of hall_scan, a power of two: one packed evaluation
 # tests up to this many x
 _HALL_BLOCK = 1024
-# per block length H: the packed powers (P0, P1, P2, P3), built on first use
+# per block length H: the packs (P0, P1, P2, Q3, P0 << w), built on first use
 _HALL_PACKS: dict = {}
-# byte -> its lowest bit
-_LOW_BIT = bytes(i & 1 for i in range(256))
 
 
 def _hall_layout(H: int) -> tuple[int, int]:
     """(w, F) for a block of H = 2^k x: w >= 3k + 17 fraction bits, so that
     the rounding error 2 H^3 is at most 2^(w-16), and fields of
-    F >= w + 3k + 2 bits, so that no field carries into the next.  Both are
-    multiples of 8, so every field starts on a byte."""
+    F >= w + k + 3 bits, which hold every field content with the carry
+    constant added (see hall_scan).  Both are multiples of 8."""
     k = H.bit_length() - 1
     w = (3 * k + 24) // 8 * 8
-    return w, (w + 3 * k + 9) // 8 * 8
+    return w, (w + k + 10) // 8 * 8
 
 
-def _hall_packs(H: int) -> tuple[int, int, int, int]:
-    """P_i = sum of h^i 2^(F h) over 0 <= h < H, for i = 0..3."""
+def _hall_packs(H: int) -> tuple[int, int, int, int, int]:
+    """(P0, P1, P2, Q3, P0 << w): P_i = sum of h^i 2^(F h) and
+    Q3 = sum of (H^3 - h^3) 2^(F h) over 0 <= h < H."""
     packs = _HALL_PACKS.get(H)
     if packs is None:
-        n = _hall_layout(H)[1] // 8
-        packs = _HALL_PACKS[H] = tuple(
-            int.from_bytes(b"".join((h**i).to_bytes(n, "little") for h in range(H)), "little")
-            for i in range(4))
+        w, F = _hall_layout(H)
+
+        def pack(fields):
+            return int.from_bytes(b"".join(t.to_bytes(F // 8, "little") for t in fields),
+                                  "little")
+
+        P0 = pack([1] * H)
+        packs = _HALL_PACKS[H] = (P0, pack(range(H)), pack(h * h for h in range(H)),
+                                  pack(H**3 - h**3 for h in range(H)), P0 << w)
     return packs
 
 
@@ -390,44 +394,59 @@ def _hall_block_len(a: int, room: int) -> int:
     return H
 
 
-def _hall_block(a: int, H: int, p: int, q: int):
+def _hall_slack(a: int, H: int, p: int, q: int) -> int:
+    """E (see hall_scan) of a block of length H at a, for threshold p/q;
+    each of its three terms decreases as a grows."""
+    w = _hall_layout(H)[0]
+    return (-(-(p << w) // (q * (2 * a - 1)))  # eta
+            - (-(3 * H**4 << w) // (128 * a * a * isqrt(a)))  # Taylor remainder
+            + 2 * H**3)  # coefficient rounding
+
+
+def _hall_block(a: int, H: int, E: int, carry: int) -> list[int]:
     """The x = a + h in [a, a + H) whose S_h lies within E of a multiple of
-    2^w (see hall_scan), found for all h at once; all of them when
-    2E >= 2^w."""
+    2^w (see hall_scan), found for all h at once; carry is (2^w - 2E - 1) P0."""
     w, F = _hall_layout(H)
-    u = 1 << w
-    E = (-(-(p << w) // (q * (2 * a - 1)))  # eta
-         - (-(3 * H**4 << w) // (128 * a * a * isqrt(a)))  # Taylor remainder
-         + 2 * H**3)  # coefficient rounding
-    if 2 * E >= u:
-        return range(a, a + H)
     K = w + a.bit_length() + 1
     r = isqrt(a << 2 * K)
-    m = u - 1
-    P0, P1, P2, P3 = _hall_packs(H)
-    X = ((((3 * r) >> (K + 1 - w)) & m) * P1
-         + (((3 << (K + w)) // (8 * r)) & m) * P2
-         + ((-(1 << (K + w)) // (16 * a * r)) & m) * P3)
-    c = (((a * r) >> (K - w)) + E) & m
+    m = (1 << w) - 1
+    P0, P1, P2, Q3, Mw = _hall_packs(H)
+    n3 = -(-(1 << (K + w)) // (16 * a * r))  # -A3
+    S = ((((3 * r) >> (K + 1 - w)) & m) * P1
+         + ((3 << (K + w)) // (8 * r)) * P2
+         + n3 * Q3
+         + ((((a * r) >> (K - w)) + E - n3 * H**3) & m) * P0)
     # field h of S is t = S_h + E mod 2^w plus a multiple of 2^w; adding
-    # 2^w - 2E - 1 to it carries into bit w exactly when t > 2E
-    S = X + c * P0
-    carries = (X + (c + u - 2 * E - 1) * P0) ^ S
-    flags = carries.to_bytes(H * F // 8, "little")[w // 8::F // 8].translate(_LOW_BIT)
+    # 2^w - 2E - 1 to it carries into bit w exactly when t > 2E, so the
+    # set bits of kept sit at F h + w for the h that stay
+    kept = (((S + carry) ^ S) & Mw) ^ Mw
     out = []
-    h = flags.find(0)
-    while h >= 0:
-        out.append(a + h)
-        h = flags.find(0, h + 1)
+    while kept:
+        top = kept.bit_length() - 1
+        out.append(a + top // F)
+        kept ^= 1 << top
+    out.reverse()
     return out
 
 
 def _hall_candidates(a: int, b: int, p: int, q: int):
     """The x in [a, b), in order, that the packed test of hall_scan keeps at
     threshold p/q: every x whose exact test can pass, and a few more."""
+    # (H, bit length of a) -> (E at a0 = 2^(bitlen(a) - 1), carry constant),
+    # the constant None when 2E >= 2^w
+    slack = {}
     while a < b:
         H = _hall_block_len(a, b - a)
-        yield from range(a, a + H) if H < 16 else _hall_block(a, H, p, q)
+        if H < 16:
+            yield from range(a, a + H)
+        else:
+            key = H, a.bit_length()
+            if key not in slack:
+                E = _hall_slack(1 << (key[1] - 1), H, p, q)
+                d = (1 << _hall_layout(H)[0]) - 2 * E - 1
+                slack[key] = E, d * _hall_packs(H)[0] if d >= 0 else None
+            E, carry = slack[key]
+            yield from range(a, a + H) if carry is None else _hall_block(a, H, E, carry)
         a += H
 
 
@@ -459,16 +478,31 @@ def hall_scan(Xmax: int, threshold) -> list[tuple[int, int, int, float]]:
       in A0 and A1, and r rho > a 4^K / 2 bounds it in A2 and A3 by far
       less than 1.  So S_h = sum A_i h^i is within
       2 (1 + h + h^2 + h^3) < 2 H^3 of 2^w (s - R).
-    - Hence a passing x has |S_h - 2^w y| <= E with the integer
-      E = eta + ceil(2^w 3 H^4 / (128 a^2 isqrt(a))) + 2 H^3, where
-      eta = ceil(p 2^w / (q (2a - 1))).  When 2E < 2^w this gives
+    - Hence a passing x has |S_h - 2^w y| <= E(a) with the integer
+      E(a) = eta + ceil(2^w 3 H^4 / (128 a^2 isqrt(a))) + 2 H^3, where
+      eta = ceil(p 2^w / (q (2a - 1))) (`_hall_slack`).  Each term
+      decreases in a, so E(a) <= E = E(a0) at a0 = 2^(bitlen(a) - 1) <= a:
+      a block uses E, the same for every block of its length whose start
+      has the same bit length.  When 2E < 2^w this gives
       (S_h + E) mod 2^w <= 2E, and an x with (S_h + E) mod 2^w > 2E fails.
-    - The test runs on all h at once.  With P_i = sum h^i 2^(F h) and every
-      A_i (A0 + E for i = 0) reduced mod 2^w, the integer
-      S = sum A_i P_i holds in field h (bits F h to F h + F - 1) the value
-      S_h + E plus a multiple of 2^w, below 2^(w + 3k) for H = 2^k; F leaves
-      room for adding 2^w - 2E - 1, whose carry into bit w marks x that
-      fail.
+    - The test runs on all h at once.  As A3 < 0, write
+      A3 h^3 = |A3| (H^3 - h^3) - |A3| H^3 and fold -|A3| H^3 into the
+      constant: with P_i = sum h^i 2^(F h), Q3 = sum (H^3 - h^3) 2^(F h),
+      c = (A0 + E - |A3| H^3) mod 2^w and A1' = A1 mod 2^w, the integer
+      S = c P0 + A1' P1 + A2 P2 + |A3| Q3 holds in field h (bits F h to
+      F h + F - 1) t_h = c + A1' h + A2 h^2 + |A3| (H^3 - h^3), a sum of
+      nonnegative terms with t_h = S_h + E mod 2^w.
+    - No field overflows.  With the carry constant 2^w - 2E - 1 added,
+      field h holds less than 2^w (H + 1) + A2 H^2 + |A3| H^3.  The block
+      rule 96 H^4 <= a^2 isqrt(a) gives sqrt(a) >= 96^(1/5) H^(4/5), so
+      A2 <= (3/8) 2^w a^(-1/2) (1 + 2^(1-K)) makes A2 H^2 < 0.151 2^w H^1.2,
+      and |A3| <= 2^w / (16 a^(3/2)) (1 + 2^(1-K)) + 1 makes
+      |A3| H^3 < 2^w H^0.6 / 246 + H^3 with H^3 <= 2^(w-17).  The total is
+      below 2^w (H + 1 + 0.151 H^1.2 + 0.01 H^0.6) < 2^(w + k + 3) <= 2^F for
+      H = 2^k <= 2^20 (1644 2^w < 2^(w+11) at H = 1024).  So adding
+      (2^w - 2E - 1) P0 to S carries into bit w of field h exactly when
+      t_h mod 2^w > 2E and never out of a field, and the flipped bits
+      F h + w of (S + (2^w - 2E - 1) P0) XOR S mark the x that stay.
     - When 2E >= 2^w (a large T) nothing is skipped and the block runs the
       exact test on every x; so do blocks shorter than 16 (x < 544, and the
       first few x after an unaligned start).  Blocks reach _HALL_BLOCK from

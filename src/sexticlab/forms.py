@@ -40,14 +40,6 @@ class BinaryForm:
         self._yun = None
         self._floor = None  # density.certified_form_floor's bound, on first use
 
-    @staticmethod
-    def from_poly(p: BivarPoly) -> "BinaryForm":
-        if not p.is_homogeneous():
-            raise ValueError("not homogeneous")
-        d = max(p.degree(), 0)
-        coeffs = [p._terms.get((d - k, k), 0) for k in range(d + 1)]
-        return BinaryForm(d, coeffs)
-
     def to_poly(self) -> BivarPoly:
         d = self.degree
         return BivarPoly({(d - k, k): c for k, c in enumerate(self.coefficients) if c})

@@ -268,13 +268,6 @@ class BivarPoly:
                           max((j for _, j in self._terms), default=-1))
         return self._degs
 
-    def homogeneous_part(self, d: int) -> "BivarPoly":
-        return BivarPoly({t: c for t, c in self._terms.items() if t[0] + t[1] == d})
-
-    def is_homogeneous(self) -> bool:
-        degs = {i + j for i, j in self._terms}
-        return len(degs) <= 1
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

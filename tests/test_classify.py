@@ -43,6 +43,7 @@ from sexticlab.quadext import QuadExt
 from sexticlab.witness import witness_for
 
 from corpus import CORPUS, ENGINELESS
+from test_forms import form_of
 from test_unipoly import monic
 
 # the package exports the function classify under the module's name
@@ -142,17 +143,17 @@ def leading_forms(draw):
         cs = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1).filter(any))
         A = A * BinaryForm(d, cs).to_poly() ** m
         deg += d * m
-    return BinaryForm.from_poly(A)
+    return form_of(A)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(leading_forms())
-@example(BinaryForm.from_poly(parse("x^6 + y^6")))
-@example(BinaryForm.from_poly(parse("(x^2 + y^2)^3")))
-@example(BinaryForm.from_poly(parse("x^5*y")))
-@example(BinaryForm.from_poly(parse("x^3*(x^3 + y^3)")))
-@example(BinaryForm.from_poly(parse("x^4*(x^2 + y^2)")))
-@example(BinaryForm.from_poly(parse("-(x - 2*y)^6")))
+@example(form_of(parse("x^6 + y^6")))
+@example(form_of(parse("(x^2 + y^2)^3")))
+@example(form_of(parse("x^5*y")))
+@example(form_of(parse("x^3*(x^3 + y^3)")))
+@example(form_of(parse("x^4*(x^2 + y^2)")))
+@example(form_of(parse("-(x - 2*y)^6")))
 def test_leading_form_facts_behind_the_routes(A):
     # classify offers Dirichlet (which needs F6 positive-semi) only on MP1:
     # an MP0 or paper-gap leading form is never positive-semi; and it

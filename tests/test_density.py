@@ -30,6 +30,9 @@ from sexticlab.forms import BinaryForm
 from sexticlab.parser import parse
 from sexticlab.poly import BivarPoly
 
+from test_forms import form_of
+from test_poly import homogeneous_part
+
 
 def two_squares_direct(Nmax: int) -> int:
     """Independent enumeration of sums of two squares in [1, Nmax]."""
@@ -64,7 +67,7 @@ def brute_count(F, N, M):
 
 def test_certified_floor_is_valid_bound():
     F = parse("x^6 + y^6")
-    form = BinaryForm.from_poly(F)
+    form = form_of(F)
     c = certified_form_floor(form)
     assert c > 0
     for x in range(-7, 8):
@@ -75,14 +78,14 @@ def test_certified_floor_is_valid_bound():
 
 def test_certified_floor_rejects_semidefinite():
     with pytest.raises(DensityError):
-        certified_form_floor(BinaryForm.from_poly(parse("x^6")))
+        certified_form_floor(form_of(parse("x^6")))
     with pytest.raises(DensityError):
-        certified_form_floor(BinaryForm.from_poly(parse("x^6 - y^6")))
+        certified_form_floor(form_of(parse("x^6 - y^6")))
 
 
 def test_certified_floor_cross_term_form():
     F = parse("x^2 + x*y + y^2")
-    c = certified_form_floor(BinaryForm.from_poly(F))
+    c = certified_form_floor(form_of(F))
     # exact minimum of the normalized form on the boundary is 3/4
     assert 0 < c <= Fraction(3, 4)
 
@@ -174,7 +177,7 @@ def test_two_edge_floor_equals_four_edge_reference(text, keep):
     assert ((1, 0), (0, 1)) in images
     for (a, b), (c, d) in images:
         G = F.subs(BivarPoly({(1, 0): a, (0, 1): b}), BivarPoly({(1, 0): c, (0, 1): d}))
-        form = BinaryForm.from_poly(G)
+        form = form_of(G)
         refs = four_edge_bounds(form)
         assert min(refs) > 0
         # the integer search on the two edges it runs, form(1, t) and
@@ -214,7 +217,7 @@ def test_integer_floor_equals_fraction_oracle_on_random_forms():
 def test_integer_floor_equals_fraction_oracle_on_give_up_path():
     # an image of x^6 + x^4 y^2 + y^6 whose search passes 4096 intervals and
     # returns its least interval bound, <= 0, uncertified
-    form = BinaryForm.from_poly(parse("(-x-y)^6 + (-x-y)^4*(2*x+y)^2 + (2*x+y)^6"))
+    form = form_of(parse("(-x-y)^6 + (-x-y)^4*(2*x+y)^2 + (2*x+y)^6"))
     assert min(assert_edges_match_oracle(form)) <= 0
     with pytest.raises(DensityError, match="failed to certify"):
         certified_form_floor(form)
@@ -223,7 +226,7 @@ def test_integer_floor_equals_fraction_oracle_on_give_up_path():
 def _fraction_radius(F, bound):
     """certified_box's radius search, in Fraction."""
     d = F.degree()
-    c = certified_form_floor(BinaryForm.from_poly(F.homogeneous_part(d)))
+    c = certified_form_floor(form_of(homogeneous_part(F, d)))
     S = _lower_abs_sum(F, d)
     M = 1
     while d and c * Fraction(M) ** d - S * Fraction(M) ** (d - 1) <= bound:
@@ -745,6 +748,17 @@ def test_growth_exponent_validation():
         growth_exponent(parse("x^6 + y^6"), [10, 100])
     with pytest.raises(DensityError):
         growth_exponent(parse("x^6 - y^6"), [10, 100, 1000])
+
+
+@pytest.mark.parametrize("poly,Ns", [
+    ("x^2 + y^2 + 10", [5, 50, 500]),  # no value <= 5: log(0)
+    ("x^6 + y^6", [100, 100, 100]),  # every log N equal: the slope divides by 0
+    ("x^6 + y^6", [10, 10, 100]),  # repeated N, as stanley_probe rejects
+    ("x^6 + y^6", [0, 10, 100]),  # log(0)
+])
+def test_growth_exponent_rejects_ladders_without_a_slope(poly, Ns):
+    with pytest.raises(DensityError):
+        growth_exponent(parse(poly), Ns)
 
 
 # -- sums of two squares ------------------------------------------------------

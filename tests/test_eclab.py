@@ -17,6 +17,8 @@ from sexticlab.eclab import (
     _gap_ratio,
     _hall_block_len,
     _hall_candidates,
+    _hall_layout,
+    _hall_slack,
     danilov_family,
     danilov_member,
     ec_add,
@@ -284,6 +286,12 @@ def test_hall_scan_matches_fraction_reference_random_thresholds():
     (10**12, Fraction(800000003, 10**5), True),
     (10**12, 2 * 10**10, True),
     (2**40, 2**34, True),
+    # just above a power of two, where E = E(a0) is tight, and just below the
+    # next one, where E(a0) is about twice E(a)
+    (2**30, 2 * 10**7, True),
+    (2**31 - 8 * _HALL_BLOCK, 4 * 10**7, True),
+    (2**37, 2**31, True),
+    (2**38 - 8 * _HALL_BLOCK, 2**32, True),
 ])
 def test_hall_candidates_keep_every_passing_x(a, threshold, filtered):
     b = a + 8 * _HALL_BLOCK
@@ -313,6 +321,98 @@ def test_hall_candidates_keep_every_passing_x_random_blocks():
             assert kept == sorted(set(kept)) and set(kept) <= set(range(a, b))
             if t >= b:
                 assert kept == list(range(a, b))
+
+
+def _hall_coefficients(a, w):
+    """(A0, A1, A2, A3) of hall_scan's docstring: 2^w times the Taylor
+    coefficients of x^(3/2) at a, each within 2."""
+    K = w + a.bit_length() + 1
+    r = isqrt(a << 2 * K)
+    return ((a * r) >> (K - w), (3 * r) >> (K + 1 - w), (3 << (K + w)) // (8 * r),
+            -(1 << (K + w)) // (16 * a * r))
+
+
+def _hall_smallest_start(H):
+    """The least multiple a of H with 96 H^4 <= a^2 isqrt(a)."""
+    a = H
+    while 96 * H**4 > a * a * isqrt(a):
+        a += H
+    return a
+
+
+def test_hall_fields_hold_every_content():
+    # The largest value a field of the packed block can hold, the carry
+    # constant added, is below 2^F: the constant, A1 mod 2^w and the carry
+    # constant are at most 2^w - 1, A2 h^2 at most A2 (H - 1)^2 and
+    # |A3| (H^3 - h^3) at most |A3| H^3.  A2 and |A3| fall as a grows, so the
+    # least a that gets a block of length H is the worst case; derandomized
+    # larger a up to 2^48 are checked too.
+    rng = random.Random(36)
+    H = 16
+    while H <= _HALL_BLOCK:
+        w, F = _hall_layout(H)
+        assert F % 8 == 0 and w < F
+        a_min = _hall_smallest_start(H)
+        assert _hall_block_len(a_min, H) == H and _hall_block_len(a_min - H, H) < H
+        starts = [a_min] + [H * rng.randrange(a_min // H, 2 ** rng.randrange(20, 49) // H + 2)
+                            for _ in range(20)]
+        for a in starts:
+            assert _hall_block_len(a, H) == H
+            _, _, A2, A3 = _hall_coefficients(a, w)
+            most = ((1 << w) - 1) * (H + 1) + A2 * (H - 1) ** 2 - A3 * H**3
+            assert 0 < A2 < 1 << w and A3 < 0 and most < 1 << F
+        H *= 2
+
+
+def test_hall_slack_at_a0_bounds_the_block():
+    # E(a) <= E(a0) for a in [a0, 2 a0), a0 = 2^(bitlen(a) - 1), which lets
+    # every block whose start has the bit length of a use E(a0)
+    rng = random.Random(37)
+    for H in (16, 128, _HALL_BLOCK):
+        for t in (Fraction(0), Fraction(5), Fraction(7, 3), Fraction(10**12, 7)):
+            for bits in (10, 11, 19, 20, 33, 48):
+                a0 = 1 << (bits - 1)
+                E0 = _hall_slack(a0, H, t.numerator, t.denominator)
+                for a in [a0 + 1, 2 * a0 - 1] + [rng.randrange(a0, 2 * a0) for _ in range(20)]:
+                    assert a.bit_length() == bits
+                    assert _hall_slack(a, H, t.numerator, t.denominator) <= E0
+
+
+def _hall_filter_per_x(a, b, p, q):
+    """The packed filter of hall_scan evaluated one x at a time: a block
+    [a, a + H) of length H >= 16 keeps x = a + h when 2E >= 2^w or
+    (S_h + E) mod 2^w <= 2E, with E = E(a0) and S_h = sum A_i h^i."""
+    kept = []
+    while a < b:
+        H = _hall_block_len(a, b - a)
+        w = _hall_layout(H)[0]
+        E = _hall_slack(1 << (a.bit_length() - 1), H, p, q)
+        if H < 16 or 2 * E >= 1 << w:
+            kept += range(a, a + H)
+        else:
+            A0, A1, A2, A3 = _hall_coefficients(a, w)
+            kept += [a + h for h in range(H)
+                     if (A0 + A1 * h + A2 * h * h + A3 * h**3 + E) % (1 << w) <= 2 * E]
+        a += H
+    return kept
+
+
+def test_hall_candidates_equal_the_per_x_filter():
+    # the packed evaluation keeps exactly the x that the filter keeps when it
+    # runs on each x alone: derandomized windows up to 2^48, windows just
+    # above and just below a power of two, and the least start of each block
+    # length, at thresholds that keep few x, a few % of x, or all of them
+    rng = random.Random(38)
+    starts = [_hall_smallest_start(1 << k) for k in range(4, 11)]
+    starts += [2**30, 2**31 - _HALL_BLOCK, 2**40 + 3 * _HALL_BLOCK, 2**41 - 2 * _HALL_BLOCK]
+    starts += [rng.randrange(2, 2 ** rng.randrange(10, 49)) for _ in range(12)]
+    for a in starts:
+        b = a + 2 * _HALL_BLOCK
+        for t in (0, Fraction(rng.randrange(1, 10**4), rng.randrange(1, 100)),
+                  Fraction(a, rng.randrange(20, 80)), 9 * 10**400):
+            t = Fraction(t)
+            p, q = t.numerator, t.denominator
+            assert list(_hall_candidates(a, b, p, q)) == _hall_filter_per_x(a, b, p, q)
 
 
 def test_pell_known_solutions():

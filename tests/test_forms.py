@@ -20,8 +20,16 @@ from sexticlab import unipoly as up
 from sexticlab.parser import parse
 
 
+def form_of(p):
+    """The BinaryForm with the terms of the homogeneous BivarPoly p."""
+    d = max(p.degree(), 0)
+    if any(i + j != d for i, j in p._terms):
+        raise ValueError("not homogeneous")
+    return BinaryForm(d, [p._terms.get((d - k, k), 0) for k in range(d + 1)])
+
+
 def form(text):
-    return BinaryForm.from_poly(parse(text))
+    return form_of(parse(text))
 
 
 def test_roundtrip_poly():
@@ -79,8 +87,8 @@ def test_gcd_contains_common_factor(ca, cb, cg):
     fg = BinaryForm(len(cg) - 1, cg)
     if fa.is_zero() or fb.is_zero() or fg.is_zero():
         return
-    A = BinaryForm.from_poly(fa.to_poly() * fg.to_poly())
-    B = BinaryForm.from_poly(fb.to_poly() * fg.to_poly())
+    A = form_of(fa.to_poly() * fg.to_poly())
+    B = form_of(fb.to_poly() * fg.to_poly())
     g = form_gcd(A, B)
     assert form_div(g, A) is not None
     assert form_div(g, B) is not None
