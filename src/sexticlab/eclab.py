@@ -440,12 +440,12 @@ def _hall_candidates(a: int, b: int, p: int, q: int):
         if H < 16:
             yield from range(a, a + H)
         else:
-            key = H, a.bit_length()
-            if key not in slack:
-                E = _hall_slack(1 << (key[1] - 1), H, p, q)
+            n = a.bit_length()
+            if (H, n) not in slack:
+                E = _hall_slack(1 << (n - 1), H, p, q)
                 d = (1 << _hall_layout(H)[0]) - 2 * E - 1
-                slack[key] = E, d * _hall_packs(H)[0] if d >= 0 else None
-            E, carry = slack[key]
+                slack[H, n] = E, d * _hall_packs(H)[0] if d >= 0 else None
+            E, carry = slack[H, n]
             yield from range(a, a + H) if carry is None else _hall_block(a, H, E, carry)
         a += H
 
