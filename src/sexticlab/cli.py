@@ -183,7 +183,7 @@ def cmd_curve(args) -> int:
         elif args.family == "danilov":
             rows = eclab.danilov_family(args.count)
         elif args.family == "hall":
-            rows = eclab.hall_scan(args.xmax, Fraction(args.threshold))
+            rows = eclab.hall_scan(args.xmax, args.threshold)
         else:  # pell; argparse admits no other family
             sol = eclab.pell_solve(args.d, args.c, args.count)
     except eclab.PellBudgetError as exc:
@@ -260,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     cd.add_argument("--count", type=int, default=8)
     ch = csub.add_parser("hall", help="exhaustive scan of x <= xmax for small |y^2 - x^3|")
     ch.add_argument("--xmax", type=int, default=10**5)
-    ch.add_argument("--threshold", type=int, default=5)
+    ch.add_argument("--threshold", type=Fraction, default=Fraction(5),
+                    help="keep x with 0 < |y^2 - x^3| <= threshold * sqrt(x); an exact "
+                         "rational such as 5, 5/2 or 2.5 (default 5)")
     cp = csub.add_parser("pell", help="solutions of x^2 - d y^2 = c")
     cp.add_argument("--d", type=int, required=True)
     cp.add_argument("--c", type=int, required=True, choices=(1, -1, 4, -4))

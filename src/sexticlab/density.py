@@ -5,12 +5,15 @@ landing in [N, 2N).  When the leading form is positive definite the box is
 certified complete: an exact rational lower bound c with
 F_top(x,y) >= c * max(|x|,|y|)^d is computed by branch-and-bound interval
 arithmetic on the boundary of the unit square, and the box radius M is the
-smallest integer with c*M^d - S*M^(d-1) > 2N (S = sum of the absolute lower
-coefficients).  Both run in integers: the interval ends are dyadic, so each
-round holds them as integers over one power of two, and the radius test is
-multiplied through by the denominators of c and S.  The floor is kept on
-F's leading BinaryForm, so a ladder over one F finds it once.  Otherwise the
-box is best-effort and the report says so.
+smallest integer m >= 1 with c*m^d - sum_{k<d} S_k*m^k > 2N, S_k the sum of
+the absolute coefficients of F's degree-k part: one bound per degree, so a
+translate of F gets about the radius of F (certified_box has the proof).
+Both run in integers: the interval ends are dyadic, so each round holds them
+as integers over one power of two, and the radius test is multiplied
+through by c's denominator and the lcm L of F's denominators.  The floor is
+kept on F's leading BinaryForm, so a ladder over one F finds it once.
+Otherwise the box is best-effort and its count only a lower bound, and the
+report says so.
 Enumeration evaluates F through its integer kernel (BivarPoly.kernel), so
 every count is exact without a Fraction per point.  It covers one point of
 each orbit of F's symmetry group in the box, not the whole box: the group is
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,6 +53,10 @@ BITMAP_MAX_BITS = 2**31
 #   1 worker    5.0 ms  14 ms   101 ms  573 ms  2.16 s
 #   2 workers   15.3 ms 28 ms   124 ms  274 ms  1.33 s
 POOL_MIN_POINTS = 1024**2
+
+# landau_baseline marks one byte per integer up to Nmax, so Nmax is capped
+# at the 256 MiB that the largest count_range bitmap may map.
+BASELINE_MAX_N = 2**28
 
 
 class DensityError(ValueError):
@@ -172,36 +180,50 @@ def certified_form_floor(form: BinaryForm) -> Fraction:
 # -- enumeration --------------------------------------------------------------
 
 
-def _lower_abs_sum(F: BivarPoly, d: int) -> Fraction:
-    return sum(
-        (abs(c) for (i, j), c in F.terms.items() if i + j < d), Fraction(0)
-    )
+def _abs_sum(F: BivarPoly, m: int, below: float = math.inf) -> int:
+    """sum |n_ij| m^(i+j) over the terms with i + j < below of
+    L * F = sum n_ij x^i y^j in integers (BivarPoly.scaled_terms).  At a
+    point with max(|x|, |y|) <= m each term has |n_ij x^i y^j| <= |n_ij|
+    m^(i+j), so this bounds |L * F_<below|, L times the part of F below
+    degree `below` (all of F by default).  Grouped by degree it is
+    L sum_{k<below} S_k m^k, S_k the absolute coefficient sum of F_k."""
+    return sum(abs(n) * m ** (i + j) for i, j, n in F.scaled_terms()[1] if i + j < below)
 
 
 def certified_box(F: BivarPoly, bound: int) -> tuple[int, Fraction]:
     """(M, c): enumerating |x|,|y| <= M provably covers every representation
-    of a value <= bound; requires a positive-definite leading form."""
+    of a value <= bound; requires a positive-definite leading form.
+
+    With m = max(|x|, |y|), c the floor of the leading form F_d
+    (certified_form_floor, F_d >= c m^d) and S_k the absolute coefficient
+    sum of F's degree-k part, |F_k| <= S_k m^k, so F >= g(m) + b with
+    b = max(bound, 0) and g(m) = c m^d - sum_{k<d} S_k m^k - b.
+    M is the least integer m >= 1 with g(m) > 0.  The coefficients of g
+    change sign at most once (c > 0, every other one <= 0), so by Descartes'
+    rule g has at most one positive root counted with multiplicity; as g
+    grows without bound, g > 0 on (r, inf) and g <= 0 on (0, r] for some
+    r >= 0.  So g(m) > 0 for every m >= M, and a point with F <= bound has
+    m < M; the test is also monotone in m, which the search needs.  It runs
+    in integers, g times c.den * L (L from _abs_sum, which gives
+    L sum_{k<d} S_k m^k): doubling up to a radius that clears it, then
+    bisecting."""
     d = F.degree()
     # the leading form is the one decompose keeps on F, and with it its
     # floor, so a ladder over one F searches the floor once
     c = certified_form_floor(decompose(F)[max(d, 0)])
-    M = 1
     # a constant (d = 0) never grows past the bound: radius 1 holds its value
-    if d:
-        S = _lower_abs_sum(F, d)
-        # c M^d - S M^(d-1) <= bound, times c.den * S.den
-        a, b = c.numerator * S.denominator, S.numerator * c.denominator
-        t = bound * c.denominator * S.denominator
+    if not d:
+        return 1, c
+    L = F.scaled_terms()[0]
+    a, t = c.numerator * L, max(bound, 0) * c.denominator * L
 
-        def short(m: int) -> bool:
-            return m ** (d - 1) * (a * m - b) <= t
+    def clear(m: int) -> bool:
+        return a * m**d - c.denominator * _abs_sum(F, m, d) > t
 
-        while short(M):
-            M += max(1, M // 16)
-        # M grew geometrically; walk back to the smallest sufficient radius
-        while M > 1 and not short(M - 1):
-            M -= 1
-    return M, c
+    hi = 1
+    while not clear(hi):
+        hi *= 2
+    return bisect_left(range(hi + 1), True, lo=1, key=clear), c
 
 
 # The eight signed permutations of the plane, as (swap, sx, sy):
@@ -239,9 +261,8 @@ def _below_window_radius(F: BivarPoly, M: int, lo: int) -> int:
     constant below the window).  h = 0 when lo <= 0."""
     if lo <= 0:
         return 0
-    L, scaled = F.scaled_terms()
-    return bisect_left(range(M + 1), True,
-                       key=lambda h: sum(abs(n) * h ** (i + j) for i, j, n in scaled) >= L * lo)
+    t = F.scaled_terms()[0] * lo
+    return bisect_left(range(M + 1), True, key=lambda h: _abs_sum(F, h) >= t)
 
 
 def _orbit_columns(F: BivarPoly, M: int, lo: int = 0) -> list:
@@ -349,7 +370,11 @@ def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
         if workers > 1 and sum(y1 - y0 + 1 for _, y0, y1 in columns) >= POOL_MIN_POINTS:
             import concurrent.futures
 
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+            # the pool may start all its processes at the first submit, so it
+            # holds no more than the CPUs; the shards, and so the result,
+            # still follow workers
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=min(workers, os.cpu_count() or 1)) as ex:
                 futs = [ex.submit(_chunk_values, K, cols, lo, hi) for cols in shards]
                 for fut in futs:  # shard order, not completion order
                     count += absorb(fut.result())
@@ -430,14 +455,14 @@ def _near_curve_values(F: BivarPoly, lo: int, hi: int) -> list[int]:
 def distinct_values_up_to(F: BivarPoly, N: int) -> int:
     """Number of distinct integer values of F in (-inf, N], for a
     positive-definite leading form: those in [lo, N + 1) on the certified
-    box of radius M >= 1.  With m = max(|x|, |y|) and S the sum of the
-    absolute lower coefficients, F >= c m^d - S m^(d-1) >= -S M^(d-1) for
-    m >= 1, and F(0, 0) >= -S >= -S M^(d-1) for d >= 1, so the integer
-    lo = -ceil(S M^(d-1)) bounds F below on the box.  A constant
-    (d = 0) is positive, so there lo = 0."""
+    box of radius M >= 1.  With m = max(|x|, |y|) <= M and S_k the absolute
+    coefficient sum of F's degree-k part, F >= c m^d - sum_{k<d} S_k m^k
+    >= -sum_{k<d} S_k M^k (this holds at the origin too, where m^0 = 1), so
+    the integer lo = -ceil(sum_{k<d} S_k M^k) bounds F below on the box; it
+    is -ceil(s / L) with s = _abs_sum(F, M, d) = L sum_{k<d} S_k M^k.  A
+    constant (d = 0) is positive, and there s = 0, so lo = 0."""
     M, _c = certified_box(F, N)
-    d = F.degree()
-    lo = -math.ceil(_lower_abs_sum(F, d) * M ** (d - 1)) if d else 0
+    lo = -_abs_sum(F, M, F.degree()) // F.scaled_terms()[0]
     return len(_chunk_values(F.kernel(), _orbit_columns(F, M), lo, N + 1))
 
 
@@ -473,9 +498,12 @@ def growth_exponent(F: BivarPoly, Ns: list) -> dict:
 def landau_baseline(Nmax: int) -> tuple[int, float]:
     """Count of n in [1, Nmax] that are sums of two squares, and the ratio to
     Nmax / sqrt(ln Nmax).  Marks x^2 + y^2 <= Nmax for 0 <= x <= y in one
-    bytearray, then drops the mark at 0."""
+    bytearray, then drops the mark at 0.  Nmax runs from 100 to
+    BASELINE_MAX_N, checked before anything is allocated."""
     if Nmax < 100:
         raise DensityError("Nmax must be >= 100")
+    if Nmax > BASELINE_MAX_N:
+        raise DensityError(f"Nmax must be <= {BASELINE_MAX_N} (one byte per integer)")
     squares = [x * x for x in range(math.isqrt(Nmax) + 1)]
     seen = bytearray(Nmax + 1)
     for x, xx in enumerate(squares):

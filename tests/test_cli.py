@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -15,6 +16,7 @@ from sexticlab.cli import (
     build_parser,
     main,
 )
+from sexticlab import eclab
 from sexticlab.classify import classify
 from sexticlab.parser import parse
 
@@ -406,6 +408,9 @@ def test_density_requires_bound(capsys):
     (["--baseline", "--bound", "100", "--poly-file", "missing.json"],
      "not with --poly or --poly-file"),
     (["--poly", "x^2 + y^2", "--ladder", "100,200,100"], "repeated N in the ladder"),
+    # rejected before the baseline allocates anything
+    (["--baseline", "--bound", "10000000000000000000"], "Nmax must be <= 268435456"),
+    (["--baseline", "--bound", str(2**28 + 1)], "Nmax must be <= 268435456"),
 ])
 def test_density_bad_bound_or_mode_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "density", *argv)
@@ -483,6 +488,24 @@ def test_curve_hall(capsys):
     code, out, _ = run(capsys, "curve", "hall", "--xmax", "100", "--threshold", "2")
     assert code == EXIT_OK
     assert "2,3" in out  # gap 1 at (2, 3)
+
+
+@pytest.mark.parametrize("threshold", ["5/2", "2.5", "10/4"])
+def test_curve_hall_rational_threshold(capsys, threshold):
+    code, out, err = run(capsys, "curve", "hall", "--xmax", "100", "--threshold", threshold,
+                         "--format", "json")
+    assert code == EXIT_OK and err == ""
+    rows = eclab.hall_scan(100, Fraction(5, 2))
+    assert json.loads(out) == [list(row) for row in rows]
+    # 5/2 keeps fewer rows than 3 and more than 2 on this range
+    assert len(eclab.hall_scan(100, 2)) < len(rows) < len(eclab.hall_scan(100, 3))
+
+
+@pytest.mark.parametrize("threshold", ["abc", "2,5", "nan", "1e"])
+def test_curve_hall_threshold_not_a_rational_exits_2(capsys, threshold):
+    code, out, err = run(capsys, "curve", "hall", "--xmax", "100", "--threshold", threshold)
+    assert code == EXIT_INPUT and out == ""
+    assert "invalid Fraction value" in err
 
 
 def test_curve_hall_huge_threshold(capsys):

@@ -23,7 +23,6 @@ from sexticlab.density import (
     growth_exponent,
     landau_baseline,
     stanley_probe,
-    _lower_abs_sum,
 )
 from sexticlab import cli, unipoly as up
 from sexticlab.forms import BinaryForm
@@ -223,17 +222,37 @@ def test_integer_floor_equals_fraction_oracle_on_give_up_path():
         certified_form_floor(form)
 
 
+def _degree_sums(F):
+    """[S_0, ..., S_d]: S_k the sum of the absolute coefficients of F's
+    degree-k part, in Fraction."""
+    S = [Fraction(0)] * (F.degree() + 1)
+    for (i, j), c in F.terms.items():
+        S[i + j] += abs(c)
+    return S
+
+
+def _margin(F, c, m):
+    """c m^d - sum_{k<d} S_k m^k, in Fraction: a lower bound for F at every
+    point with max(|x|, |y|) = m."""
+    S = _degree_sums(F)
+    d = len(S) - 1
+    return c * Fraction(m) ** d - sum(S[k] * Fraction(m) ** k for k in range(d))
+
+
 def _fraction_radius(F, bound):
-    """certified_box's radius search, in Fraction."""
+    """certified_box's radius by its definition, in Fraction: the least
+    m >= 1 with c m^d - sum_{k<d} S_k m^k > bound, counting up from 1."""
     d = F.degree()
     c = certified_form_floor(form_of(homogeneous_part(F, d)))
-    S = _lower_abs_sum(F, d)
     M = 1
-    while d and c * Fraction(M) ** d - S * Fraction(M) ** (d - 1) <= bound:
-        M += max(1, M // 16)
-    while M > 1 and c * Fraction(M - 1) ** d - S * Fraction(M - 1) ** (d - 1) > bound:
-        M -= 1
+    while d and _margin(F, c, M) <= bound:
+        M += 1
     return M, c
+
+
+def _translate(F, a, b):
+    """F(x + a, y + b)."""
+    return F.subs(BivarPoly({(1, 0): 1, (0, 0): a}), BivarPoly({(0, 1): 1, (0, 0): b}))
 
 
 def test_certified_box_radius_equals_fraction_reference():
@@ -248,10 +267,13 @@ def test_certified_box_radius_equals_fraction_reference():
             i = rng.randrange(d)
             j = rng.randrange(d - i)
             F = F + BivarPoly({(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 5))})
-        # the walk back from the geometric overshoot is linear in M, so keep
-        # M in the hundreds
+        # the reference counts up from 1, so keep M in the hundreds
         cases.append((F, rng.choice((1, 10, 10**3, 10**4 if d == 2 else 10**9))))
-    assert any(_lower_abs_sum(F, F.degree()).denominator > 1 for F, _b in cases)
+    # translates, whose lower terms sum to far more than any one degree needs
+    for _ in range(12):
+        F = _translate(parse(rng.choice(tops)), rng.randint(-3, 3), rng.randint(-3, 3))
+        cases.append((F, rng.choice((1, 10, 10**3))))
+    assert any(S.denominator > 1 for F, _b in cases for S in _degree_sums(F))
     for F, bound in cases:
         assert certified_box(F, bound) == _fraction_radius(F, bound)
     assert certified_box(parse("5"), 10**9) == (1, 5)
@@ -287,17 +309,19 @@ def test_ladder_searches_octic_floor_once_per_edge(monkeypatch):
 
 
 def test_certified_box_minimality():
-    F = parse("x^6 + y^6 + x - 3")
-    bound = 2 * 10**4
-    M, c = certified_box(F, bound)
-    d = 6
-    S = _lower_abs_sum(F, d)
-
-    def margin(m):
-        return c * Fraction(m) ** d - S * Fraction(m) ** (d - 1)
-
-    assert margin(M) > bound
-    assert M == 1 or margin(M - 1) <= bound
+    for text, bound, radius in (
+        ("x^6 + y^6 + x - 3", 2 * 10**4, 6),
+        ("(x-1)^6 + (y-2)^6", 10**4, 22),  # 792 under one bound on all lower terms
+        ("(x+3)^6 + (y-3)^6", 10**4, 43),  # 8191 under it
+    ):
+        F = parse(text)
+        M, c = certified_box(F, bound)
+        assert M == radius
+        # the per-degree bound clears the radius and not one less, and by
+        # Descartes' rule stays clear beyond it
+        assert _margin(F, c, M) > bound
+        assert M == 1 or _margin(F, c, M - 1) <= bound
+        assert all(_margin(F, c, m) > bound for m in range(M, 4 * M))
 
 
 def test_certified_box_covers_all_representations():
@@ -309,6 +333,34 @@ def test_certified_box_covers_all_representations():
         for y in range(-3 * M, 3 * M + 1):
             if max(abs(x), abs(y)) > M:
                 assert F.eval(x, y) >= 2 * N
+
+
+def _seeded_box_cases():
+    """(F, bound): translates of definite forms by seeded (a, b) in
+    [-3, 3]^2, some with a seeded rational lower term, and translates of
+    rational forms."""
+    rng = random.Random(1919)
+    tops = ["x^2 + x*y + 2*y^2", "x^4 + y^4", "1/2*x^6 + 1/3*y^6", "x^6 + x^4*y^2 + y^6",
+            "1/3*x^4 + 1/5*x^2*y^2 + 1/2*y^4"]
+    cases = []
+    for text in tops:
+        F = _translate(parse(text), rng.randint(-3, 3), rng.randint(-3, 3))
+        if rng.random() < 0.5:
+            d = F.degree()
+            i = rng.randrange(d)
+            F = F + BivarPoly({(i, rng.randrange(d - i)): Fraction(rng.randint(-9, 9), 7)})
+        cases.append((F, rng.choice((10, 100, 1000))))
+    return cases
+
+
+@pytest.mark.parametrize("F, bound", _seeded_box_cases())
+def test_certified_box_holds_every_point_of_three_times_the_box(F, bound):
+    # every point with F <= bound on the box three times the radius has
+    # max(|x|, |y|) < M, so lies inside the box
+    M, _c = certified_box(F, bound)
+    r = range(-3 * M, 3 * M + 1)
+    low = [(x, y) for x in r for y in r if F.eval(x, y) <= bound]
+    assert low and all(max(abs(x), abs(y)) < M for x, y in low)
 
 
 # -- count_range --------------------------------------------------------------
@@ -475,6 +527,44 @@ def test_worker_determinism(monkeypatch):
 
 class PoolStarted(Exception):
     pass
+
+
+def test_pool_holds_no_more_processes_than_cpus(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        """Records max_workers and runs each shard when it is submitted;
+        no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(density_mod, "POOL_MIN_POINTS", 16)
+    monkeypatch.setattr(density_mod.os, "cpu_count", lambda: 3)
+    F, N = parse("x^2 + x*y + 2*y^2 + 3*x"), 500
+    base = count_range(F, N).to_json_obj()
+    for workers in (2, 3, 4, 100000):
+        # the shards stay workers * 4, so the report is the same for any cap
+        assert count_range(F, N, workers=workers).to_json_obj() == base
+    assert sizes == [2, 3, 3, 3]
+    # a host that cannot count its CPUs gets one process
+    monkeypatch.setattr(density_mod.os, "cpu_count", lambda: None)
+    assert count_range(F, N, workers=8).to_json_obj() == base
+    assert sizes[-1] == 1
 
 
 def test_pool_starts_only_for_wide_boxes(monkeypatch):
@@ -727,6 +817,13 @@ def test_distinct_values_up_to_oracle():
     assert n == two_squares_direct(100) + 1
 
 
+def test_distinct_values_up_to_counts_down_to_the_floor():
+    # the floor -ceil(sum_{k<d} S_k M^k) is -S_0 = -50 here, F's minimum at
+    # the origin, so a floor one higher would lose that value
+    F = parse("x^2 + y^2 - 50")
+    assert distinct_values_up_to(F, 100) == two_squares_direct(150) + 1
+
+
 def test_distinct_values_up_to_rational_oracle():
     F = parse("1/2*x^4 + 1/3*y^4 + 1/6*x*y")
     M, _c = certified_box(F, 500)
@@ -809,6 +906,27 @@ def test_landau_ratio_near_constant():
 def test_landau_rejects_small():
     with pytest.raises(DensityError):
         landau_baseline(50)
+
+
+class Allocated(Exception):
+    pass
+
+
+def test_landau_rejects_large_before_allocating(monkeypatch):
+    # the bytearray of Nmax + 1 bytes is the baseline's one large
+    # allocation: a stand-in that raises shows it is never reached past the
+    # cap, and is reached at the cap
+    def no_bytearray(n):
+        raise Allocated(n)
+
+    monkeypatch.setattr(density_mod, "bytearray", no_bytearray, raising=False)
+    cap = density_mod.BASELINE_MAX_N
+    assert cap == 2**28
+    for Nmax in (cap + 1, 10**19):
+        with pytest.raises(DensityError, match="Nmax must be <= 268435456"):
+            landau_baseline(Nmax)
+    with pytest.raises(Allocated):
+        landau_baseline(cap)
 
 
 # -- normalized ladder --------------------------------------------------------
