@@ -22,16 +22,19 @@ F), and the value set, so every count, is the same as the full box's.  The
 columns also leave out the square around the origin on which a bound on
 |F| from its coefficients stays below the window.  The process pool starts
 by the number of points those columns hold, so a symmetric F counts in
-process on a box whose full width would start it.
+process on a box whose full width would start it.  A box of more than
+BOX_MAX_POINTS points is refused before its columns are built.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import mmap
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .poly import BivarPoly, IntKernel
@@ -56,7 +59,15 @@ POOL_MIN_POINTS = 1024**2
 
 # landau_baseline marks one byte per integer up to Nmax, so Nmax is capped
 # at the 256 MiB that the largest count_range bitmap may map.
-BASELINE_MAX_N = 2**28
+BASELINE_MAX_N = BITMAP_MAX_BITS // 8
+
+# count_range and distinct_values_up_to refuse a box of radius M with
+# (2M+1)^2 above this many points before they build its columns.  A box at
+# the cap has radius 131071 and 262143 columns, about 35 MB as a list.  Its
+# points take about 5 hours in one process at the 0.25 us a point that a
+# trivial symmetry group costs on a 2-vCPU host (x^2 + x*y + 2*y^2 + 3*x at
+# N = 280000), an eighth of that for a group of order 8.
+BOX_MAX_POINTS = 2**36
 
 
 class DensityError(ValueError):
@@ -250,6 +261,15 @@ def _symmetries(F: BivarPoly) -> list:
     ]
 
 
+def _check_box(M: int) -> None:
+    """Raises DensityError when the box of radius M holds more than
+    BOX_MAX_POINTS points, so that no column of it is built."""
+    if (2 * M + 1) ** 2 > BOX_MAX_POINTS:
+        raise DensityError(
+            f"the box of radius M = {M} holds more than {BOX_MAX_POINTS} points"
+        )
+
+
 def _below_window_radius(F: BivarPoly, M: int, lo: int) -> int:
     """h in [0, M + 1] with F < lo on the square max(|x|, |y|) < h.
 
@@ -322,19 +342,44 @@ def _chunk_values(K: IntKernel, columns, lo: int, hi: int) -> set[int]:
     return vals if D == 1 else {v // D for v in vals}
 
 
+def _absorb_bits(bits: mmap.mmap, lo: int, values) -> int:
+    """Sets the bit of each v - lo in bits; returns how many were new."""
+    added = 0
+    for v in values:
+        k = v - lo
+        i, m = k >> 3, 1 << (k & 7)
+        if not bits[i] & m:
+            bits[i] |= m
+            added += 1
+    return added
+
+
+def _absorb_set(store: set, values) -> int:
+    """Adds values to store; returns how many were new."""
+    before = len(store)
+    store.update(values)
+    return len(store) - before
+
+
 def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
     """Count of distinct integer values of F in [N, 2N) on the box of radius
     M (certified or not), enumerated over the orbit columns of
     _orbit_columns.  Those skip the square max(|x|, |y|) < h, h <= M + 1 the
     least integer with sum |n_ij| h^(i+j) >= L * N for L * F = sum n_ij
-    x^i y^j in integers, because F < N there.  While
-    N <= BITMAP_MAX_BITS (2^31) the counter is a bitmap of N bits (mode
-    bitmap) in an anonymous memory mapping of up to 256 MiB, unmapped when
-    the call returns or raises.  Its pages are zero-filled as values first
-    land on them, so resident memory and set-up follow the values, not N; a
-    window dense with values pays one page fault per page it touches.  A
-    mapping that cannot be made is a DensityError.  Above 2^31 a set counts
-    the values (mode dedup)."""
+    x^i y^j in integers, because F < N there.  Each shard's value set, in
+    shard order (map in process, or a process pool's map once the columns
+    hold POOL_MIN_POINTS points), is absorbed into one store that returns
+    how many of its values were new; their sum is the count.  While N <= BITMAP_MAX_BITS (2^31) the store is a
+    bitmap of N bits (mode bitmap) in an anonymous memory mapping of up to
+    256 MiB, unmapped when the call returns or raises.  Its pages are
+    zero-filled as values first land on them, so resident memory and set-up
+    follow the values, not N; a window dense with values pays one page fault
+    per page it touches.  A mapping that cannot be made is a DensityError.
+    Above 2^31 a set holds the values (mode dedup).  An uncertified box
+    also absorbs the curve-family values of _near_curve_values, and a note
+    says how many of them were new.  A box of more than BOX_MAX_POINTS
+    points, certified or not, is a DensityError before any column is built
+    (_check_box)."""
     if N < 2:
         raise DensityError("N must be >= 2")
     if F.is_zero():
@@ -354,65 +399,38 @@ def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
         notes.append(f"box not certified: {exc}")
         M = max(64, 4 * up.iroot(2 * N, max(d, 1)))
     lo, hi = N, 2 * N
+    _check_box(M)
 
-    # deterministic shards of the orbit columns; merge order is shard order,
-    # so the result is identical for any worker count
+    # deterministic shards of the orbit columns; the maps below yield in
+    # shard order, so the result is identical for any worker count
     columns = _orbit_columns(F, M, lo)
     nshards = max(1, min(workers * 4, len(columns)))
     shards = [columns[i::nshards] for i in range(nshards)]
+    chunk = functools.partial(_chunk_values, F.kernel(), lo=lo, hi=hi)
 
-    K = F.kernel()
-
-    def fill(absorb) -> int:
-        # each absorb returns how many of its values were new, so the running
-        # total is the count and the store is never recounted
-        count = 0
+    with contextlib.ExitStack() as stack:
+        if N <= BITMAP_MAX_BITS:
+            mode = "bitmap"
+            absorb = functools.partial(_absorb_bits, stack.enter_context(_bitmap(N)), lo)
+        else:
+            mode = "dedup"
+            absorb = functools.partial(_absorb_set, set())
         if workers > 1 and sum(y1 - y0 + 1 for _, y0, y1 in columns) >= POOL_MIN_POINTS:
             import concurrent.futures
 
-            # the pool may start all its processes at the first submit, so it
-            # holds no more than the CPUs; the shards, and so the result,
-            # still follow workers
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(workers, os.cpu_count() or 1)) as ex:
-                futs = [ex.submit(_chunk_values, K, cols, lo, hi) for cols in shards]
-                for fut in futs:  # shard order, not completion order
-                    count += absorb(fut.result())
+            # the pool may start all its processes at once, so it holds no
+            # more than the CPUs; the shards, and so the result, still
+            # follow workers
+            batches = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, os.cpu_count() or 1))).map(chunk, shards)
         else:
-            for cols in shards:
-                count += absorb(_chunk_values(K, cols, lo, hi))
+            batches = map(chunk, shards)
+        count = sum(map(absorb, batches))
         if not certified:
             added = absorb(_near_curve_values(F, lo, hi))
             count += added
             if added:
                 notes.append(f"{added} values added from curve-family points")
-        return count
-
-    if N <= BITMAP_MAX_BITS:
-        mode = "bitmap"
-        with _bitmap(N) as bits:
-
-            def absorb(values) -> int:
-                added = 0
-                for v in values:
-                    k = v - lo
-                    i, m = k >> 3, 1 << (k & 7)
-                    if not bits[i] & m:
-                        bits[i] |= m
-                        added += 1
-                return added
-
-            count = fill(absorb)
-    else:
-        mode = "dedup"
-        allvals = set()
-
-        def absorb(values) -> int:
-            before = len(allvals)
-            allvals.update(values)
-            return len(allvals) - before
-
-        count = fill(absorb)
 
     logN = math.log(N)
     return DensityReport(
@@ -429,23 +447,19 @@ def count_range(F: BivarPoly, N: int, workers: int = 1) -> DensityReport:
 
 
 def _near_curve_values(F: BivarPoly, lo: int, hi: int) -> list[int]:
-    """For a box that is not certified, F's curve-family minimum if it is an
-    integer in [lo, hi).  witness._family_walk returns the family's negative
-    values, else its single minimum; negative values lie below lo = N >= 2,
-    so this adds at most that minimum, and nothing when a negative exists."""
-    if F.degree() != 6:
-        return []
+    """For a box that is not certified, the integer values in [lo, hi) of
+    F's curve-family witness, which witness_for searches with the family
+    engine (Rouse or Danilov by F's ECRecord, default budgets) and checks
+    against F.  That witness holds the family's negative values, else its
+    one minimum; negatives lie below lo = N >= 2, so this adds at most the
+    minimum.  An F without an ECRecord adds nothing."""
     from .classify import classify
-    from .witness import CertificateError, rouse_witness, danilov_witness
+    from .witness import witness_for
 
-    shape = classify(F).shape or {}
-    rec = shape.get("ecform")
-    if rec is None:
+    report = classify(F)
+    if (report.shape or {}).get("ecform") is None:
         return []
-    Fn = shape["normalized"]
-    w = rouse_witness(Fn, rec, 25) if rec.b1 else danilov_witness(Fn, rec, 10)
-    if not w.verify(Fn):  # Fn = F o M with M unimodular: the same values
-        raise CertificateError(f"{w.lemma}: family values fail verification")
+    w = witness_for(F, replace(report, engine=("family", None)))
     return sorted({int(v) for _x, _y, v in w.points if v.denominator == 1 and lo <= v < hi})
 
 
@@ -460,8 +474,10 @@ def distinct_values_up_to(F: BivarPoly, N: int) -> int:
     >= -sum_{k<d} S_k M^k (this holds at the origin too, where m^0 = 1), so
     the integer lo = -ceil(sum_{k<d} S_k M^k) bounds F below on the box; it
     is -ceil(s / L) with s = _abs_sum(F, M, d) = L sum_{k<d} S_k M^k.  A
-    constant (d = 0) is positive, and there s = 0, so lo = 0."""
+    constant (d = 0) is positive, and there s = 0, so lo = 0.  A box of
+    more than BOX_MAX_POINTS points is a DensityError (_check_box)."""
     M, _c = certified_box(F, N)
+    _check_box(M)
     lo = -_abs_sum(F, M, F.degree()) // F.scaled_terms()[0]
     return len(_chunk_values(F.kernel(), _orbit_columns(F, M), lo, N + 1))
 

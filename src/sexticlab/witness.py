@@ -442,7 +442,10 @@ def witness_for(
     """Runs the engine that classify chose (report.engine) on the polynomial
     its route searches, maps the points back to the input's coordinates, and
     verifies the witness against F itself.  This is the one certificate
-    check: every route passes it, and nothing skips it."""
+    check: every route passes it, and nothing skips it.  Its callers are
+    the witness command and density._near_curve_values, which hands it a
+    report whose engine is set to the curve family to count the family's
+    values on an uncertified box."""
     if report is None:
         report = classify(F)
     shape = report.shape or {}

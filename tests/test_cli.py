@@ -411,6 +411,9 @@ def test_density_requires_bound(capsys):
     # rejected before the baseline allocates anything
     (["--baseline", "--bound", "10000000000000000000"], "Nmax must be <= 268435456"),
     (["--baseline", "--bound", str(2**28 + 1)], "Nmax must be <= 268435456"),
+    # rejected before the box's columns are built, in one window or a ladder
+    (["--poly", "x^2 + y^2", "--bound", str(10**30)], "radius M = 1414213562373096"),
+    (["--poly", "x^2 + y^2", "--ladder", f"100,{10**30}"], "radius M = 1414213562373096"),
 ])
 def test_density_bad_bound_or_mode_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "density", *argv)

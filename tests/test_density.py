@@ -535,8 +535,8 @@ def test_pool_holds_no_more_processes_than_cpus(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        """Records max_workers and runs each shard when it is submitted;
-        no process starts."""
+        """Records max_workers and maps the shards in order, in process; no
+        process starts."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -547,10 +547,8 @@ def test_pool_holds_no_more_processes_than_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(density_mod, "POOL_MIN_POINTS", 16)
@@ -652,6 +650,20 @@ def test_curve_family_merge_counts_only_new_values(monkeypatch):
             assert not rep.certified and rep.box == box
             assert rep.count == len(in_box | set(extra))
             assert [n for n in rep.notes if "curve-family" in n] == notes
+
+
+def test_curve_family_value_merges_end_to_end(capsys):
+    # F's leading form (y^2 - x^3)^2 is not definite, so the box is the
+    # best-effort 64; the Danilov family adds 182055, which no box point gives
+    F, N = parse("(y^2 - x^3)^2 + x + 2"), 100000
+    assert density_mod._near_curve_values(F, N, 2 * N) == [182055]
+    in_box = window_values(F, N, 64)
+    assert 182055 not in in_box and len(in_box) == 98
+    assert cli.main(["density", "--poly", "(y^2 - x^3)^2 + x + 2", "--bound", "100000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["count"], out["box"], out["certified"]) == (99, 64, False)
+    assert out["notes"] == ["box not certified: form is not positive definite",
+                            "1 values added from curve-family points"]
 
 
 def test_uncertified_box_notes():
@@ -927,6 +939,35 @@ def test_landau_rejects_large_before_allocating(monkeypatch):
             landau_baseline(Nmax)
     with pytest.raises(Allocated):
         landau_baseline(cap)
+
+
+def test_box_beyond_the_cap_is_refused_before_its_columns(monkeypatch):
+    # the orbit columns are a box's one large allocation: a stand-in that
+    # raises shows they are never built past the cap, for a certified box,
+    # a best-effort one and the growth count, and are built below it
+    def no_columns(*args):
+        raise Allocated(args[1])
+
+    monkeypatch.setattr(density_mod, "_orbit_columns", no_columns)
+    assert density_mod.BOX_MAX_POINTS == 2**36
+    F = parse("x^2 + y^2")
+    assert certified_box(F, 2 * 10**30)[0] == 1414213562373096
+    cases = (
+        lambda: count_range(F, 10**30),
+        lambda: count_range(parse("x^6 + x^2*y^3"), 10**40),
+        lambda: distinct_values_up_to(F, 2 * 10**30),
+    )
+    for run in cases:
+        with pytest.raises(DensityError, match=r"the box of radius M = \d+ holds more than"):
+            run()
+    # the largest radius within the cap, 131071, and one more
+    assert (2 * 131071 + 1) ** 2 <= 2**36 < (2 * 131072 + 1) ** 2
+    density_mod._check_box(131071)
+    with pytest.raises(DensityError, match="M = 131072"):
+        density_mod._check_box(131072)
+    for run in (lambda: count_range(F, 10**6), lambda: distinct_values_up_to(F, 10**6)):
+        with pytest.raises(Allocated):
+            run()
 
 
 # -- normalized ladder --------------------------------------------------------
